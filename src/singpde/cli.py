@@ -27,7 +27,7 @@ from . import diagnostics as diag
 from . import fields
 from .config import ConfigError, RunConfig, SUITES
 from .measures import RadonMeasure, mollify, scale_measure
-from .mesh import build_grid, l1_norm, min_on_compact
+from .mesh import Grid, build_grid, l1_norm, min_on_compact
 from .singularity import SingularNonlinearity
 from .solver import (
     ConvergenceFailure,
@@ -286,16 +286,15 @@ def _suite_tails(cfg: RunConfig):
     return rows
 
 
-def _kato_solver_cfg(cfg: RunConfig) -> SolverConfig:
-    # Near-exact identities need tighter tolerances than ordinary runs;
-    # 1e-12 stays within what conjugate gradients can actually attain.
-    tol_fp = min(cfg.solver.resolved_tol_fp(build_grid(cfg.dim, 2)), 1e-12)
-    return replace(cfg.solver, tol_fp=tol_fp, tol_lin=1e-12, max_iters=max(cfg.solver.max_iters, 800))
+def _kato_solver_cfg(cfg: RunConfig, grid: Grid) -> SolverConfig:
+    # Near-exact identities need tighter tolerances than ordinary runs.
+    tol_fp = min(cfg.solver.resolved_tol_fp(grid), 1e-12)
+    return replace(cfg.solver, tol_fp=tol_fp, max_iters=max(cfg.solver.max_iters, 800))
 
 
 def _suite_kato(cfg: RunConfig):
     spec = _spec_from_config(cfg)
-    solver_cfg = _kato_solver_cfg(cfg)
+    solver_cfg = _kato_solver_cfg(cfg, spec.grid)
     n = cfg.n_schedule[-1]
     mu2 = cfg.mu
     mu1 = scale_measure(cfg.mu, 2.0)
@@ -305,7 +304,7 @@ def _suite_kato(cfg: RunConfig):
         raise _NonConverged("kato solves")
     mu1_d = mollify(mu1, spec.grid, n)
     mu2_d = mollify(mu2, spec.grid, n)
-    phi0 = diag.torsion_function(spec.grid, tol=1e-12)
+    phi0 = diag.torsion_function(spec.grid)
     forward = diag.kato_residual(res1, res2, mu1_d, mu2_d, cfg.f, cfg.h, phi0)
     mirrored = diag.kato_residual(res2, res1, mu2_d, mu1_d, cfg.f, cfg.h, phi0)
     return [
@@ -527,3 +526,7 @@ def main(argv=None) -> int:
 
 def main_entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    main_entry()

@@ -56,7 +56,6 @@ KNOWN_KEYS = (
     "measure.density",
     "sequence.n_schedule",
     "solver.tol_fp",
-    "solver.tol_lin",
     "solver.tol_seq",
     "solver.tol_mono",
     "solver.max_iters",
@@ -327,14 +326,12 @@ class RunConfig:
             )
 
         tol_fp = _get_float(raw, "solver.tol_fp")
-        tol_lin = _get_float(raw, "solver.tol_lin", 1e-12)
         tol_seq = _get_float(raw, "solver.tol_seq", 1e-6)
         tol_mono = _get_float(raw, "solver.tol_mono", 1e-8)
         max_iters = _get_int(raw, "solver.max_iters", 500)
         damping = _get_float(raw, "solver.damping")
         for key, value in (
             ("solver.tol_fp", tol_fp),
-            ("solver.tol_lin", tol_lin),
             ("solver.tol_seq", tol_seq),
             ("solver.tol_mono", tol_mono),
         ):
@@ -346,12 +343,10 @@ class RunConfig:
             raise ConfigError("solver.damping", f"must lie in (0, 1], got {damping}")
         solver_cfg = SolverConfig(
             tol_fp=tol_fp,
-            tol_lin=tol_lin,
             tol_seq=tol_seq,
             tol_mono=tol_mono,
             max_iters=max_iters,
             damping=damping,
-            margins=margins,
         )
 
         suite = _single(raw, "verify.suite") or "all"

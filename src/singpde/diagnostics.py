@@ -8,8 +8,8 @@ least-squares fits of log(mass) against log(threshold).
 
 Also here: the truncation energy sum |grad T_k(u)^((gamma+1)/2)|^2, the
 global/local split of u into G_1(u) and T_1(u) with band-restricted energies,
-the torsion function solving -Lap phi0 = 1, the smallest Laplacian eigenvalue
-via inverse power iteration, and a Kato-type residual comparing the integral
+the torsion function solving -Lap phi0 = 1, the smallest eigenvalue of the
+discrete Laplacian in closed form, and a Kato-type residual comparing the integral
 of (u1 - u2)^+ against the signed source differences weighted by phi0.
 """
 
@@ -248,11 +248,11 @@ def g1_t1_split_energies(
     return G1T1Report(q=q, g1_norm=g1_norm, t1_band_energies=tuple(energies))
 
 
-def torsion_function(grid: Grid, tol: float = 1e-12) -> GridFunction:
+def torsion_function(grid: Grid) -> GridFunction:
     """Solve -Lap phi0 = 1 with zero boundary values; phi0 > 0 inside."""
     lap = build_laplacian(grid)
     ones = GridFunction(grid, np.ones(grid.interior_count))
-    phi0 = solve_spd(lap, ones, tol)
+    phi0 = solve_spd(lap, ones)
     if float(phi0.values.min()) <= 0.0:
         raise RuntimeError("torsion function came out nonpositive at a node")
     return phi0
@@ -326,20 +326,8 @@ def kato_residual(
     )
 
 
-def lambda1_estimate(
-    grid: Grid, tol: float = 1e-8, max_iters: int = 500
-) -> float:
-    """Smallest Laplacian eigenvalue by inverse power iteration."""
-    lap = build_laplacian(grid)
-    x = np.ones(grid.interior_count)
-    x /= np.linalg.norm(x)
-    lam = None
-    for _ in range(max_iters):
-        y = solve_spd(lap, GridFunction(grid, x), 1e-12, x0=x).values
-        y /= np.linalg.norm(y)
-        lam_new = float(y @ (lap.matrix @ y))
-        if lam is not None and abs(lam_new - lam) <= tol * abs(lam_new):
-            return lam_new
-        lam = lam_new
-        x = y
-    raise RuntimeError(f"inverse power iteration did not settle in {max_iters} steps")
+def lambda1_estimate(grid: Grid) -> float:
+    """Smallest eigenvalue of the discrete Dirichlet Laplacian,
+    dim * (4/h^2) sin^2(pi h / 2): the lowest DST-I mode along every axis."""
+    h = grid.spacing
+    return float(grid.dim * (4.0 / h**2) * np.sin(0.5 * np.pi * h) ** 2)

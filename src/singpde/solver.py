@@ -113,13 +113,11 @@ class SolverConfig:
     """
 
     tol_fp: float | None = None
-    tol_lin: float = 1e-12
     max_iters: int = 500
     damping: float | None = None
     tol_seq: float = 1e-6
     tol_mono: float = TOL_MONO
     initial_guess: GridFunction | np.ndarray | None = None
-    margins: tuple[float, ...] = (0.125, 0.25)
 
     def resolved_tol_fp(self, grid: Grid) -> float:
         if self.tol_fp is not None:
@@ -204,35 +202,24 @@ def _rhs(prep: _Prepared, v: np.ndarray) -> np.ndarray:
     return hv * prep.f_capped + prep.mu_vals
 
 
-def _step(
-    prep: _Prepared,
-    v: np.ndarray,
-    damping: float,
-    tol_lin: float,
-    x0: np.ndarray | None,
-) -> np.ndarray:
+def _step(prep: _Prepared, v: np.ndarray, damping: float) -> np.ndarray:
     rhs = _rhs(prep, v)
     if not np.all(np.isfinite(rhs)):
         raise RuntimeError("right-hand side overflowed during Picard step")
-    w = solve_spd(prep.lap, GridFunction(prep.grid, rhs), tol_lin, x0=x0).values
+    w = solve_spd(prep.lap, GridFunction(prep.grid, rhs)).values
     if damping >= 1.0:
         return w
     return (1.0 - damping) * v + damping * w
 
 
-def picard_step(
-    spec: ProblemSpec,
-    v: GridFunction,
-    damping: float = 1.0,
-    tol_lin: float = 1e-12,
-) -> GridFunction:
+def picard_step(spec: ProblemSpec, v: GridFunction, damping: float = 1.0) -> GridFunction:
     """One fixed-point step: solve -Lap w = h_cap(|v| + 1/n) f_cap + mu_n and
     return (1 - damping) v + damping w."""
     if not 0.0 < damping <= 1.0:
         raise ValueError(f"damping must lie in (0, 1], got {damping}")
     require_same_grid(spec.grid, v.grid)
     prep = _prepare(spec)
-    return GridFunction(spec.grid, _step(prep, v.values, damping, tol_lin, None))
+    return GridFunction(spec.grid, _step(prep, v.values, damping))
 
 
 # Oscillation guard: if the update norm fails to halve over this many
@@ -253,7 +240,7 @@ def _iterate(
     initial: np.ndarray | None,
 ) -> SolveResult:
     if initial is None:
-        u = _step(prep, np.zeros(prep.grid.interior_count), 1.0, cfg.tol_lin, None)
+        u = _step(prep, np.zeros(prep.grid.interior_count), 1.0)
     else:
         u = np.array(initial, dtype=float)
     history = []
@@ -262,7 +249,7 @@ def _iterate(
     iterations = 0
     last_adjust = 0
     for iterations in range(1, cfg.max_iters + 1):
-        new = _step(prep, u, damping, cfg.tol_lin, x0=u)
+        new = _step(prep, u, damping)
         if not np.all(np.isfinite(new)):
             raise RuntimeError("Picard iterate contains non-finite values")
         residual = float(np.max(np.abs(new - u)))
@@ -508,7 +495,7 @@ def solve_clamped(
     for iterations in range(1, cfg.max_iters + 1):
         hv = np.minimum(prep.cap, prep.h(sandwich.clamp(u) + prep.shift))
         rhs = hv * prep.f_capped + prep.mu_vals
-        w = solve_spd(prep.lap, GridFunction(spec.grid, rhs), cfg.tol_lin, x0=u).values
+        w = solve_spd(prep.lap, GridFunction(spec.grid, rhs)).values
         new = w if damping >= 1.0 else (1.0 - damping) * u + damping * w
         if not np.all(np.isfinite(new)):
             raise RuntimeError("Picard iterate contains non-finite values")
@@ -558,7 +545,7 @@ def build_sub_super(spec: ProblemSpec, cfg: SolverConfig | None = None) -> Sandw
         )
     lap = build_laplacian(spec.grid)
     mu_d = mollify(spec.mu, spec.grid, spec.n)
-    w = solve_spd(lap, mu_d.values, cfg.tol_lin)
+    w = solve_spd(lap, mu_d.values)
     sup = GridFunction(spec.grid, v_res.u.values + w.values)
     return SandwichSpec(sub=v_res.u, sup=sup, w=w)
 

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import singpde
 from singpde.cli import main
 
 DIRAC_1D = """
@@ -78,6 +84,29 @@ def test_solve_deterministic_outputs(tmp_path):
     assert main(["solve", cfg, "--out", str(out2)]) == 0
     for name in ["sequence.csv"] + [f"solution_n{n}.csv" for n in (2, 4, 8, 16, 32, 64)]:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_solve_fine_1d_grid_with_defaults(tmp_path):
+    cfg = write_cfg(tmp_path, "domain.dim = 1\ndomain.cells = 512\n")
+    out = tmp_path / "out"
+    assert main(["solve", cfg, "--out", str(out)]) == 0
+    _, rows = read_rows(out / "sequence.csv")
+    assert [int(r[0]) for r in rows] == [2**j for j in range(1, 11)]
+
+
+def test_module_entry_point_runs_solve(tmp_path):
+    cfg = write_cfg(tmp_path, DIRAC_1D)
+    out = tmp_path / "out"
+    src = str(Path(singpde.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "singpde.cli", "solve", cfg, "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert (out / "sequence.csv").exists()
 
 
 # -- verify ------------------------------------------------------------------

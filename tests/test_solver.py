@@ -89,7 +89,7 @@ def test_solve_manufactured_singular():
 
 def test_solve_point_load_exact_greens_function():
     spec = spec_1d(f=zero(), mu=DELTA_HALF, n=64)
-    res = solve_regularized(spec, SolverConfig(tol_lin=1e-12))
+    res = solve_regularized(spec, SolverConfig())
     assert res.converged
     assert np.max(np.abs(res.u.values - green_exact(spec.grid))) <= 1e-10
 
@@ -297,7 +297,7 @@ def test_build_sub_super_zero_measure_degenerate():
 
 def test_build_sub_super_point_load_shifts_center():
     spec = spec_1d(f=constant(1.0), mu=DELTA_HALF, n=64)
-    sw = build_sub_super(spec, SolverConfig(tol_lin=1e-12))
+    sw = build_sub_super(spec, SolverConfig())
     center = 31
     assert sw.sup.values[center] - sw.sub.values[center] == pytest.approx(
         0.25, abs=1e-10
