@@ -7,7 +7,10 @@ import numpy as np
 import pytest
 
 import singpde
-from singpde.cli import main
+from singpde.cli import _fmt, _solution_rows_template, main
+from singpde.config import RunConfig
+from singpde.mesh import build_grid
+from singpde.solver import ProblemSpec, solve_sequence
 
 DIRAC_1D = """
 domain.dim = 1
@@ -86,6 +89,46 @@ def test_solve_deterministic_outputs(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def test_solution_rows_template_matches_fmt_on_edge_values():
+    edge = [0.0, -0.0, 5e-324, 1e-300, 0.1, 1 / 3, 1.2345678901234567e17]
+    coords = np.array([edge, edge[::-1]]).T
+    values = edge[3:] + edge[:3]
+    expected = "".join(
+        ",".join(_fmt(x) for x in tuple(coord) + (value,)) + "\n"
+        for coord, value in zip(coords, values)
+    )
+    assert _solution_rows_template(coords) % tuple(values) == expected
+
+
+def test_solve_solution_files_match_per_value_formatting(tmp_path):
+    text = "\n".join([
+        "domain.dim = 2",
+        "domain.cells = 8",
+        "h.kind = pure_power",
+        "h.gamma = 1.5",
+        "f.kind = constant",
+        "f.value = 1.0",
+        "measure.atom = [0.45, 0.55, 0.5, 1.0]",
+        "sequence.n_schedule = 2, 8, 32",
+    ]) + "\n"
+    cfg_path = write_cfg(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["solve", cfg_path, "--out", str(out)]) == 0
+
+    # reference: one _fmt call per value, as for the small tables
+    cfg = RunConfig.from_file(cfg_path)
+    grid = build_grid(cfg.dim, cfg.cells, cfg.grid_margin)
+    spec = ProblemSpec(grid=grid, h=cfg.h, f=cfg.f, mu=cfg.mu, n=cfg.n_schedule[-1])
+    seq = solve_sequence(spec, cfg.n_schedule, cfg.solver)
+    for n, res in zip(seq.n_schedule, seq.results):
+        lines = ["x,y,u"] + [
+            ",".join(_fmt(x) for x in tuple(coord) + (value,))
+            for coord, value in zip(grid.node_coords, res.u.values)
+        ]
+        expected = ("\n".join(lines) + "\n").encode("utf-8")
+        assert (out / f"solution_n{n}.csv").read_bytes() == expected
+
+
 def test_solve_fine_1d_grid_with_defaults(tmp_path):
     cfg = write_cfg(tmp_path, "domain.dim = 1\ndomain.cells = 512\n")
     out = tmp_path / "out"
@@ -129,6 +172,23 @@ def test_verify_kato_suite_zero_measure_trivial(tmp_path):
     _, rows = read_rows(out / "verify_kato.csv")
     assert all(row[3] == "pass" for row in rows)
     assert all(float(row[1]) == 0.0 for row in rows)
+
+
+@pytest.mark.parametrize("mass, status", [(1.0, "na"), (10.0, "pass")])
+def test_verify_energy_law_fits_only_active_truncations(tmp_path, mass, status):
+    # With mass 1 max u stays below k = 2, so at most one T_k cuts u and the
+    # law is untested.  With mass 10 the inactive k >= max u no longer
+    # flatten the fitted slope towards 0.
+    text = DIRAC_1D.replace("h.gamma = 0.5", "h.gamma = 1.5").replace(
+        "0.5, 0.5, 0.5, 1.0]", f"0.5, 0.5, 0.5, {mass}]"
+    )
+    cfg = write_cfg(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["verify", cfg, "--out", str(out), "--suite", "energy_law"]) == 0
+    _, rows = read_rows(out / "verify_energy_law.csv")
+    assert [row[3] for row in rows] == [status]
+    if status == "pass":
+        assert float(rows[0][1]) >= 1.0
 
 
 def test_verify_tails_not_applicable_in_1d(tmp_path):
