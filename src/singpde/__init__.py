@@ -27,7 +27,6 @@ from .mesh import (
     build_grid,
     build_laplacian,
     l1_norm,
-    max_norm,
     min_on_compact,
     sample_field,
     solve_spd,

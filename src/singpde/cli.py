@@ -2,13 +2,14 @@
 
 ``solve`` drives the regularization schedule and writes per-level solution
 files plus a sequence summary.  ``verify`` runs one of the named check
-suites and writes one row per check.  ``sweep`` runs the Cartesian product
-of the configured parameter grids concurrently and aggregates one row per
-run.  All CSV output uses 17 significant digits so identical configurations
-reproduce byte-identical files.  Solution files are written column-wise:
-the node coordinates are formatted once per run and each level's values
-fill them in with one formatting call, giving the same bytes as formatting
-every value on its own.
+suites and writes one row per check; the suites of one run share the full
+and the measure-free schedule, each solved at most once.  ``sweep`` runs
+the Cartesian product of the configured parameter grids concurrently and
+aggregates one row per run.  All CSV output uses 17 significant digits so
+identical configurations reproduce byte-identical files.  Solution files
+are written column-wise: the node coordinates are formatted once per run
+and each level's values fill them in with one formatting call, giving the
+same bytes as formatting every value on its own.
 
 Exit codes: 0 ok, 1 configuration error, 2 nonconvergence, 3 failed check
 or invariant violation.  Every nonzero exit is accompanied by a
@@ -97,10 +98,6 @@ def _reason(out_dir: Path | None, code: int, category: str, detail: str) -> int:
     return code
 
 
-class _NonConverged(RuntimeError):
-    pass
-
-
 def _spec_from_config(cfg: RunConfig) -> ProblemSpec:
     grid = build_grid(cfg.dim, cfg.cells, cfg.grid_margin)
     return ProblemSpec(grid=grid, h=cfg.h, f=cfg.f, mu=cfg.mu, n=cfg.n_schedule[-1])
@@ -152,15 +149,31 @@ def _cmd_solve(cfg: RunConfig, out_dir: Path) -> int:
 
 
 # ---------------------------------------------------------------------------
-# verify suites: each returns rows (name, observed, bound, status)
+# verify suites: each takes the config and the run's ``sequence`` lookup and
+# returns rows (name, observed, bound, status)
 # ---------------------------------------------------------------------------
 
 
-def _require_sequence(spec, schedule, solver_cfg):
-    seq = solve_sequence(spec, schedule, solver_cfg)
-    if seq.aborted_level is not None:
-        raise _NonConverged(f"level {seq.aborted_level} did not converge")
-    return seq
+def _sequences(cfg: RunConfig):
+    """``sequence(with_measure)`` for one verify run: the full or the
+    measure-free schedule of ``cfg``, each solved on first use only.
+
+    A nonconvergent level raises ConvergenceFailure.
+    """
+    memo = {}
+
+    def sequence(with_measure: bool):
+        if with_measure not in memo:
+            spec = _spec_from_config(cfg)
+            if not with_measure:
+                spec = spec.without_measure()
+            seq = solve_sequence(spec, cfg.n_schedule, cfg.solver)
+            if seq.aborted_level is not None:
+                raise ConvergenceFailure(f"level {seq.aborted_level} did not converge")
+            memo[with_measure] = seq
+        return memo[with_measure]
+
+    return sequence
 
 
 def _check(name, observed, bound, ok) -> tuple:
@@ -171,7 +184,7 @@ def _na(name, note="not-applicable") -> tuple:
     return (name, note, "", "na")
 
 
-def _suite_manufactured(cfg: RunConfig):
+def _suite_manufactured(cfg: RunConfig, sequence):
     if cfg.dim != 1:
         return [_na("manufactured.error", "needs dim=1")]
     if cfg.h.kind != "pure_power":
@@ -182,9 +195,9 @@ def _suite_manufactured(cfg: RunConfig):
     for cells in _MANUFACTURED_CELLS:
         grid = build_grid(1, cells)
         spec = ProblemSpec(grid=grid, h=cfg.h, f=f, mu=RadonMeasure(), n=10**6)
-        res = solve_regularized(spec, replace(cfg.solver, initial_guess=None))
+        res = solve_regularized(spec, cfg.solver)
         if not res.converged:
-            raise _NonConverged(f"manufactured solve at cells={cells}")
+            raise ConvergenceFailure(f"manufactured solve at cells={cells}")
         exact = np.sin(np.pi * grid.node_coords[:, 0])
         errors[cells] = float(np.max(np.abs(res.u.values - exact)))
     hs = np.log([1.0 / c for c in _MANUFACTURED_CELLS])
@@ -197,9 +210,8 @@ def _suite_manufactured(cfg: RunConfig):
     return rows
 
 
-def _suite_monotone(cfg: RunConfig):
-    spec = _spec_from_config(cfg).without_measure()
-    seq = _require_sequence(spec, cfg.n_schedule, cfg.solver)
+def _suite_monotone(cfg: RunConfig, sequence):
+    seq = sequence(with_measure=False)
     report = monotone_check([r.u for r in seq.results], tol=cfg.solver.tol_mono)
     return [
         _check(
@@ -211,10 +223,9 @@ def _suite_monotone(cfg: RunConfig):
     ]
 
 
-def _suite_lower_bound(cfg: RunConfig):
-    spec = _spec_from_config(cfg)
-    seq = _require_sequence(spec, cfg.n_schedule, cfg.solver)
-    vseq = _require_sequence(spec.without_measure(), cfg.n_schedule, cfg.solver)
+def _suite_lower_bound(cfg: RunConfig, sequence):
+    seq = sequence(with_measure=True)
+    vseq = sequence(with_measure=False)
     domination = max(
         comparison_check(u.u, v.u, tol=cfg.solver.tol_mono).max_violation
         for u, v in zip(seq.results, vseq.results)
@@ -242,11 +253,10 @@ def _suite_lower_bound(cfg: RunConfig):
 _ENERGY_KS = (1.0, 2.0, 4.0, 8.0, 16.0)
 
 
-def _suite_energy_law(cfg: RunConfig):
+def _suite_energy_law(cfg: RunConfig, sequence):
     if cfg.h.gamma < 1.0:
         return [_na("energy_law.slope", "needs gamma>=1")]
-    spec = _spec_from_config(cfg)
-    seq = _require_sequence(spec, cfg.n_schedule, cfg.solver)
+    seq = sequence(with_measure=True)
     top = len(seq.results) // 2
     worst_slope = -np.inf
     for res in seq.results[top:]:
@@ -263,21 +273,19 @@ def _suite_energy_law(cfg: RunConfig):
     return [_check("energy_law.slope", worst_slope, bound, worst_slope <= bound)]
 
 
-def _suite_tails(cfg: RunConfig):
+def _suite_tails(cfg: RunConfig, sequence):
     if cfg.dim != 3:
         return [
             _na("tails.gradient_slope", "needs dim=3"),
             _na("tails.u_slope", "needs dim=3"),
         ]
-    spec = _spec_from_config(cfg)
-    seq = _require_sequence(spec, cfg.n_schedule, cfg.solver)
-    u = seq.final.u
+    u = sequence(with_measure=True).final.u
     rows = []
 
     grad = diag.discrete_gradient_magnitude(u)
     thresholds = diag.default_thresholds(grad, floor=1.0)
     fit = diag.marcinkiewicz_fit(
-        diag.distribution_function(grad, thresholds, grid=spec.grid),
+        diag.distribution_function(grad, thresholds, grid=u.grid),
         target_exponent=1.5,
     )
     if not fit.conclusive:
@@ -308,7 +316,7 @@ def _kato_solver_cfg(cfg: RunConfig, grid: Grid) -> SolverConfig:
     return replace(cfg.solver, tol_fp=tol_fp, max_iters=max(cfg.solver.max_iters, 800))
 
 
-def _suite_kato(cfg: RunConfig):
+def _suite_kato(cfg: RunConfig, sequence):
     spec = _spec_from_config(cfg)
     solver_cfg = _kato_solver_cfg(cfg, spec.grid)
     n = cfg.n_schedule[-1]
@@ -317,7 +325,7 @@ def _suite_kato(cfg: RunConfig):
     res1 = solve_regularized(replace(spec, mu=mu1), solver_cfg)
     res2 = solve_regularized(replace(spec, mu=mu2), solver_cfg)
     if not (res1.converged and res2.converged):
-        raise _NonConverged("kato solves")
+        raise ConvergenceFailure("kato solves")
     mu1_d = mollify(mu1, spec.grid, n)
     mu2_d = mollify(mu2, spec.grid, n)
     phi0 = diag.torsion_function(spec.grid)
@@ -329,13 +337,13 @@ def _suite_kato(cfg: RunConfig):
     ]
 
 
-def _suite_uniqueness(cfg: RunConfig):
+def _suite_uniqueness(cfg: RunConfig, sequence):
     if not cfg.h.strictly_decreasing:
         return [_na("uniqueness.gap", "needs strictly decreasing h")]
     spec = _spec_from_config(cfg)
     cold = solve_regularized(spec, cfg.solver)
     if not cold.converged:
-        raise _NonConverged("uniqueness cold start")
+        raise ConvergenceFailure("uniqueness cold start")
     f_vals = cfg.f(spec.grid.node_coords)
     if np.all(f_vals > 0):
         start = build_sub_super(spec, cfg.solver).sup
@@ -343,12 +351,12 @@ def _suite_uniqueness(cfg: RunConfig):
         start = GridFunction(spec.grid, cold.u.values + 1.0)
     warm = solve_regularized(spec, replace(cfg.solver, initial_guess=start))
     if not warm.converged:
-        raise _NonConverged("uniqueness supersolution start")
+        raise ConvergenceFailure("uniqueness supersolution start")
     gap = float(np.max(np.abs(cold.u.values - warm.u.values)))
     return [_check("uniqueness.gap", gap, 1e-8, gap <= 1e-8)]
 
 
-def _suite_sandwich(cfg: RunConfig):
+def _suite_sandwich(cfg: RunConfig, sequence):
     spec = _spec_from_config(cfg)
     f_vals = cfg.f(spec.grid.node_coords)
     if not np.all(f_vals > 0):
@@ -356,7 +364,7 @@ def _suite_sandwich(cfg: RunConfig):
     sandwich = build_sub_super(spec, cfg.solver)
     res = solve_clamped(spec, sandwich, cfg.solver)
     if not res.converged:
-        raise _NonConverged("clamped solve")
+        raise ConvergenceFailure("clamped solve")
     rows = [
         _check("sandwich.breach", res.breach, cfg.solver.tol_mono, res.sandwich_ok)
     ]
@@ -366,7 +374,7 @@ def _suite_sandwich(cfg: RunConfig):
         sub_spec = ProblemSpec(grid=grid, h=cfg.h, f=cfg.f, mu=RadonMeasure(), n=spec.n)
         v = solve_auxiliary_v(sub_spec, cfg.solver)
         if not v.converged:
-            raise _NonConverged(f"distance-bound solve at cells={cells}")
+            raise ConvergenceFailure(f"distance-bound solve at cells={cells}")
         ratios.append(distance_lower_bound_check(v.u))
     rows.append(_check("sandwich.distance_ratio", ratios[0], ">0", ratios[0] > 0))
     stable = ratios[0] > 0 and 0.5 <= ratios[1] / ratios[0] <= 2.0
@@ -395,11 +403,12 @@ _SUITE_RUNNERS = {
 
 def _cmd_verify(cfg: RunConfig, suite: str, out_dir: Path) -> int:
     names = list(_SUITE_RUNNERS) if suite == "all" else [suite]
+    sequence = _sequences(cfg)
     rows = []
     try:
         for name in names:
-            rows.extend(_SUITE_RUNNERS[name](cfg))
-    except _NonConverged as exc:
+            rows.extend(_SUITE_RUNNERS[name](cfg, sequence))
+    except ConvergenceFailure as exc:
         _write_csv(out_dir / f"verify_{suite}.csv", ("name", "observed", "bound", "status"), rows)
         return _reason(out_dir, EXIT_NONCONVERGENCE, "nonconvergence", str(exc))
     _write_csv(out_dir / f"verify_{suite}.csv", ("name", "observed", "bound", "status"), rows)
@@ -532,8 +541,6 @@ def main(argv=None) -> int:
         return _cmd_sweep(cfg, out_dir, threads)
     except ConfigError as exc:
         return _reason(out_dir, EXIT_CONFIG, "config", str(exc))
-    except ConvergenceFailure as exc:
-        return _reason(out_dir, EXIT_NONCONVERGENCE, "nonconvergence", str(exc))
     except Exception as exc:  # infrastructure failure
         return _reason(out_dir, EXIT_NONCONVERGENCE, "infrastructure", f"{type(exc).__name__}: {exc}")
 

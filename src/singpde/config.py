@@ -56,7 +56,6 @@ KNOWN_KEYS = (
     "measure.density",
     "sequence.n_schedule",
     "solver.tol_fp",
-    "solver.tol_seq",
     "solver.tol_mono",
     "solver.max_iters",
     "solver.damping",
@@ -65,7 +64,6 @@ KNOWN_KEYS = (
     "sweep.cells",
     "sweep.measure",
     "output.dir",
-    "seed",
     "threads",
 )
 
@@ -285,7 +283,6 @@ class RunConfig:
     solver: SolverConfig
     suite: str
     out_dir: str
-    seed: int
     threads: int
     sweep_gammas: tuple[float, ...]
     sweep_cells: tuple[int, ...]
@@ -326,13 +323,11 @@ class RunConfig:
             )
 
         tol_fp = _get_float(raw, "solver.tol_fp")
-        tol_seq = _get_float(raw, "solver.tol_seq", 1e-6)
         tol_mono = _get_float(raw, "solver.tol_mono", 1e-8)
         max_iters = _get_int(raw, "solver.max_iters", 500)
         damping = _get_float(raw, "solver.damping")
         for key, value in (
             ("solver.tol_fp", tol_fp),
-            ("solver.tol_seq", tol_seq),
             ("solver.tol_mono", tol_mono),
         ):
             if value is not None and value <= 0:
@@ -343,7 +338,6 @@ class RunConfig:
             raise ConfigError("solver.damping", f"must lie in (0, 1], got {damping}")
         solver_cfg = SolverConfig(
             tol_fp=tol_fp,
-            tol_seq=tol_seq,
             tol_mono=tol_mono,
             max_iters=max_iters,
             damping=damping,
@@ -386,7 +380,6 @@ class RunConfig:
             solver=solver_cfg,
             suite=suite,
             out_dir=_single(raw, "output.dir") or "out",
-            seed=_get_int(raw, "seed", 1234),
             threads=threads,
             sweep_gammas=sweep_gammas,
             sweep_cells=sweep_cells,

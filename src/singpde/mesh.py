@@ -30,7 +30,6 @@ __all__ = [
     "min_on_compact",
     "sample_field",
     "l1_norm",
-    "max_norm",
     "require_same_grid",
 ]
 
@@ -39,8 +38,11 @@ __all__ = [
 _MARGIN_EPS = 1e-12
 
 # Backward-error bound for solve_spd, in units of machine epsilon:
-#   max|A x - b| <= _BACKWARD_ERROR_FACTOR * eps * (||A||_inf max|x| + max|b|)
+#   max|A x - b| <= _BACKWARD_ERROR_FACTOR * eps * (||A||_inf (max|x| + tiny) + max|b|)
 # (Higham, Accuracy and Stability of Numerical Algorithms, ch. 7).  The
+# smallest normal number ``tiny`` accounts for gradual underflow, where each
+# operation also carries an absolute error up to eps * tiny (Higham §2.1):
+# without it the bound underflows to 0 for subnormal right-hand sides.  The
 # rounding of the FFT-based transforms grows like log2 of their length, and
 # the observed backward error stays below 2 on 1D/1024, 2D/64, 2D/128, 3D/24
 # and 3D/64.  A factor 64 leaves a wide margin above that rounding noise,
@@ -144,8 +146,10 @@ def build_grid(dim: int, cells_per_side: int, boundary_margin: float = 0.0) -> G
     """Build a uniform grid on [0, 1]^dim.
 
     ``cells_per_side`` is the number of cells along each axis; the interior
-    holds (cells_per_side - 1)^dim nodes.  ``boundary_margin`` is retained on
-    the grid as the default band width for near-boundary diagnostics.
+    holds (cells_per_side - 1)^dim nodes.  ``boundary_margin`` (the
+    ``domain.margin`` config key) is validated and stored on the grid, but
+    nothing in the package reads it; the compact bands of the diagnostics
+    take their margins as arguments.
     """
     if dim not in (1, 2, 3):
         raise ValueError(f"dim must be 1, 2 or 3, got {dim}")
@@ -223,7 +227,7 @@ def solve_spd(op: DiscreteOperator, rhs: GridFunction) -> GridFunction:
     times the identity and S diagonalises op, so x = S(S b / eigenvalues) /
     (2 cells_per_side)^dim.  The result is checked against op.matrix: a
     backward error max|A x - b| above _BACKWARD_ERROR_FACTOR * eps *
-    (||A||_inf max|x| + max|b|) raises LinearSolveError.
+    (||A||_inf (max|x| + tiny) + max|b|) raises LinearSolveError.
     """
     require_same_grid(op.grid, rhs.grid)
     grid = op.grid
@@ -238,8 +242,9 @@ def solve_spd(op: DiscreteOperator, rhs: GridFunction) -> GridFunction:
     b = rhs.values
     residual = float(np.max(np.abs(op.matrix @ x - b)))
     a_norm = 4.0 * grid.dim / grid.spacing**2
-    bound = _BACKWARD_ERROR_FACTOR * np.finfo(float).eps * (
-        a_norm * float(np.max(np.abs(x))) + float(np.max(np.abs(b)))
+    finfo = np.finfo(float)
+    bound = _BACKWARD_ERROR_FACTOR * finfo.eps * (
+        a_norm * (float(np.max(np.abs(x))) + finfo.tiny) + float(np.max(np.abs(b)))
     )
     if not residual <= bound:
         raise LinearSolveError(
@@ -269,7 +274,3 @@ def sample_field(grid: Grid, fn) -> GridFunction:
 def l1_norm(u: GridFunction) -> float:
     """Discrete L1 norm: sum of |values| times the cell volume."""
     return float(np.sum(np.abs(u.values)) * u.grid.cell_volume)
-
-
-def max_norm(u: GridFunction) -> float:
-    return float(np.max(np.abs(u.values))) if u.values.size else 0.0

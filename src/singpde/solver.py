@@ -115,7 +115,6 @@ class SolverConfig:
     tol_fp: float | None = None
     max_iters: int = 500
     damping: float | None = None
-    tol_seq: float = 1e-6
     tol_mono: float = TOL_MONO
     initial_guess: GridFunction | np.ndarray | None = None
 
@@ -149,7 +148,6 @@ class SequenceResult:
     n_schedule: tuple[int, ...]
     l1_diffs: tuple[float, ...]
     max_diffs: tuple[float, ...]
-    converged: bool
     aborted_level: int | None = None
 
     @property
@@ -193,17 +191,19 @@ def _prepare(spec: ProblemSpec, lap: DiscreteOperator | None = None) -> _Prepare
     )
 
 
-def _rhs(prep: _Prepared, v: np.ndarray) -> np.ndarray:
+def _rhs(prep: _Prepared, v: np.ndarray, arg_map) -> np.ndarray:
     # With f identically zero the problem is linear in the measure and h is
     # never evaluated.
     if not prep.f_active:
         return prep.mu_vals
-    hv = np.minimum(prep.cap, prep.h(np.abs(v) + prep.shift))
+    hv = np.minimum(prep.cap, prep.h(arg_map(v) + prep.shift))
     return hv * prep.f_capped + prep.mu_vals
 
 
-def _step(prep: _Prepared, v: np.ndarray, damping: float) -> np.ndarray:
-    rhs = _rhs(prep, v)
+def _step(prep: _Prepared, v: np.ndarray, damping: float, arg_map=np.abs) -> np.ndarray:
+    """One damped Picard step; ``arg_map(v)`` is the argument of h (``np.abs``
+    for the plain scheme, ``SandwichSpec.clamp`` for the clamped one)."""
+    rhs = _rhs(prep, v, arg_map)
     if not np.all(np.isfinite(rhs)):
         raise RuntimeError("right-hand side overflowed during Picard step")
     w = solve_spd(prep.lap, GridFunction(prep.grid, rhs)).values
@@ -238,9 +238,10 @@ def _iterate(
     tol_fp: float,
     damping: float,
     initial: np.ndarray | None,
+    arg_map=np.abs,
 ) -> SolveResult:
     if initial is None:
-        u = _step(prep, np.zeros(prep.grid.interior_count), 1.0)
+        u = _step(prep, np.zeros(prep.grid.interior_count), 1.0, arg_map)
     else:
         u = np.array(initial, dtype=float)
     history = []
@@ -249,7 +250,7 @@ def _iterate(
     iterations = 0
     last_adjust = 0
     for iterations in range(1, cfg.max_iters + 1):
-        new = _step(prep, u, damping)
+        new = _step(prep, u, damping, arg_map)
         if not np.all(np.isfinite(new)):
             raise RuntimeError("Picard iterate contains non-finite values")
         residual = float(np.max(np.abs(new - u)))
@@ -348,7 +349,6 @@ def solve_sequence(
                 n_schedule=schedule[: len(results)],
                 l1_diffs=tuple(l1_diffs),
                 max_diffs=tuple(max_diffs),
-                converged=False,
                 aborted_level=n,
             )
         if prev is not None:
@@ -357,14 +357,11 @@ def solve_sequence(
             max_diffs.append(float(np.max(np.abs(diff))))
         prev = res.u.values
         guess = prev.copy()
-    seq_converged = bool(l1_diffs and l1_diffs[-1] <= cfg.tol_seq)
     return SequenceResult(
         results=tuple(results),
         n_schedule=schedule,
         l1_diffs=tuple(l1_diffs),
         max_diffs=tuple(max_diffs),
-        converged=seq_converged,
-        aborted_level=None,
     )
 
 
@@ -480,51 +477,28 @@ def solve_clamped(
     """
     cfg = cfg or SolverConfig()
     require_same_grid(spec.grid, sandwich.sub.grid)
-    prep = _prepare(spec)
-    tol_fp = cfg.resolved_tol_fp(spec.grid)
-    damping = cfg.resolved_damping(spec.h)
+    initial = _initial_array(cfg, spec.grid)
+    res = _iterate(
+        _prepare(spec),
+        cfg,
+        cfg.resolved_tol_fp(spec.grid),
+        cfg.resolved_damping(spec.h),
+        sandwich.sub.values if initial is None else initial,
+        sandwich.clamp,
+    )
 
-    u = _initial_array(cfg, spec.grid)
-    if u is None:
-        u = sandwich.sub.values.copy()
-    history = []
-    converged = False
-    residual = np.inf
-    iterations = 0
-    last_adjust = 0
-    for iterations in range(1, cfg.max_iters + 1):
-        hv = np.minimum(prep.cap, prep.h(sandwich.clamp(u) + prep.shift))
-        rhs = hv * prep.f_capped + prep.mu_vals
-        w = solve_spd(prep.lap, GridFunction(spec.grid, rhs)).values
-        new = w if damping >= 1.0 else (1.0 - damping) * u + damping * w
-        if not np.all(np.isfinite(new)):
-            raise RuntimeError("Picard iterate contains non-finite values")
-        residual = float(np.max(np.abs(new - u)))
-        history.append(residual)
-        u = new
-        if residual <= tol_fp:
-            converged = True
-            break
-        if (
-            len(history) >= _STAGNATION_WINDOW
-            and iterations - last_adjust >= _STAGNATION_WINDOW
-            and history[-1] >= _STAGNATION_FACTOR * history[-_STAGNATION_WINDOW]
-            and damping > _MIN_DAMPING
-        ):
-            damping *= 0.5
-            last_adjust = iterations
-
+    u = res.u.values
     below = sandwich.sub.values - u
     above = u - sandwich.sup.values
     breach_nodewise = np.maximum(np.maximum(below, above), 0.0)
     worst = int(np.argmax(breach_nodewise))
     breach = float(breach_nodewise[worst])
     return ClampedSolveResult(
-        u=GridFunction(spec.grid, u),
-        iterations=iterations,
-        residual=residual,
-        converged=converged,
-        picard_history=tuple(history),
+        u=res.u,
+        iterations=res.iterations,
+        residual=res.residual,
+        converged=res.converged,
+        picard_history=res.picard_history,
         breach=breach,
         sandwich_ok=breach <= cfg.tol_mono,
         worst_node=worst,

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import singpde
+import singpde.cli as cli
 from singpde.cli import _fmt, _solution_rows_template, main
 from singpde.config import RunConfig
 from singpde.mesh import build_grid
@@ -22,7 +23,6 @@ f.value = 1.0
 measure.atom = [0.5, 0.5, 0.5, 1.0]
 sequence.n_schedule = 2, 4, 8, 16, 32, 64
 solver.tol_fp = 1e-10
-seed = 7
 """
 
 
@@ -215,6 +215,43 @@ def test_verify_sandwich_and_uniqueness_suites(tmp_path):
     out = tmp_path / "out"
     assert main(["verify", cfg, "--out", str(out), "--suite", "sandwich"]) == 0
     assert main(["verify", cfg, "--out", str(out), "--suite", "uniqueness"]) == 0
+
+
+def test_verify_nonconvergent_sandwich_writes_partial_csv(tmp_path, capsys):
+    # The measure-free subsolution solve inside build_sub_super cannot
+    # converge in two iterations; the suite still leaves its (empty) table.
+    text = "\n".join([
+        "domain.dim = 1",
+        "domain.cells = 16",
+        "h.kind = pure_power",
+        "h.gamma = 1.5",
+        "measure.atom = [0.5, 0.5, 0.5, 1.0]",
+        "solver.max_iters = 2",
+    ]) + "\n"
+    cfg = write_cfg(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["verify", cfg, "--out", str(out), "--suite", "sandwich"]) == 2
+    assert "reason,2,nonconvergence" in capsys.readouterr().out
+    assert (out / "reason.csv").exists()
+    header, rows = read_rows(out / "verify_sandwich.csv")
+    assert header == ["name", "observed", "bound", "status"]
+    assert rows == []
+
+
+@pytest.mark.parametrize("suite, expected_calls", [("all", 2), ("monotone", 1)])
+def test_verify_solves_each_schedule_once(tmp_path, monkeypatch, suite, expected_calls):
+    calls = []
+
+    def counting_solve_sequence(spec, n_schedule=None, cfg=None):
+        calls.append((spec.mu.atoms, spec.mu.density, tuple(n_schedule)))
+        return solve_sequence(spec, n_schedule, cfg)
+
+    monkeypatch.setattr(cli, "solve_sequence", counting_solve_sequence)
+    text = DIRAC_1D.replace("h.gamma = 0.5", "h.gamma = 1.5")
+    cfg = write_cfg(tmp_path, text)
+    assert main(["verify", cfg, "--out", str(tmp_path / "out"), "--suite", suite]) == 0
+    assert len(calls) == expected_calls
+    assert len(set(calls)) == expected_calls
 
 
 def test_verify_manufactured_suite(tmp_path):

@@ -21,7 +21,6 @@ measure.atom = [0.5, 0.5, 0.5, 1.0]
 sequence.n_schedule = 2, 4, 8
 solver.tol_fp = 1e-10
 output.dir = out
-seed = 7
 """
 
 
@@ -33,7 +32,6 @@ def test_parse_basic_config(tmp_path):
     assert cfg.mu.atoms[0][1] == 1.0
     assert cfg.n_schedule == (2, 4, 8)
     assert cfg.solver.tol_fp == 1e-10
-    assert cfg.seed == 7
 
 
 def test_atoms_accumulate_and_bare_key(tmp_path):
@@ -55,6 +53,14 @@ def test_unknown_key_rejected(tmp_path):
     with pytest.raises(ConfigError) as err:
         RunConfig.from_file(write(tmp_path, BASIC + "domain.shape = ball\n"))
     assert "domain.shape" in str(err.value)
+
+
+@pytest.mark.parametrize("line", ["seed = 7", "solver.tol_seq = 1e-6"])
+def test_removed_keys_rejected(tmp_path, line):
+    # Nothing read these keys, so they are no longer accepted.
+    with pytest.raises(ConfigError) as err:
+        RunConfig.from_file(write(tmp_path, BASIC + line + "\n"))
+    assert line.split(" =")[0] in str(err.value)
 
 
 def test_negative_gamma_names_offending_key(tmp_path):

@@ -143,6 +143,19 @@ def test_solve_rejects_operator_with_wrong_eigenvalues():
     assert err.value.residual > 0.1
 
 
+@pytest.mark.parametrize("scale", [1e-310, 5e-324])
+def test_solve_subnormal_rhs_passes_guard(scale):
+    # The relative bound underflows to 0 here; rounding in gradual underflow
+    # is absolute, so the guard must still accept an exact solve.
+    g = build_grid(1, 16)
+    op = build_laplacian(g)
+    b = np.zeros(g.interior_count)
+    b[7] = scale
+    x = solve_spd(op, GridFunction(g, b))
+    assert np.all(x.values >= 0.0)
+    assert np.max(np.abs(op.matrix @ x.values - b)) <= 1e-300
+
+
 def test_min_on_compact_constant():
     g = build_grid(2, 8)
     u = GridFunction(g, np.ones(g.interior_count))

