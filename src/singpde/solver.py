@@ -28,7 +28,7 @@ sandwich property exact up to solver tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -39,7 +39,6 @@ from .mesh import (
     Grid,
     GridFunction,
     build_laplacian,
-    l1_norm,
     min_on_compact,
     require_same_grid,
     sample_field,
