@@ -14,10 +14,7 @@ from .measures import (
     DiscretizedMeasure,
     RadonMeasure,
     mollify,
-    pair,
     scale_measure,
-    total_variation,
-    weak_convergence_check,
 )
 from .mesh import (
     DiscreteOperator,
@@ -33,9 +30,6 @@ from .mesh import (
 )
 from .singularity import (
     SingularNonlinearity,
-    eval_h,
-    eval_h_n,
-    trunc_G,
     trunc_T,
     trunc_power,
 )
@@ -54,7 +48,6 @@ from .solver import (
     comparison_check,
     distance_lower_bound_check,
     monotone_check,
-    picard_step,
     solve_auxiliary_v,
     solve_clamped,
     solve_regularized,
@@ -63,16 +56,12 @@ from .solver import (
 from .diagnostics import (
     DistributionSample,
     ExponentFit,
-    G1T1Report,
     KatoReport,
     default_thresholds,
     discrete_gradient_magnitude,
     distribution_function,
-    g1_t1_split_energies,
     kato_residual,
-    lambda1_estimate,
     marcinkiewicz_fit,
-    sobolev_norm,
     torsion_function,
     truncation_energy,
 )

@@ -284,10 +284,7 @@ def _suite_tails(cfg: RunConfig, sequence):
 
     grad = diag.discrete_gradient_magnitude(u)
     thresholds = diag.default_thresholds(grad, floor=1.0)
-    fit = diag.marcinkiewicz_fit(
-        diag.distribution_function(grad, thresholds, grid=u.grid),
-        target_exponent=1.5,
-    )
+    fit = diag.marcinkiewicz_fit(diag.distribution_function(grad, thresholds, grid=u.grid))
     if not fit.conclusive:
         rows.append(_na("tails.gradient_slope", "inconclusive"))
     else:
@@ -299,9 +296,7 @@ def _suite_tails(cfg: RunConfig, sequence):
         )
 
     thresholds = diag.default_thresholds(u.values, floor=1.0)
-    fit = diag.marcinkiewicz_fit(
-        diag.distribution_function(u, thresholds), target_exponent=3.0
-    )
+    fit = diag.marcinkiewicz_fit(diag.distribution_function(u, thresholds))
     if not fit.conclusive:
         rows.append(_na("tails.u_slope", "inconclusive"))
     else:
@@ -349,7 +344,7 @@ def _suite_uniqueness(cfg: RunConfig, sequence):
         start = build_sub_super(spec, cfg.solver).sup
     else:
         start = GridFunction(spec.grid, cold.u.values + 1.0)
-    warm = solve_regularized(spec, replace(cfg.solver, initial_guess=start))
+    warm = solve_regularized(spec, cfg.solver, initial=start)
     if not warm.converged:
         raise ConvergenceFailure("uniqueness supersolution start")
     gap = float(np.max(np.abs(cold.u.values - warm.u.values)))

@@ -44,7 +44,6 @@ KNOWN_KEYS = (
     "domain.margins",
     "h.kind",
     "h.gamma",
-    "h.theta",
     "h.shift",
     "h.plateau",
     "f.kind",
@@ -157,24 +156,18 @@ def _build_h(raw) -> SingularNonlinearity:
     gamma = _get_float(raw, "h.gamma", 0.5)
     if gamma is None or gamma <= 0:
         raise ConfigError("h.gamma", f"must be positive, got {gamma}")
-    overrides = {}
-    theta = _get_float(raw, "h.theta")
-    if theta is not None:
-        if theta <= 0:
-            raise ConfigError("h.theta", f"must be positive, got {theta}")
-        overrides["theta"] = theta
     try:
         if kind == "pure_power":
-            return SingularNonlinearity.pure_power(gamma, **overrides)
+            return SingularNonlinearity.pure_power(gamma)
         if kind == "shifted_power":
             shift = _get_float(raw, "h.shift", 1.0)
             if shift is None or shift <= 0:
                 raise ConfigError("h.shift", f"must be positive, got {shift}")
-            return SingularNonlinearity.shifted_power(gamma, shift, **overrides)
+            return SingularNonlinearity.shifted_power(gamma, shift)
         plateau = _get_float(raw, "h.plateau", 10.0)
         if plateau is None or plateau <= 0:
             raise ConfigError("h.plateau", f"must be positive, got {plateau}")
-        return SingularNonlinearity.bounded_plateau(gamma, plateau, **overrides)
+        return SingularNonlinearity.bounded_plateau(gamma, plateau)
     except ConfigError:
         raise
     except ValueError as exc:
@@ -230,6 +223,8 @@ def _parse_density(text: str) -> fields.ScalarField:
     if name == "gaussian_bump":
         if len(args) != 5:
             raise ValueError("gaussian_bump takes (cx, cy, cz, width, scale)")
+        if args[4] < 0:
+            raise ValueError("density must be nonnegative")
         return fields.gaussian_bump(tuple(args[:3]), args[3], args[4])
     raise ValueError(f"unknown density builtin {name!r}")
 

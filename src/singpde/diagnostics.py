@@ -1,4 +1,4 @@
-"""Discrete norms, distribution functions, tail-exponent fits and residuals.
+"""Discrete gradients, distribution functions, tail-exponent fits and residuals.
 
 Gradients are per-cell forward differences anchored at each cell's lower
 corner, with the implicit zero boundary values filled in, so a grid with m
@@ -7,10 +7,9 @@ node counts times the cell volume; weak-Lebesgue tail exponents come from
 least-squares fits of log(mass) against log(threshold).
 
 Also here: the truncation energy sum |grad T_k(u)^((gamma+1)/2)|^2, the
-global/local split of u into G_1(u) and T_1(u) with band-restricted energies,
-the torsion function solving -Lap phi0 = 1, the smallest eigenvalue of the
-discrete Laplacian in closed form, and a Kato-type residual comparing the integral
-of (u1 - u2)^+ against the signed source differences weighted by phi0.
+torsion function solving -Lap phi0 = 1, and a Kato-type residual comparing
+the integral of (u1 - u2)^+ against the signed source differences weighted
+by phi0.
 """
 
 from __future__ import annotations
@@ -22,24 +21,20 @@ import numpy as np
 from .fields import ScalarField
 from .measures import DiscretizedMeasure
 from .mesh import Grid, GridFunction, build_laplacian, require_same_grid, solve_spd
-from .singularity import SingularNonlinearity, trunc_G, trunc_T, trunc_power
+from .singularity import SingularNonlinearity, trunc_power
 from .solver import SolveResult
 
 __all__ = [
     "DistributionSample",
     "ExponentFit",
-    "G1T1Report",
     "KatoReport",
     "discrete_gradient_magnitude",
-    "sobolev_norm",
     "distribution_function",
     "default_thresholds",
     "marcinkiewicz_fit",
     "truncation_energy",
-    "g1_t1_split_energies",
     "torsion_function",
     "kato_residual",
-    "lambda1_estimate",
 ]
 
 
@@ -80,16 +75,6 @@ def gradient_energy(u: GridFunction) -> float:
     """Sum of |grad u|^2 over cells times the cell volume."""
     comps = _cell_gradients(u)
     return float(sum(np.sum(c**2) for c in comps) * u.grid.cell_volume)
-
-
-def sobolev_norm(u: GridFunction, q: float) -> float:
-    """(sum_cells |grad u|^q + sum_nodes |u|^q)^(1/q), volume-weighted."""
-    if q < 1:
-        raise ValueError(f"q must be at least 1, got {q}")
-    vol = u.grid.cell_volume
-    grad = discrete_gradient_magnitude(u)
-    total = float(np.sum(grad**q) * vol + np.sum(np.abs(u.values) ** q) * vol)
-    return total ** (1.0 / q)
 
 
 @dataclass(frozen=True)
@@ -161,16 +146,11 @@ class ExponentFit:
     """Least-squares slope of log(mass) against log(threshold)."""
 
     slope: float
-    intercept: float
     r_squared: float
-    t_range: tuple[float, float]
     conclusive: bool = True
-    target_exponent: float | None = None
 
 
-def marcinkiewicz_fit(
-    sample: DistributionSample, target_exponent: float | None = None
-) -> ExponentFit:
+def marcinkiewicz_fit(sample: DistributionSample) -> ExponentFit:
     """Fit the tail exponent of a distribution sample.
 
     Only thresholds with positive mass enter the fit; fewer than four such
@@ -180,14 +160,7 @@ def marcinkiewicz_fit(
     m = np.asarray(sample.masses, dtype=float)
     mask = m > 0
     if np.count_nonzero(mask) < 4:
-        return ExponentFit(
-            slope=float("nan"),
-            intercept=float("nan"),
-            r_squared=float("nan"),
-            t_range=(float("nan"), float("nan")),
-            conclusive=False,
-            target_exponent=target_exponent,
-        )
+        return ExponentFit(slope=float("nan"), r_squared=float("nan"), conclusive=False)
     logt = np.log(t[mask])
     logm = np.log(m[mask])
     slope, intercept = np.polyfit(logt, logm, 1)
@@ -195,57 +168,13 @@ def marcinkiewicz_fit(
     ss_res = float(np.sum((logm - pred) ** 2))
     ss_tot = float(np.sum((logm - logm.mean()) ** 2))
     r_squared = 1.0 if ss_tot == 0.0 else max(0.0, 1.0 - ss_res / ss_tot)
-    return ExponentFit(
-        slope=float(slope),
-        intercept=float(intercept),
-        r_squared=r_squared,
-        t_range=(float(t[mask].min()), float(t[mask].max())),
-        conclusive=True,
-        target_exponent=target_exponent,
-    )
+    return ExponentFit(slope=float(slope), r_squared=r_squared)
 
 
 def truncation_energy(u: GridFunction, k: float, gamma: float) -> float:
     """Gradient energy of (T_k(u))^((gamma+1)/2) for gamma >= 1."""
     w = GridFunction(u.grid, trunc_power(k, gamma, u.values))
     return gradient_energy(w)
-
-
-def _cell_center_distance(grid: Grid) -> np.ndarray:
-    """Boundary distance of cell centers, shape (m,)*dim."""
-    m = grid.cells_per_side
-    centers = (np.arange(m) + 0.5) * grid.spacing
-    axis_d = np.minimum(centers, 1.0 - centers)
-    mesh = np.meshgrid(*(axis_d,) * grid.dim, indexing="ij")
-    return np.min(np.stack(mesh), axis=0)
-
-
-@dataclass(frozen=True)
-class G1T1Report:
-    """Global W^{1,q} size of G_1(u) and band-local H^1 energies of T_1(u)."""
-
-    q: float
-    g1_norm: float
-    t1_band_energies: tuple[tuple[float, float], ...]
-
-
-def g1_t1_split_energies(
-    u: GridFunction, margins=(0.125, 0.25), q: float = 1.2
-) -> G1T1Report:
-    grid = u.grid
-    g1 = GridFunction(grid, trunc_G(1.0, u.values))
-    t1 = GridFunction(grid, trunc_T(1.0, u.values))
-    g1_norm = sobolev_norm(g1, q)
-    comps = _cell_gradients(t1)
-    grad_sq = sum(c**2 for c in comps)
-    center_d = _cell_center_distance(grid)
-    energies = []
-    for margin in margins:
-        band = center_d >= margin - 1e-12
-        energies.append(
-            (float(margin), float(np.sum(grad_sq[band]) * grid.cell_volume))
-        )
-    return G1T1Report(q=q, g1_norm=g1_norm, t1_band_energies=tuple(energies))
 
 
 def torsion_function(grid: Grid) -> GridFunction:
@@ -325,9 +254,3 @@ def kato_residual(
         lhs=lhs, rhs=rhs, residual=residual, tol=tol, passed=residual >= -tol
     )
 
-
-def lambda1_estimate(grid: Grid) -> float:
-    """Smallest eigenvalue of the discrete Dirichlet Laplacian,
-    dim * (4/h^2) sin^2(pi h / 2): the lowest DST-I mode along every axis."""
-    h = grid.spacing
-    return float(grid.dim * (4.0 / h**2) * np.sin(0.5 * np.pi * h) ** 2)

@@ -19,23 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import ScalarField
-from .mesh import Grid, GridFunction, require_same_grid
+from .mesh import Grid, GridFunction
 
 __all__ = [
     "RadonMeasure",
     "DiscretizedMeasure",
-    "PairingTrace",
-    "WeakConvergenceReport",
-    "total_variation",
     "mollify",
-    "pair",
-    "weak_convergence_check",
     "scale_measure",
 ]
-
-# Midpoint-rule reference grids for density quadrature: 256 cells per side in
-# 1D, halved for each extra dimension to keep the point count bounded.
-_QUAD_CELLS = {1: 256, 2: 128, 3: 64}
 
 
 @dataclass(frozen=True)
@@ -58,10 +49,6 @@ class RadonMeasure:
             normalized.append((loc, mass))
         object.__setattr__(self, "atoms", tuple(normalized))
 
-    @property
-    def is_zero(self) -> bool:
-        return all(m == 0.0 for _, m in self.atoms) and self.density is None
-
 
 @dataclass(frozen=True, eq=False)
 class DiscretizedMeasure:
@@ -75,32 +62,6 @@ class DiscretizedMeasure:
     @property
     def discrete_mass(self) -> float:
         return float(np.sum(self.values.values) * self.grid.cell_volume)
-
-
-def _quad_points(dim: int) -> tuple[np.ndarray, float]:
-    cells = _QUAD_CELLS[dim]
-    axis = (np.arange(cells) + 0.5) / cells
-    mesh = np.meshgrid(*(axis,) * dim, indexing="ij")
-    pts = np.stack([c.ravel() for c in mesh], axis=1)
-    return pts, (1.0 / cells) ** dim
-
-
-def _density_quadrature(density: ScalarField, dim: int, weight_fn=None) -> float:
-    pts, vol = _quad_points(dim)
-    vals = density(pts)
-    if np.any(vals < 0):
-        raise ValueError("measure density must be nonnegative")
-    if weight_fn is not None:
-        vals = vals * np.asarray(weight_fn(pts), dtype=float)
-    return float(np.sum(vals) * vol)
-
-
-def total_variation(mu: RadonMeasure, dim: int = 1) -> float:
-    """Total mass: atom masses plus midpoint quadrature of the density."""
-    total = sum(mass for _, mass in mu.atoms)
-    if mu.density is not None:
-        total += _density_quadrature(mu.density, dim)
-    return float(total)
 
 
 def mollify(mu: RadonMeasure, grid: Grid, n: int) -> DiscretizedMeasure:
@@ -140,76 +101,6 @@ def mollify(mu: RadonMeasure, grid: Grid, n: int) -> DiscretizedMeasure:
         level=int(n),
         boundary_clipped=clipped,
     )
-
-
-def pair(mu_d: DiscretizedMeasure, phi: GridFunction) -> float:
-    """Discrete pairing sum(mu_n * phi) * cell volume."""
-    require_same_grid(mu_d.grid, phi.grid)
-    return float(np.sum(mu_d.values.values * phi.values) * mu_d.grid.cell_volume)
-
-
-def exact_pairing(mu: RadonMeasure, phi, dim: int) -> float:
-    """Continuum pairing of mu with a callable test function."""
-    total = 0.0
-    for location, mass in mu.atoms:
-        pt = np.asarray(location[:dim], dtype=float).reshape(1, dim)
-        total += mass * float(np.asarray(phi(pt)).ravel()[0])
-    if mu.density is not None:
-        total += _density_quadrature(mu.density, dim, weight_fn=phi)
-    return total
-
-
-@dataclass(frozen=True)
-class PairingTrace:
-    """Pairings of mollified measures against one test function along a
-    refinement schedule, with gaps to the exact pairing."""
-
-    exact: float
-    levels: tuple[int, ...]
-    cells: tuple[int, ...]
-    pairings: tuple[float, ...]
-    gaps: tuple[float, ...]
-    gaps_decreasing: bool
-
-
-@dataclass(frozen=True)
-class WeakConvergenceReport:
-    traces: tuple[PairingTrace, ...]
-
-
-def weak_convergence_check(
-    mu: RadonMeasure,
-    grid_sequence,
-    test_functions,
-) -> WeakConvergenceReport:
-    """Pair mu_n against each test function along n = 2, 4, 8, ... with the
-    grids refined in lockstep; purely diagnostic."""
-    grids = list(grid_sequence)
-    if not grids:
-        raise ValueError("grid_sequence must not be empty")
-    dim = grids[0].dim
-    levels = tuple(2 ** (j + 1) for j in range(len(grids)))
-    traces = []
-    for phi in test_functions:
-        exact = exact_pairing(mu, phi, dim)
-        pairings = []
-        for n, grid in zip(levels, grids):
-            mu_d = mollify(mu, grid, n)
-            phi_h = GridFunction(grid, np.asarray(phi(grid.node_coords), dtype=float))
-            pairings.append(pair(mu_d, phi_h))
-        gaps = tuple(abs(p - exact) for p in pairings)
-        decreasing = all(b <= a + 1e-15 for a, b in zip(gaps, gaps[1:]))
-        traces.append(
-            PairingTrace(
-                exact=exact,
-                levels=levels,
-                cells=tuple(g.cells_per_side for g in grids),
-                pairings=tuple(pairings),
-                gaps=gaps,
-                gaps_decreasing=decreasing,
-            )
-        )
-    return WeakConvergenceReport(traces=tuple(traces))
 
 
 def scale_measure(mu: RadonMeasure, factor: float) -> RadonMeasure:

@@ -73,7 +73,6 @@ class Grid:
     spacing: float
     boundary_margin: float
     interior_count: int
-    axis_coords: np.ndarray  # (cells_per_side - 1,)
     node_coords: np.ndarray  # (interior_count, dim), C-ordered lattice
     boundary_distance: np.ndarray  # (interior_count,)
 
@@ -172,7 +171,6 @@ def build_grid(dim: int, cells_per_side: int, boundary_margin: float = 0.0) -> G
         spacing=spacing,
         boundary_margin=boundary_margin,
         interior_count=(cells_per_side - 1) ** dim,
-        axis_coords=axis,
         node_coords=node_coords,
         boundary_distance=boundary_distance,
     )

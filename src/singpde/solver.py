@@ -39,7 +39,6 @@ from .mesh import (
     Grid,
     GridFunction,
     build_laplacian,
-    min_on_compact,
     require_same_grid,
     sample_field,
     solve_spd,
@@ -57,7 +56,6 @@ __all__ = [
     "ComparisonReport",
     "ConvergenceFailure",
     "DEFAULT_SCHEDULE",
-    "picard_step",
     "solve_regularized",
     "solve_sequence",
     "solve_auxiliary_v",
@@ -115,7 +113,6 @@ class SolverConfig:
     max_iters: int = 500
     damping: float | None = None
     tol_mono: float = TOL_MONO
-    initial_guess: GridFunction | np.ndarray | None = None
 
     def resolved_tol_fp(self, grid: Grid) -> float:
         if self.tol_fp is not None:
@@ -211,16 +208,6 @@ def _step(prep: _Prepared, v: np.ndarray, damping: float, arg_map=np.abs) -> np.
     return (1.0 - damping) * v + damping * w
 
 
-def picard_step(spec: ProblemSpec, v: GridFunction, damping: float = 1.0) -> GridFunction:
-    """One fixed-point step: solve -Lap w = h_cap(|v| + 1/n) f_cap + mu_n and
-    return (1 - damping) v + damping w."""
-    if not 0.0 < damping <= 1.0:
-        raise ValueError(f"damping must lie in (0, 1], got {damping}")
-    require_same_grid(spec.grid, v.grid)
-    prep = _prepare(spec)
-    return GridFunction(spec.grid, _step(prep, v.values, damping))
-
-
 # Oscillation guard: if the update norm fails to halve over this many
 # iterations, the damping is halved.  Strongly singular terms put slowly
 # decaying or diverging oscillatory modes into the Picard map; reducing the
@@ -275,34 +262,27 @@ def _iterate(
     )
 
 
-def _initial_array(cfg: SolverConfig, grid: Grid) -> np.ndarray | None:
-    guess = cfg.initial_guess
-    if guess is None:
-        return None
-    if isinstance(guess, GridFunction):
-        require_same_grid(grid, guess.grid)
-        return guess.values.copy()
-    arr = np.asarray(guess, dtype=float)
-    if arr.shape != (grid.interior_count,):
-        raise ValueError("initial guess has the wrong number of nodal values")
-    return arr.copy()
-
-
-def solve_regularized(spec: ProblemSpec, cfg: SolverConfig | None = None) -> SolveResult:
+def solve_regularized(
+    spec: ProblemSpec,
+    cfg: SolverConfig | None = None,
+    initial: GridFunction | None = None,
+) -> SolveResult:
     """Solve one regularized level by damped Picard iteration.
 
-    The default initial guess is one Picard step from zero, i.e. the linear
-    solve with h frozen at h(1/n).  Nonconvergence within max_iters returns a
-    flagged result with the full update history attached.
+    The iteration starts from ``initial`` when given and otherwise from one
+    Picard step from zero, i.e. the linear solve with h frozen at h(1/n).
+    Nonconvergence within max_iters returns a flagged result with the full
+    update history attached.
     """
     cfg = cfg or SolverConfig()
-    prep = _prepare(spec)
+    if initial is not None:
+        require_same_grid(spec.grid, initial.grid)
     return _iterate(
-        prep,
+        _prepare(spec),
         cfg,
         cfg.resolved_tol_fp(spec.grid),
         cfg.resolved_damping(spec.h),
-        _initial_array(cfg, spec.grid),
+        None if initial is None else initial.values,
     )
 
 
@@ -336,11 +316,10 @@ def solve_sequence(
     results: list[SolveResult] = []
     l1_diffs: list[float] = []
     max_diffs: list[float] = []
-    guess = _initial_array(cfg, spec.grid)
     prev: np.ndarray | None = None
     for n in schedule:
         prep = _prepare(spec.with_level(n), lap=lap)
-        res = _iterate(prep, cfg, tol_fp, damping, guess)
+        res = _iterate(prep, cfg, tol_fp, damping, prev)
         results.append(res)
         if not res.converged:
             return SequenceResult(
@@ -355,7 +334,6 @@ def solve_sequence(
             l1_diffs.append(float(np.sum(np.abs(diff)) * spec.grid.cell_volume))
             max_diffs.append(float(np.max(np.abs(diff))))
         prev = res.u.values
-        guess = prev.copy()
     return SequenceResult(
         results=tuple(results),
         n_schedule=schedule,
@@ -374,7 +352,6 @@ class MonotoneReport:
     """Worst nodewise decrease (v_n - v_{n+1})^+ over consecutive levels."""
 
     max_violation: float
-    violations: tuple[float, ...]
     tol: float
     passed: bool
 
@@ -385,43 +362,32 @@ def monotone_check(v_sequence, tol: float = TOL_MONO) -> MonotoneReport:
         raise ValueError("need at least two levels to check monotonicity")
     for v in funcs[1:]:
         require_same_grid(funcs[0].grid, v.grid)
-    violations = tuple(
+    worst = max(
         float(np.max(np.clip(a.values - b.values, 0.0, None)))
         for a, b in zip(funcs, funcs[1:])
     )
-    worst = max(violations)
-    return MonotoneReport(
-        max_violation=worst, violations=violations, tol=tol, passed=worst <= tol
-    )
+    return MonotoneReport(max_violation=worst, tol=tol, passed=worst <= tol)
 
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    """Worst nodewise excess (v_n - u_n)^+ plus compact minima of u_n."""
+    """Worst nodewise excess (v_n - u_n)^+."""
 
     max_violation: float
     tol: float
     passed: bool
-    compact_minima: tuple[tuple[float, float], ...]
 
 
 def comparison_check(
     u: GridFunction | SolveResult,
     v: GridFunction | SolveResult,
     tol: float = TOL_MONO,
-    margins: tuple[float, ...] = (0.125, 0.25),
 ) -> ComparisonReport:
     uf = u.u if isinstance(u, SolveResult) else u
     vf = v.u if isinstance(v, SolveResult) else v
     require_same_grid(uf.grid, vf.grid)
     violation = float(np.max(np.clip(vf.values - uf.values, 0.0, None)))
-    minima = tuple((m, min_on_compact(uf, m)) for m in margins)
-    return ComparisonReport(
-        max_violation=violation,
-        tol=tol,
-        passed=violation <= tol,
-        compact_minima=minima,
-    )
+    return ComparisonReport(max_violation=violation, tol=tol, passed=violation <= tol)
 
 
 # ---------------------------------------------------------------------------
@@ -456,10 +422,8 @@ class ClampedSolveResult:
     iterations: int
     residual: float
     converged: bool
-    picard_history: tuple[float, ...]
     breach: float
     sandwich_ok: bool
-    worst_node: int
 
 
 def solve_clamped(
@@ -467,40 +431,36 @@ def solve_clamped(
     sandwich: SandwichSpec,
     cfg: SolverConfig | None = None,
 ) -> ClampedSolveResult:
-    """Fixed point of the clamped Picard map.
+    """Fixed point of the clamped Picard map, iterated from the subsolution.
 
     The right-hand side evaluates h at clamp(u) + 1/n with the same level-n
     caps used to build the sandwich, so every evaluation is nonsingular and
-    the exact discrete fixed point lies inside [sub, sup].  A breach beyond
-    tol_mono at exit is flagged (not raised) together with the worst node.
+    the exact discrete fixed point lies inside [sub, sup].  The largest
+    nodewise breach of [sub, sup] at exit is reported, and one beyond
+    tol_mono is flagged (not raised).
     """
     cfg = cfg or SolverConfig()
     require_same_grid(spec.grid, sandwich.sub.grid)
-    initial = _initial_array(cfg, spec.grid)
     res = _iterate(
         _prepare(spec),
         cfg,
         cfg.resolved_tol_fp(spec.grid),
         cfg.resolved_damping(spec.h),
-        sandwich.sub.values if initial is None else initial,
+        sandwich.sub.values,
         sandwich.clamp,
     )
 
     u = res.u.values
     below = sandwich.sub.values - u
     above = u - sandwich.sup.values
-    breach_nodewise = np.maximum(np.maximum(below, above), 0.0)
-    worst = int(np.argmax(breach_nodewise))
-    breach = float(breach_nodewise[worst])
+    breach = float(np.max(np.maximum(np.maximum(below, above), 0.0)))
     return ClampedSolveResult(
         u=res.u,
         iterations=res.iterations,
         residual=res.residual,
         converged=res.converged,
-        picard_history=res.picard_history,
         breach=breach,
         sandwich_ok=breach <= cfg.tol_mono,
-        worst_node=worst,
     )
 
 

@@ -55,7 +55,7 @@ def test_unknown_key_rejected(tmp_path):
     assert "domain.shape" in str(err.value)
 
 
-@pytest.mark.parametrize("line", ["seed = 7", "solver.tol_seq = 1e-6"])
+@pytest.mark.parametrize("line", ["seed = 7", "solver.tol_seq = 1e-6", "h.theta = 1.0"])
 def test_removed_keys_rejected(tmp_path, line):
     # Nothing read these keys, so they are no longer accepted.
     with pytest.raises(ConfigError) as err:
@@ -106,6 +106,16 @@ def test_density_builtins(tmp_path):
         RunConfig.from_file(write(tmp_path, text))
 
 
+@pytest.mark.parametrize(
+    "density", ["constant(-1)", "gaussian_bump(0.5, 0.5, 0.5, 0.1, -1)"]
+)
+def test_negative_density_rejected(tmp_path, density):
+    text = BASIC + f"measure.density = {density}\n"
+    with pytest.raises(ConfigError) as err:
+        RunConfig.from_file(write(tmp_path, text))
+    assert err.value.key == "measure.density"
+
+
 def test_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("SINGPDE_H_GAMMA", "2.0")
     monkeypatch.setenv("SINGPDE_DOMAIN_CELLS", "16")
@@ -139,7 +149,7 @@ def test_defaults_when_keys_absent(tmp_path):
     assert cfg.cells == 64
     assert cfg.h.kind == "pure_power"
     assert cfg.f.name == "constant"
-    assert cfg.mu.is_zero
+    assert cfg.mu.atoms == () and cfg.mu.density is None
     assert cfg.n_schedule[-1] == 1024
     assert cfg.suite == "all"
     assert cfg.threads == 1

@@ -19,7 +19,6 @@ from singpde import (
     manufactured_singular,
     min_on_compact,
     monotone_check,
-    picard_step,
     sample_field,
     solve_auxiliary_v,
     solve_clamped,
@@ -40,42 +39,6 @@ def spec_1d(cells=64, h=H_HALF, f=constant(1.0), mu=RadonMeasure(), n=256):
 def green_exact(grid):
     x = grid.node_coords[:, 0]
     return np.minimum(x, 1 - x) / 2
-
-
-# -- picard_step -------------------------------------------------------------
-
-
-def test_picard_step_point_load_is_greens_function_independent_of_v():
-    spec = spec_1d(f=zero(), mu=DELTA_HALF, n=64)
-    grid = spec.grid
-    for v_vals in (np.zeros(grid.interior_count), np.full(grid.interior_count, 3.0)):
-        w = picard_step(spec, GridFunction(grid, v_vals), damping=1.0)
-        assert np.max(np.abs(w.values - green_exact(grid))) <= 1e-10
-    assert w.values[31] == pytest.approx(0.25, abs=1e-12)
-
-
-def test_picard_step_zero_data_gives_zero():
-    spec = spec_1d(f=zero(), mu=RadonMeasure())
-    grid = spec.grid
-    w = picard_step(spec, GridFunction(grid, np.full(grid.interior_count, 2.0)))
-    assert np.all(w.values == 0.0)
-
-
-def test_picard_step_fixed_point_is_stationary():
-    spec = spec_1d(mu=DELTA_HALF)
-    cfg = SolverConfig(tol_fp=1e-11)
-    res = solve_regularized(spec, cfg)
-    assert res.converged
-    again = picard_step(spec, res.u, damping=1.0)
-    assert np.max(np.abs(again.values - res.u.values)) <= 10 * 1e-11
-
-
-def test_picard_step_rejects_bad_damping():
-    spec = spec_1d()
-    v = GridFunction(spec.grid, np.zeros(spec.grid.interior_count))
-    for d in (0.0, 1.5, -0.2):
-        with pytest.raises(ValueError):
-            picard_step(spec, v, damping=d)
 
 
 # -- solve_regularized -------------------------------------------------------
@@ -141,7 +104,7 @@ def test_solve_initial_guess_override():
     cfg = SolverConfig(tol_fp=1e-11)
     cold = solve_regularized(spec, cfg)
     start = GridFunction(spec.grid, cold.u.values + 0.5)
-    warm = solve_regularized(spec, SolverConfig(tol_fp=1e-11, initial_guess=start))
+    warm = solve_regularized(spec, cfg, initial=start)
     assert warm.converged
     assert np.max(np.abs(cold.u.values - warm.u.values)) <= 1e-8
 
@@ -270,7 +233,7 @@ def test_comparison_check_measure_dominates():
     for u, v in zip(useq.results, vseq.results):
         report = comparison_check(u.u, v.u)
         assert report.passed
-        minima.append(dict(report.compact_minima)[0.25])
+        minima.append(min_on_compact(u.u, 0.25))
     top = minima[len(minima) // 2 :]
     assert min(top) > 0
     assert (max(top) - min(top)) / max(top) <= 0.10
@@ -392,7 +355,7 @@ def test_uniqueness_cold_and_supersolution_starts_agree():
     cfg = SolverConfig(tol_fp=1e-11)
     sw = build_sub_super(spec, cfg)
     cold = solve_regularized(spec, cfg)
-    warm = solve_regularized(spec, SolverConfig(tol_fp=1e-11, initial_guess=sw.sup))
+    warm = solve_regularized(spec, cfg, initial=sw.sup)
     assert cold.converged and warm.converged
     assert np.max(np.abs(cold.u.values - warm.u.values)) <= 1e-8
 
