@@ -30,6 +30,8 @@ from .mesh import (
 )
 from .singularity import (
     SingularNonlinearity,
+    eval_h_n,
+    trunc_G,
     trunc_T,
     trunc_power,
 )
@@ -62,6 +64,7 @@ from .diagnostics import (
     distribution_function,
     kato_residual,
     marcinkiewicz_fit,
+    sobolev_norm,
     torsion_function,
     truncation_energy,
 )

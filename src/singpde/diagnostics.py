@@ -1,4 +1,4 @@
-"""Discrete gradients, distribution functions, tail-exponent fits and residuals.
+"""Discrete norms, distribution functions, tail-exponent fits and residuals.
 
 Gradients are per-cell forward differences anchored at each cell's lower
 corner, with the implicit zero boundary values filled in, so a grid with m
@@ -29,6 +29,7 @@ __all__ = [
     "ExponentFit",
     "KatoReport",
     "discrete_gradient_magnitude",
+    "sobolev_norm",
     "distribution_function",
     "default_thresholds",
     "marcinkiewicz_fit",
@@ -75,6 +76,16 @@ def gradient_energy(u: GridFunction) -> float:
     """Sum of |grad u|^2 over cells times the cell volume."""
     comps = _cell_gradients(u)
     return float(sum(np.sum(c**2) for c in comps) * u.grid.cell_volume)
+
+
+def sobolev_norm(u: GridFunction, q: float) -> float:
+    """(sum_cells |grad u|^q + sum_nodes |u|^q)^(1/q), volume-weighted."""
+    if q < 1:
+        raise ValueError(f"q must be at least 1, got {q}")
+    vol = u.grid.cell_volume
+    grad = discrete_gradient_magnitude(u)
+    total = float(np.sum(grad**q) * vol + np.sum(np.abs(u.values) ** q) * vol)
+    return total ** (1.0 / q)
 
 
 @dataclass(frozen=True)

@@ -12,9 +12,10 @@ h(s) <= c2 s^-theta for s > k_over.  Constructors verify the envelopes, the
 monotone decrease and the finite limit at infinity on a 1000-point log-spaced
 sample of (1e-8, 1e8) and reject parameters that break them.
 
-Truncation: T_k clamps to [-k, k]; it is computed as s minus the signed
-excess G_k(s) beyond k, so T_k + G_k is the identity in floating point.  The
-level-n cap min(n, h) is applied by the solver, not here.
+Truncations: T_k clamps to [-k, k], G_k is the signed excess beyond k, and
+T_k + G_k is the identity in floating point.  At regularization level n the
+nonlinearity is capped at n, which for nonnegative h is simply min(n, h); the
+solver applies the same cap inline.
 """
 
 from __future__ import annotations
@@ -25,7 +26,9 @@ import numpy as np
 
 __all__ = [
     "SingularNonlinearity",
+    "eval_h_n",
     "trunc_T",
+    "trunc_G",
     "trunc_power",
 ]
 
@@ -167,6 +170,14 @@ class SingularNonlinearity:
             raise ValueError("h must have a finite limit at infinity")
 
 
+def eval_h_n(h: SingularNonlinearity, n: int, s):
+    """Level-n truncation min(n, h(s)); h >= 0 so the clamp is a plain cap."""
+    if int(n) != n or n < 1:
+        raise ValueError(f"truncation level must be an integer >= 1, got {n}")
+    out = np.minimum(float(n), np.asarray(h(s), dtype=float))
+    return out if isinstance(s, np.ndarray) else float(out)
+
+
 def _split_at_level(k: float, arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Coherent floating-point split of s into (T_k(s), G_k(s)).
 
@@ -183,12 +194,21 @@ def _split_at_level(k: float, arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def trunc_T(k: float, s):
-    """Clamp of s to [-k, k], computed as s - G_k(s) (see _split_at_level)."""
+    """Clamp of s to [-k, k] (exact complement of trunc_G; see _split_at_level)."""
     if k <= 0:
         raise ValueError(f"truncation level must be positive, got {k}")
     arr = np.asarray(s, dtype=float)
     t, _ = _split_at_level(k, arr)
     return t if isinstance(s, np.ndarray) else float(t)
+
+
+def trunc_G(k: float, s):
+    """Signed excess beyond level k: (|s| - k)^+ sign(s); T_k + G_k = id."""
+    if k <= 0:
+        raise ValueError(f"truncation level must be positive, got {k}")
+    arr = np.asarray(s, dtype=float)
+    _, g = _split_at_level(k, arr)
+    return g if isinstance(s, np.ndarray) else float(g)
 
 
 def trunc_power(k: float, gamma: float, s):

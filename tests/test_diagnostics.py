@@ -18,10 +18,12 @@ from singpde import (
     marcinkiewicz_fit,
     mollify,
     sample_field,
+    sobolev_norm,
     solve_regularized,
     solve_spd,
     torsion_function,
     truncation_energy,
+    trunc_G,
     trunc_T,
 )
 from singpde.diagnostics import gradient_energy
@@ -37,7 +39,7 @@ def greens_tent(cells=64):
     return grid, u
 
 
-# -- gradients ---------------------------------------------------------------
+# -- gradients and norms -----------------------------------------------------
 
 
 def test_gradient_of_zero_function():
@@ -59,6 +61,31 @@ def test_gradient_of_identity_ramp():
 def test_gradient_of_greens_tent_is_half_everywhere():
     _, u = greens_tent()
     assert np.allclose(discrete_gradient_magnitude(u), 0.5)
+
+
+def test_sobolev_norm_zero():
+    grid = build_grid(1, 16)
+    u = GridFunction(grid, np.zeros(grid.interior_count))
+    assert sobolev_norm(u, 1.0) == 0.0
+
+
+def test_sobolev_norm_greens_tent_q1():
+    grid, u = greens_tent()
+    # gradient part 0.5, function part 0.125 (trapezoid-exact for the tent)
+    assert sobolev_norm(u, 1.0) == pytest.approx(0.625, abs=grid.spacing)
+
+
+def test_sobolev_norm_is_homogeneous():
+    grid, u = greens_tent(32)
+    doubled = GridFunction(grid, 2.0 * u.values)
+    for q in (1.0, 1.2, 2.0):
+        assert sobolev_norm(doubled, q) == pytest.approx(2.0 * sobolev_norm(u, q))
+
+
+def test_sobolev_norm_rejects_q_below_one():
+    grid, u = greens_tent(16)
+    with pytest.raises(ValueError):
+        sobolev_norm(u, 0.5)
 
 
 # -- distribution functions and tail fits ------------------------------------
@@ -121,7 +148,7 @@ def test_marcinkiewicz_fit_inconclusive_with_few_points():
     assert np.isnan(fit.slope)
 
 
-# -- truncation energies -----------------------------------------------------
+# -- truncation energies and the G_1 part ------------------------------------
 
 
 def test_truncation_energy_zero_function():
@@ -140,6 +167,22 @@ def test_truncation_energy_rejects_gamma_below_one():
     grid, u = greens_tent(16)
     with pytest.raises(ValueError):
         truncation_energy(u, 1.0, 0.5)
+
+
+def test_g1_supported_near_peak_only():
+    grid, u = greens_tent()
+    lifted = GridFunction(grid, 0.8 + u.values)  # exceeds 1 only near the atom
+    g1 = trunc_G(1.0, lifted.values)
+    x = grid.node_coords[:, 0]
+    assert np.all(g1[np.abs(x - 0.5) > 0.45] == 0.0)
+    assert np.any(g1 > 0.0)
+
+
+def test_g1_t1_identity_exact():
+    rng = np.random.default_rng(9)
+    grid = build_grid(2, 12)
+    u = GridFunction(grid, rng.uniform(0, 3, grid.interior_count))
+    assert np.all(trunc_T(1.0, u.values) + trunc_G(1.0, u.values) == u.values)
 
 
 def test_chebyshev_consistency_with_truncation_energy():

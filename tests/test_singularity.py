@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from singpde import SingularNonlinearity, trunc_T, trunc_power
+from singpde import (
+    SingularNonlinearity,
+    eval_h_n,
+    trunc_G,
+    trunc_T,
+    trunc_power,
+)
 
 
 def sample_instances():
@@ -40,6 +46,16 @@ def test_truncation_examples():
     assert trunc_T(2.0, -5.0) == -2.0
     assert trunc_T(3.0, 0.0) == 0.0
     assert trunc_T(2.0, 1.0) == 1.0
+    assert trunc_G(2.0, 5.0) == 3.0
+    assert trunc_G(2.0, 1.0) == 0.0
+
+
+def test_truncation_identity_randomized():
+    rng = np.random.default_rng(42)
+    k = rng.uniform(1e-2, 100.0, size=1000)
+    s = rng.uniform(-200.0, 200.0, size=1000)
+    for ki, si in zip(k, s):
+        assert trunc_T(ki, si) + trunc_G(ki, si) == si
 
 
 def test_truncation_rejects_nonpositive_level():
@@ -47,6 +63,21 @@ def test_truncation_rejects_nonpositive_level():
         trunc_T(0.0, 1.0)
     with pytest.raises(ValueError):
         trunc_T(-1.0, 1.0)
+    with pytest.raises(ValueError):
+        trunc_G(-1.0, 1.0)
+
+
+def test_eval_h_n_cap_examples():
+    h = SingularNonlinearity.pure_power(1.0)
+    assert eval_h_n(h, 2, 0.01) == 2.0  # h = 100 capped at 2
+    assert eval_h_n(h, 1000, 0.5) == 2.0  # below cap
+    assert eval_h_n(h, 10, 1.0) == h(1.0)  # truncation inactive
+
+
+def test_eval_h_n_rejects_bad_level():
+    h = SingularNonlinearity.pure_power(1.0)
+    with pytest.raises(ValueError):
+        eval_h_n(h, 0, 1.0)
 
 
 def test_trunc_power_examples():
@@ -68,6 +99,17 @@ def test_monotone_nonincreasing_on_log_grid():
         values = h(s)
         assert np.all(values[1:] <= values[:-1] * (1 + 1e-12))
         assert np.all(values > 0)
+
+
+def test_cap_monotone_in_level():
+    s = np.logspace(-4, 2, 50)
+    for h in sample_instances():
+        for n in (1, 2, 7, 50):
+            a = eval_h_n(h, n, s)
+            b = eval_h_n(h, n + 1, s)
+            c = np.asarray(h(s))
+            assert np.all(a <= b + 1e-15)
+            assert np.all(b <= c + 1e-15)
 
 
 def test_growth_envelopes_on_wide_log_sample():
