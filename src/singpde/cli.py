@@ -32,7 +32,6 @@ from . import fields
 from .config import ConfigError, RunConfig, SUITES
 from .measures import RadonMeasure, mollify, scale_measure
 from .mesh import Grid, GridFunction, build_grid, l1_norm, min_on_compact
-from .singularity import SingularNonlinearity
 from .solver import (
     ConvergenceFailure,
     ProblemSpec,
@@ -433,21 +432,13 @@ def _sweep_measure(name: str) -> RadonMeasure:
     return RadonMeasure(density=fields.constant(1.0))  # uniform
 
 
-def _sweep_h(cfg: RunConfig, gamma: float) -> SingularNonlinearity:
-    if cfg.h.kind == "pure_power":
-        return SingularNonlinearity.pure_power(gamma)
-    if cfg.h.kind == "shifted_power":
-        return SingularNonlinearity.shifted_power(gamma, cfg.h.shift)
-    return SingularNonlinearity.bounded_plateau(gamma, cfg.h.plateau)
-
-
 def _sweep_row(cfg: RunConfig, gamma: float, cells: int, measure_name: str):
     base = [gamma, cells, measure_name]
     try:
         grid = build_grid(cfg.dim, cells, cfg.grid_margin)
         spec = ProblemSpec(
             grid=grid,
-            h=_sweep_h(cfg, gamma),
+            h=replace(cfg.h, gamma=gamma),
             f=cfg.f,
             mu=_sweep_measure(measure_name),
             n=cfg.n_schedule[-1],
@@ -503,7 +494,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in ("solve", "verify", "sweep"):
         p = sub.add_parser(name)
         p.add_argument("config", help="path to a key-value config file")
-        p.add_argument("--out", default=None, help="output directory (overrides output.dir)")
+        p.add_argument("--out", default=None, help="output directory (takes precedence over output.dir)")
         p.add_argument("--threads", type=int, default=None, help="worker threads for sweep")
         if name == "verify":
             p.add_argument("--suite", default=None, choices=SUITES)

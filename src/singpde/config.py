@@ -3,12 +3,16 @@
 One ``section.key = value`` per line, ``#`` starts a comment line, repeated
 keys are rejected except ``measure.atom`` which accumulates.  Every key can
 be overridden from the environment via SINGPDE_<KEY> with dots replaced by
-underscores (e.g. SINGPDE_H_GAMMA); atom overrides separate several atoms
-with semicolons.
+underscores (e.g. SINGPDE_H_GAMMA); SINGPDE_MEASURE_ATOM separates several
+atoms with semicolons.
+
+Every number must be finite: ``nan`` and ``inf`` are rejected under the key
+that holds them.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -82,7 +86,7 @@ def _env_name(key: str) -> str:
 
 
 def load_raw_config(path: str, environ=None) -> dict[str, list[str]]:
-    """Parse a config file into raw string values and apply env overrides."""
+    """Parse a config file into raw string values, then apply SINGPDE_* variables."""
     environ = os.environ if environ is None else environ
     raw: dict[str, list[str]] = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -123,9 +127,12 @@ def _get_float(raw, key, default=None) -> float | None:
     if text is None:
         return default
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ConfigError(key, f"expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(key, f"expected a finite number, got {text!r}")
+    return value
 
 
 def _get_int(raw, key, default=None) -> int | None:
@@ -144,9 +151,12 @@ def _get_list(raw, key, cast, default=()) -> tuple:
         return tuple(default)
     parts = [p.strip() for p in text.strip("[]").split(",") if p.strip()]
     try:
-        return tuple(cast(p) for p in parts)
+        values = tuple(cast(p) for p in parts)
     except ValueError:
         raise ConfigError(key, f"expected a comma-separated list, got {text!r}") from None
+    if cast is float and not all(math.isfinite(v) for v in values):
+        raise ConfigError(key, f"expected finite numbers, got {text!r}")
+    return values
 
 
 def _build_h(raw) -> SingularNonlinearity:
@@ -154,24 +164,19 @@ def _build_h(raw) -> SingularNonlinearity:
     if kind not in _H_KINDS:
         raise ConfigError("h.kind", f"must be one of {_H_KINDS}, got {kind!r}")
     gamma = _get_float(raw, "h.gamma", 0.5)
-    if gamma is None or gamma <= 0:
+    if gamma <= 0:
         raise ConfigError("h.gamma", f"must be positive, got {gamma}")
-    try:
-        if kind == "pure_power":
-            return SingularNonlinearity.pure_power(gamma)
-        if kind == "shifted_power":
-            shift = _get_float(raw, "h.shift", 1.0)
-            if shift is None or shift <= 0:
-                raise ConfigError("h.shift", f"must be positive, got {shift}")
-            return SingularNonlinearity.shifted_power(gamma, shift)
-        plateau = _get_float(raw, "h.plateau", 10.0)
-        if plateau is None or plateau <= 0:
-            raise ConfigError("h.plateau", f"must be positive, got {plateau}")
-        return SingularNonlinearity.bounded_plateau(gamma, plateau)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError("h.kind", str(exc)) from None
+    if kind == "pure_power":
+        return SingularNonlinearity.pure_power(gamma)
+    if kind == "shifted_power":
+        shift = _get_float(raw, "h.shift", 1.0)
+        if shift <= 0:
+            raise ConfigError("h.shift", f"must be positive, got {shift}")
+        return SingularNonlinearity.shifted_power(gamma, shift)
+    plateau = _get_float(raw, "h.plateau", 10.0)
+    if plateau <= 0:
+        raise ConfigError("h.plateau", f"must be positive, got {plateau}")
+    return SingularNonlinearity.bounded_plateau(gamma, plateau)
 
 
 def _build_f(raw) -> fields.ScalarField:
@@ -209,6 +214,8 @@ def _parse_density(text: str) -> fields.ScalarField:
         name, _, rest = text.partition("(")
         args_text = rest.rstrip(")").strip()
         args = [float(p) for p in args_text.split(",") if p.strip()] if args_text else []
+        if not all(math.isfinite(a) for a in args):
+            raise ValueError(f"arguments must be finite, got {args_text!r}")
     else:
         name, args = text, []
     name = name.strip()
@@ -241,6 +248,8 @@ def _build_measure(raw, dim: int) -> RadonMeasure:
             numbers = [float(p) for p in parts]
         except ValueError:
             raise ConfigError("measure.atom", f"non-numeric entry in {text!r}") from None
+        if not all(math.isfinite(x) for x in numbers):
+            raise ConfigError("measure.atom", f"non-finite entry in {text!r}")
         coords, mass = tuple(numbers[:3]), numbers[3]
         if mass < 0:
             raise ConfigError("measure.atom", f"mass must be nonnegative, got {mass}")

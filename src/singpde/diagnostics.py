@@ -21,7 +21,7 @@ import numpy as np
 from .fields import ScalarField
 from .measures import DiscretizedMeasure
 from .mesh import Grid, GridFunction, build_laplacian, require_same_grid, solve_spd
-from .singularity import SingularNonlinearity, trunc_power
+from .singularity import SingularNonlinearity, eval_h_n, trunc_power
 from .solver import SolveResult
 
 __all__ = [
@@ -254,8 +254,8 @@ def kato_residual(
     hdiff = np.zeros_like(a)
     active = f_capped > 0
     if np.any(active):
-        h1 = np.minimum(n, h(a[active] + shift))
-        h2 = np.minimum(n, h(b[active] + shift))
+        h1 = eval_h_n(h, n, a[active] + shift)
+        h2 = eval_h_n(h, n, b[active] + shift)
         hdiff[active] = h1 - h2
     source_gap = f_capped * hdiff + (mu1_d.values.values - mu2_d.values.values)
     rhs = float(np.sum(indicator * source_gap * phi0.values) * vol)

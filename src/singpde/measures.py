@@ -7,9 +7,9 @@ mass exactly; the density part is sampled nodewise.  The width never drops
 below one grid spacing, so the discretized measure is always resolvable.
 
 Atoms closer than one kernel width to the boundary get their kernel clipped
-and renormalized over the interior nodes; the result carries a warning flag.
-If the clipped kernel touches no interior node at all, the whole mass is
-deposited on the nearest interior node (same flag).
+and renormalized over the interior nodes.  If the clipped kernel touches no
+interior node at all, the whole mass is deposited on the nearest interior
+node.
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ class DiscretizedMeasure:
     grid: Grid
     values: GridFunction
     level: int
-    boundary_clipped: bool = False
 
     @property
     def discrete_mass(self) -> float:
@@ -70,7 +69,6 @@ def mollify(mu: RadonMeasure, grid: Grid, n: int) -> DiscretizedMeasure:
         raise ValueError(f"regularization level must be an integer >= 1, got {n}")
     width = max(grid.spacing, 1.0 / n)
     values = np.zeros(grid.interior_count)
-    clipped = False
     for location, mass in mu.atoms:
         if mass == 0.0:
             continue
@@ -79,8 +77,6 @@ def mollify(mu: RadonMeasure, grid: Grid, n: int) -> DiscretizedMeasure:
             raise ValueError(
                 f"atom location {location} has fewer coordinates than dim={grid.dim}"
             )
-        if np.min(np.minimum(loc, 1.0 - loc)) < width:
-            clipped = True
         r = np.linalg.norm(grid.node_coords - loc, axis=1)
         kernel = np.clip(1.0 - (r / width) ** 2, 0.0, None) ** 2
         weight = kernel.sum() * grid.cell_volume
@@ -89,18 +85,12 @@ def mollify(mu: RadonMeasure, grid: Grid, n: int) -> DiscretizedMeasure:
         else:
             # Kernel support contains no interior node; keep the mass anyway.
             values[int(np.argmin(r))] += mass / grid.cell_volume
-            clipped = True
     if mu.density is not None:
         dens = mu.density(grid.node_coords)
         if np.any(dens < 0):
             raise ValueError("measure density must be nonnegative")
         values += dens
-    return DiscretizedMeasure(
-        grid=grid,
-        values=GridFunction(grid, values),
-        level=int(n),
-        boundary_clipped=clipped,
-    )
+    return DiscretizedMeasure(grid=grid, values=GridFunction(grid, values), level=int(n))
 
 
 def scale_measure(mu: RadonMeasure, factor: float) -> RadonMeasure:

@@ -6,20 +6,16 @@ Three concrete families cover both admissible behaviours at the origin:
 * ``shifted_power``   h(s) = (s + shift)^-gamma    (finite limit at 0)
 * ``bounded_plateau`` h(s) = min(plateau, s^-gamma)
 
-Each instance carries growth-envelope constants (c1, k_under) near zero and
-(c2, k_over) at infinity: h(s) <= c1 s^-gamma for s < k_under and
-h(s) <= c2 s^-theta for s > k_over.  Constructors verify the envelopes, the
-monotone decrease and the finite limit at infinity on a 1000-point log-spaced
-sample of (1e-8, 1e8) and reject parameters that break them.
-
 Truncations: T_k clamps to [-k, k], G_k is the signed excess beyond k, and
 T_k + G_k is the identity in floating point.  At regularization level n the
-nonlinearity is capped at n, which for nonnegative h is simply min(n, h); the
-solver applies the same cap inline.
+nonlinearity is capped at n, which for nonnegative h is simply min(n, h);
+``eval_h_n`` is that cap, and both the solver's right-hand side and the Kato
+check evaluate h through it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,42 +28,29 @@ __all__ = [
     "trunc_power",
 ]
 
-_ENVELOPE_SAMPLES = np.logspace(-8.0, 8.0, 1000)
-_ENVELOPE_SLACK = 1.0 + 1e-9
-
 _KINDS = ("pure_power", "shifted_power", "bounded_plateau")
 
 
 @dataclass(frozen=True)
 class SingularNonlinearity:
-    """A nonincreasing, positive nonlinearity with verified growth envelopes."""
+    """A nonincreasing, positive nonlinearity given by its closed form."""
 
     kind: str
     gamma: float
-    theta: float
-    c1: float
-    c2: float
-    k_under: float
-    k_over: float
     shift: float = 0.0
     plateau: float = 0.0
 
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown nonlinearity kind {self.kind!r}")
+        if not all(math.isfinite(x) for x in (self.gamma, self.shift, self.plateau)):
+            raise ValueError("gamma, shift and plateau must be finite")
         if self.gamma <= 0:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
-        if self.theta <= 0:
-            raise ValueError(f"theta must be positive, got {self.theta}")
-        if self.c1 <= 0 or self.c2 <= 0:
-            raise ValueError("envelope constants c1, c2 must be positive")
-        if self.k_under <= 0 or self.k_over < self.k_under:
-            raise ValueError("need 0 < k_under <= k_over")
         if self.kind == "shifted_power" and self.shift <= 0:
             raise ValueError(f"shift must be positive, got {self.shift}")
         if self.kind == "bounded_plateau" and self.plateau <= 0:
             raise ValueError(f"plateau must be positive, got {self.plateau}")
-        self._check_envelopes()
 
     # -- evaluation ------------------------------------------------------
 
@@ -92,82 +75,16 @@ class SingularNonlinearity:
     # -- constructors ----------------------------------------------------
 
     @classmethod
-    def pure_power(cls, gamma: float, **overrides) -> "SingularNonlinearity":
-        """h(s) = s^-gamma; the envelopes are tight with c1 = c2 = 1."""
-        params = dict(
-            kind="pure_power",
-            gamma=float(gamma),
-            theta=float(gamma),
-            c1=1.0,
-            c2=1.0,
-            k_under=1.0,
-            k_over=1.0,
-        )
-        params.update(overrides)
-        return cls(**params)
+    def pure_power(cls, gamma: float) -> "SingularNonlinearity":
+        return cls(kind="pure_power", gamma=float(gamma))
 
     @classmethod
-    def shifted_power(
-        cls, gamma: float, shift: float, **overrides
-    ) -> "SingularNonlinearity":
-        params = dict(
-            kind="shifted_power",
-            gamma=float(gamma),
-            theta=float(gamma),
-            c1=1.0,
-            c2=1.0,
-            k_under=1.0,
-            k_over=1.0,
-            shift=float(shift),
-        )
-        params.update(overrides)
-        return cls(**params)
+    def shifted_power(cls, gamma: float, shift: float) -> "SingularNonlinearity":
+        return cls(kind="shifted_power", gamma=float(gamma), shift=float(shift))
 
     @classmethod
-    def bounded_plateau(
-        cls, gamma: float, plateau: float, **overrides
-    ) -> "SingularNonlinearity":
-        # Beyond max(1, plateau^(-1/gamma)) the plateau is inactive, so the
-        # power tail gives c2 = 1; a user-supplied smaller k_over inflates c2.
-        gamma = float(gamma)
-        plateau = float(plateau)
-        k_over = max(1.0, plateau ** (-1.0 / gamma)) if plateau > 0 else 1.0
-        params = dict(
-            kind="bounded_plateau",
-            gamma=gamma,
-            theta=gamma,
-            c1=1.0,
-            c2=1.0,
-            k_under=1.0,
-            k_over=k_over,
-            plateau=plateau,
-        )
-        params.update(overrides)
-        if "k_over" in overrides:
-            ko = float(overrides["k_over"])
-            if "c2" not in overrides:
-                params["c2"] = max(1.0, plateau * ko ** params["theta"])
-            if "k_under" not in overrides:
-                params["k_under"] = min(params["k_under"], ko)
-        return cls(**params)
-
-    # -- internal --------------------------------------------------------
-
-    def _check_envelopes(self) -> None:
-        s = _ENVELOPE_SAMPLES
-        hv = np.asarray(self(s))
-        if np.any(hv <= 0.0):
-            raise ValueError("h must be positive on (0, inf)")
-        if np.any(hv[1:] > hv[:-1] * _ENVELOPE_SLACK):
-            raise ValueError("h must be nonincreasing")
-        near = s < self.k_under
-        if np.any(hv[near] > self.c1 * s[near] ** (-self.gamma) * _ENVELOPE_SLACK):
-            raise ValueError("growth envelope near zero violated")
-        far = s > self.k_over
-        if np.any(hv[far] > self.c2 * s[far] ** (-self.theta) * _ENVELOPE_SLACK):
-            raise ValueError("decay envelope at infinity violated")
-        if self(1e6) > self(self.k_over) * _ENVELOPE_SLACK:
-            raise ValueError("h must have a finite limit at infinity")
+    def bounded_plateau(cls, gamma: float, plateau: float) -> "SingularNonlinearity":
+        return cls(kind="bounded_plateau", gamma=float(gamma), plateau=float(plateau))
 
 
 def eval_h_n(h: SingularNonlinearity, n: int, s):

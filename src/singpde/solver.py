@@ -2,9 +2,10 @@
 
 At regularization level n the problem
 
-    -Lap u = min(n, h(u + 1/n)) * min(n, f) + mu_n,   u = 0 on the boundary
+    -Lap u = h_n(u + 1/n) * min(n, f) + mu_n,   u = 0 on the boundary,
 
-is solved by fixed-point iteration: each step freezes the previous iterate
+with the capped nonlinearity h_n = min(n, h) of ``singularity.eval_h_n``, is
+solved by fixed-point iteration: each step freezes the previous iterate
 inside h, solves one linear Dirichlet problem, and blends the result with the
 previous iterate via a damping factor.  The 1/n shift keeps every evaluation
 of h strictly away from the singularity, and the measure enters through its
@@ -43,7 +44,7 @@ from .mesh import (
     sample_field,
     solve_spd,
 )
-from .singularity import SingularNonlinearity
+from .singularity import SingularNonlinearity, eval_h_n
 
 __all__ = [
     "ProblemSpec",
@@ -133,7 +134,6 @@ class SolveResult:
     iterations: int
     residual: float
     converged: bool
-    picard_history: tuple[float, ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,7 +192,7 @@ def _rhs(prep: _Prepared, v: np.ndarray, arg_map) -> np.ndarray:
     # never evaluated.
     if not prep.f_active:
         return prep.mu_vals
-    hv = np.minimum(prep.cap, prep.h(arg_map(v) + prep.shift))
+    hv = eval_h_n(prep.h, prep.cap, arg_map(v) + prep.shift)
     return hv * prep.f_capped + prep.mu_vals
 
 
@@ -258,7 +258,6 @@ def _iterate(
         iterations=iterations,
         residual=residual,
         converged=converged,
-        picard_history=tuple(history),
     )
 
 
@@ -271,8 +270,8 @@ def solve_regularized(
 
     The iteration starts from ``initial`` when given and otherwise from one
     Picard step from zero, i.e. the linear solve with h frozen at h(1/n).
-    Nonconvergence within max_iters returns a flagged result with the full
-    update history attached.
+    Nonconvergence within max_iters returns a flagged result carrying the
+    last update norm.
     """
     cfg = cfg or SolverConfig()
     if initial is not None:
@@ -401,7 +400,6 @@ class SandwichSpec:
 
     sub: GridFunction
     sup: GridFunction
-    w: GridFunction | None = None
 
     def __post_init__(self):
         require_same_grid(self.sub.grid, self.sup.grid)
@@ -480,7 +478,7 @@ def build_sub_super(spec: ProblemSpec, cfg: SolverConfig | None = None) -> Sandw
     mu_d = mollify(spec.mu, spec.grid, spec.n)
     w = solve_spd(lap, mu_d.values)
     sup = GridFunction(spec.grid, v_res.u.values + w.values)
-    return SandwichSpec(sub=v_res.u, sup=sup, w=w)
+    return SandwichSpec(sub=v_res.u, sup=sup)
 
 
 def distance_lower_bound_check(v: GridFunction) -> float:

@@ -10,7 +10,9 @@ import singpde
 import singpde.cli as cli
 from singpde.cli import _fmt, _solution_rows_template, main
 from singpde.config import RunConfig
-from singpde.mesh import build_grid
+from singpde.measures import RadonMeasure
+from singpde.mesh import build_grid, l1_norm
+from singpde.singularity import SingularNonlinearity
 from singpde.solver import ProblemSpec, solve_sequence
 
 DIRAC_1D = """
@@ -292,6 +294,41 @@ def test_sweep_product_rows(tmp_path):
     keys = [(float(r[0]), int(r[1]), r[2]) for r in rows]
     assert keys == sorted(keys)
     assert all(r[3] == "ok" for r in rows)
+
+
+@pytest.mark.parametrize(
+    "kind_lines, build_h",
+    [
+        (
+            "h.kind = bounded_plateau\nh.plateau = 3",
+            lambda g: SingularNonlinearity.bounded_plateau(g, 3.0),
+        ),
+        (
+            "h.kind = shifted_power\nh.shift = 0.5",
+            lambda g: SingularNonlinearity.shifted_power(g, 0.5),
+        ),
+    ],
+)
+def test_sweep_rebuilds_h_of_the_configured_kind(tmp_path, kind_lines, build_h):
+    # Each row keeps the configured kind and its shift or plateau, and only
+    # its gamma changes.
+    text = DIRAC_1D.replace("h.kind = pure_power", kind_lines)
+    text += "sweep.gamma = 0.5, 1.5\nsweep.cells = 16\n"
+    cfg = write_cfg(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["sweep", cfg, "--out", str(out)]) == 0
+    header, rows = read_rows(out / "sweep.csv")
+    col = header.index("final_l1_norm")
+    run = RunConfig.from_file(cfg)
+    assert [float(r[0]) for r in rows] == [0.5, 1.5]
+    for row in rows:
+        h = build_h(float(row[0]))
+        spec = ProblemSpec(
+            grid=build_grid(1, 16), h=h, f=singpde.constant(1.0), mu=RadonMeasure()
+        )
+        seq = solve_sequence(spec, run.n_schedule, run.solver)
+        assert row[3] == "ok"
+        assert float(row[col]) == l1_norm(seq.final.u)
 
 
 def test_sweep_empty_gamma_list_is_config_error(tmp_path):

@@ -70,6 +70,41 @@ def test_negative_gamma_names_offending_key(tmp_path):
     assert err.value.key == "h.gamma"
 
 
+@pytest.mark.parametrize(
+    "old, new, key",
+    [
+        pytest.param("h.gamma = 0.5", "h.gamma = inf", "h.gamma", id="gamma-inf"),
+        pytest.param("h.gamma = 0.5", "h.gamma = nan", "h.gamma", id="gamma-nan"),
+        pytest.param("f.value = 1.0", "f.value = nan", "f.value", id="f-value-nan"),
+        pytest.param(
+            "solver.tol_fp = 1e-10", "solver.tol_fp = nan", "solver.tol_fp", id="tol-fp-nan"
+        ),
+        pytest.param(
+            "[0.5, 0.5, 0.5, 1.0]", "[0.5, 0.5, 0.5, nan]", "measure.atom", id="atom-mass-nan"
+        ),
+        pytest.param(
+            "output.dir = out", "sweep.gamma = 0.5, nan", "sweep.gamma", id="sweep-gamma-nan"
+        ),
+        pytest.param(
+            "output.dir = out",
+            "measure.density = constant(inf)",
+            "measure.density",
+            id="density-inf",
+        ),
+    ],
+)
+def test_non_finite_numbers_rejected(tmp_path, old, new, key):
+    # float() accepts nan and inf, and no "<= 0" check catches nan.
+    with pytest.raises(ConfigError) as err:
+        RunConfig.from_file(write(tmp_path, BASIC.replace(old, new)))
+    assert err.value.key == key
+
+
+def test_large_finite_gamma_parses(tmp_path):
+    cfg = RunConfig.from_file(write(tmp_path, BASIC.replace("h.gamma = 0.5", "h.gamma = 41")))
+    assert cfg.h.gamma == 41.0
+
+
 def test_bad_schedule_rejected(tmp_path):
     text = BASIC.replace("sequence.n_schedule = 2, 4, 8", "sequence.n_schedule = 8, 4")
     with pytest.raises(ConfigError) as err:

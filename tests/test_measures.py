@@ -25,7 +25,6 @@ def test_mollify_delta_mass_and_support():
     x = g.node_coords[:, 0]
     outside = np.abs(x - 0.5) > width + 1e-12
     assert np.all(mud.values.values[outside] == 0.0)
-    assert not mud.boundary_clipped
 
 
 def test_mollify_zero_measure():
@@ -52,7 +51,6 @@ def test_mollify_nonnegative_and_mass_conserving_across_levels():
 def test_mollify_boundary_atom_clips_and_keeps_mass():
     g = build_grid(1, 16)
     mud = mollify(delta(0.01), g, 16)
-    assert mud.boundary_clipped
     assert mud.discrete_mass == pytest.approx(1.0, abs=1e-12)
 
 
@@ -60,7 +58,6 @@ def test_mollify_corner_atom_nearest_node_fallback():
     g = build_grid(3, 8)
     mu = RadonMeasure(atoms=(((0.02, 0.02, 0.02), 1.0),))
     mud = mollify(mu, g, 10**6)  # width = spacing; no node inside the kernel
-    assert mud.boundary_clipped
     assert mud.discrete_mass == pytest.approx(1.0, abs=1e-12)
     assert np.count_nonzero(mud.values.values) == 1
 

@@ -95,7 +95,7 @@ def test_solve_nonconvergence_is_flagged_not_raised():
     spec = spec_1d(n=64)
     res = solve_regularized(spec, SolverConfig(tol_fp=1e-10, max_iters=2))
     assert not res.converged
-    assert len(res.picard_history) == 2
+    assert res.iterations == 2
     assert res.residual > 1e-10
 
 
@@ -255,7 +255,6 @@ def test_comparison_check_swapped_detects_measure_contribution():
 def test_build_sub_super_zero_measure_degenerate():
     spec = spec_1d(f=constant(1.0), mu=RadonMeasure())
     sw = build_sub_super(spec)
-    assert np.all(sw.w.values == 0.0)
     assert np.max(np.abs(sw.sup.values - sw.sub.values)) == 0.0
 
 
@@ -272,7 +271,6 @@ def test_build_sub_super_super_dominates_exactly():
     spec = spec_1d(f=constant(1.0), mu=RadonMeasure(density=constant(1.0)))
     sw = build_sub_super(spec)
     assert np.all(sw.sup.values >= sw.sub.values)
-    assert np.all(sw.w.values >= 0.0)
 
 
 def test_build_sub_super_requires_positive_source():
