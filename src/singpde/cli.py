@@ -11,10 +11,12 @@ are written column-wise: the node coordinates are formatted once per run
 and each level's values fill them in with one formatting call, giving the
 same bytes as formatting every value on its own.
 
-Exit codes: 0 ok, 1 configuration error, 2 nonconvergence, 3 failed check
-or invariant violation.  Every nonzero exit is accompanied by a
-machine-readable ``reason,...`` line on stdout (and reason.csv when the
-output directory exists).
+Exit codes: 0 ok, 1 configuration error, 2 nonconvergence, a linear solve
+that failed its backward-error check or an infrastructure failure, 3 failed
+check or invariant violation.  Every nonzero exit is accompanied by a
+machine-readable ``reason,<code>,<category>,<detail>`` line on stdout (and
+reason.csv when the output directory exists); exit 2 has the categories
+``nonconvergence``, ``linear_solve`` and ``infrastructure``.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from . import diagnostics as diag
 from . import fields
 from .config import ConfigError, RunConfig, SUITES
 from .measures import RadonMeasure, mollify, scale_measure
-from .mesh import Grid, GridFunction, build_grid, l1_norm, min_on_compact
+from .mesh import Grid, GridFunction, LinearSolveError, build_grid, l1_norm, min_on_compact
 from .solver import (
     ConvergenceFailure,
     ProblemSpec,
@@ -527,6 +529,8 @@ def main(argv=None) -> int:
         return _cmd_sweep(cfg, out_dir, threads)
     except ConfigError as exc:
         return _reason(out_dir, EXIT_CONFIG, "config", str(exc))
+    except LinearSolveError as exc:
+        return _reason(out_dir, EXIT_NONCONVERGENCE, "linear_solve", str(exc))
     except Exception as exc:  # infrastructure failure
         return _reason(out_dir, EXIT_NONCONVERGENCE, "infrastructure", f"{type(exc).__name__}: {exc}")
 

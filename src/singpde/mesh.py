@@ -2,22 +2,24 @@
 
 Unknowns live on the interior nodes of a uniform grid over [0, 1]^dim with
 implicit zero boundary values.  The negative Laplacian is the standard
-(2*dim + 1)-point central-difference stencil, assembled as a sparse symmetric
-positive-definite matrix.  The type-I discrete sine transform (DST-I)
-diagonalises that matrix exactly, so linear systems are solved directly by
-two d-dimensional sine transforms and one division by the eigenvalues (the
-fast Poisson solver of Buzbee, Golub and Nielson, 1970); a backward-error
-check against the matrix guards every solve.  Everything here is
-value-semantic: build and solve are pure functions, safe to call concurrently
-on distinct inputs.
+(2*dim + 1)-point central-difference stencil, a symmetric positive-definite
+operator.  The type-I discrete sine transform (DST-I) diagonalises it
+exactly, so linear systems are solved directly by two d-dimensional sine
+transforms and one division by the eigenvalues (the fast Poisson solver of
+Buzbee, Golub and Nielson, 1970).  A backward-error check guards every
+solve; it applies the stencil matrix-free on the lattice, so no solve needs
+``scipy``.  The operator's sparse CSR matrix is assembled, and
+``scipy.sparse`` imported, only when ``DiscreteOperator.matrix`` is first
+read.  Everything here is value-semantic: build and solve are pure
+functions, safe to call concurrently on distinct inputs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 __all__ = [
     "Grid",
@@ -130,15 +132,42 @@ class GridFunction:
 
 @dataclass(frozen=True, eq=False)
 class DiscreteOperator:
-    """Sparse SPD matrix of the (2*dim+1)-point Dirichlet Laplacian stencil.
+    """The (2*dim+1)-point Dirichlet Laplacian stencil on ``grid``.
 
     ``eigenvalues`` is a lattice array of ``grid.shape`` holding the
     eigenvalue of the DST-I mode with wave numbers (k_1, ..., k_dim).
     """
 
     grid: Grid
-    matrix: sp.csr_matrix
     eigenvalues: np.ndarray
+
+    @cached_property
+    def matrix(self):
+        """Sparse SPD CSR matrix of the stencil, assembled on first read.
+
+        The 1D stencil (-1, 2, -1)/h^2 is extended to higher dimensions as a
+        Kronecker sum, matching the C-ordering of GridFunction values.  No
+        solve reads it; it serves callers that want the assembled matrix.
+        """
+        import scipy.sparse as sp
+
+        m = self.grid.cells_per_side - 1
+        h2 = self.grid.spacing**2
+        main = np.full(m, 2.0 / h2)
+        off = np.full(m - 1, -1.0 / h2)
+        t = sp.diags([off, main, off], [-1, 0, 1], format="csr")
+        eye = sp.identity(m, format="csr")
+        if self.grid.dim == 1:
+            a = t
+        elif self.grid.dim == 2:
+            a = sp.kron(t, eye) + sp.kron(eye, t)
+        else:
+            a = (
+                sp.kron(sp.kron(t, eye), eye)
+                + sp.kron(sp.kron(eye, t), eye)
+                + sp.kron(sp.kron(eye, eye), t)
+            )
+        return sp.csr_matrix(a)
 
 
 def build_grid(dim: int, cells_per_side: int, boundary_margin: float = 0.0) -> Grid:
@@ -177,45 +206,54 @@ def build_grid(dim: int, cells_per_side: int, boundary_margin: float = 0.0) -> G
 
 
 def build_laplacian(grid: Grid) -> DiscreteOperator:
-    """Assemble the negative Laplacian with zero Dirichlet boundary.
+    """The negative Laplacian with zero Dirichlet boundary.
 
-    The 1D stencil (-1, 2, -1)/h^2 is extended to higher dimensions as a
-    Kronecker sum, matching the C-ordering of GridFunction values.  Its
-    eigenvalues are sums over the axes of (4/h^2) sin^2(pi k h / 2),
+    Its eigenvalues are sums over the axes of (4/h^2) sin^2(pi k h / 2),
     k = 1 .. cells_per_side - 1.
     """
     m = grid.cells_per_side - 1
-    h2 = grid.spacing**2
     k = np.arange(1, m + 1)
-    axis_eigs = (4.0 / h2) * np.sin(0.5 * np.pi * k * grid.spacing) ** 2
+    axis_eigs = (4.0 / grid.spacing**2) * np.sin(0.5 * np.pi * k * grid.spacing) ** 2
     eigenvalues = sum(np.ix_(*(axis_eigs,) * grid.dim))
-    main = np.full(m, 2.0 / h2)
-    off = np.full(m - 1, -1.0 / h2)
-    t = sp.diags([off, main, off], [-1, 0, 1], format="csr")
-    eye = sp.identity(m, format="csr")
-    if grid.dim == 1:
-        a = t
-    elif grid.dim == 2:
-        a = sp.kron(t, eye) + sp.kron(eye, t)
-    else:
-        a = (
-            sp.kron(sp.kron(t, eye), eye)
-            + sp.kron(sp.kron(eye, t), eye)
-            + sp.kron(sp.kron(eye, eye), t)
-        )
-    return DiscreteOperator(
-        grid=grid, matrix=sp.csr_matrix(a), eigenvalues=eigenvalues
-    )
+    return DiscreteOperator(grid=grid, eigenvalues=eigenvalues)
+
+
+def _apply(grid: Grid, x: np.ndarray) -> np.ndarray:
+    """A x for the (2*dim+1)-point stencil on the lattice, boundary values 0.
+
+    Built from ``grid.spacing`` alone, so it checks a solve independently of
+    the eigenvalues and the sine transform.
+    """
+    u = x.reshape(grid.shape)
+    y = (2.0 * grid.dim) * u
+    for axis in range(grid.dim):
+        lo = _along(grid.dim, axis, slice(None, -1))
+        hi = _along(grid.dim, axis, slice(1, None))
+        y[lo] -= u[hi]
+        y[hi] -= u[lo]
+    y *= 1.0 / grid.spacing**2
+    return y.ravel()
+
+
+def _along(ndim: int, axis: int, index) -> tuple:
+    """Index tuple selecting ``index`` along ``axis`` and everything elsewhere."""
+    return (slice(None),) * axis + (index,) + (slice(None),) * (ndim - axis - 1)
 
 
 def _dst1(a: np.ndarray, axis: int) -> np.ndarray:
     """Unnormalised DST-I along one axis, y_k = 2 sum_j a_j sin(pi j k / (m+1)),
     read off the real FFT of the odd extension [0, a, 0, -reversed(a)]."""
-    a = np.moveaxis(a, axis, -1)
-    zero = np.zeros(a.shape[:-1] + (1,))
-    extended = np.concatenate([zero, a, zero, -a[..., ::-1]], axis=-1)
-    y = -np.fft.rfft(extended, axis=-1).imag[..., 1:-1]
-    return np.moveaxis(y, -1, axis)
+    m = a.shape[axis]
+
+    def at(index):
+        return _along(a.ndim, axis, index)
+
+    extended = np.empty(a.shape[:axis] + (2 * m + 2,) + a.shape[axis + 1 :])
+    extended[at(0)] = 0.0
+    extended[at(slice(1, m + 1))] = a
+    extended[at(m + 1)] = 0.0
+    np.negative(np.flip(a, axis), out=extended[at(slice(m + 2, None))])
+    return -np.fft.rfft(extended, axis=axis).imag[at(slice(1, -1))]
 
 
 def solve_spd(op: DiscreteOperator, rhs: GridFunction) -> GridFunction:
@@ -223,8 +261,9 @@ def solve_spd(op: DiscreteOperator, rhs: GridFunction) -> GridFunction:
 
     With S the unnormalised DST-I along every axis, S S = (2 cells_per_side)^dim
     times the identity and S diagonalises op, so x = S(S b / eigenvalues) /
-    (2 cells_per_side)^dim.  The result is checked against op.matrix: a
-    backward error max|A x - b| above _BACKWARD_ERROR_FACTOR * eps *
+    (2 cells_per_side)^dim.  The result is checked by applying the stencil
+    matrix-free (``_apply``, never ``op.matrix``, which is assembled only when
+    read): a backward error max|A x - b| above _BACKWARD_ERROR_FACTOR * eps *
     (||A||_inf (max|x| + tiny) + max|b|) raises LinearSolveError.
     """
     require_same_grid(op.grid, rhs.grid)
@@ -238,7 +277,7 @@ def solve_spd(op: DiscreteOperator, rhs: GridFunction) -> GridFunction:
     x = y.ravel() / (2.0 * grid.cells_per_side) ** grid.dim
 
     b = rhs.values
-    residual = float(np.max(np.abs(op.matrix @ x - b)))
+    residual = float(np.max(np.abs(_apply(grid, x) - b)))
     a_norm = 4.0 * grid.dim / grid.spacing**2
     finfo = np.finfo(float)
     bound = _BACKWARD_ERROR_FACTOR * finfo.eps * (

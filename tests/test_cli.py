@@ -1,6 +1,9 @@
+import json
 import os
 import subprocess
 import sys
+import textwrap
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -8,10 +11,11 @@ import pytest
 
 import singpde
 import singpde.cli as cli
+import singpde.solver as solver
 from singpde.cli import _fmt, _solution_rows_template, main
 from singpde.config import RunConfig
 from singpde.measures import RadonMeasure
-from singpde.mesh import build_grid, l1_norm
+from singpde.mesh import build_grid, build_laplacian, l1_norm
 from singpde.singularity import SingularNonlinearity
 from singpde.solver import ProblemSpec, solve_sequence
 
@@ -80,6 +84,19 @@ def test_solve_nonconvergence_exits_two(tmp_path, capsys):
     assert "reason,2,nonconvergence" in capsys.readouterr().out
     assert (out / "reason.csv").exists()
     assert (out / "sequence.csv").exists()  # partial results still written
+
+
+def test_solve_failed_linear_solve_has_its_own_reason(tmp_path, monkeypatch, capsys):
+    def wrong_laplacian(grid):
+        op = build_laplacian(grid)
+        return replace(op, eigenvalues=2.0 * op.eigenvalues)
+
+    monkeypatch.setattr(solver, "build_laplacian", wrong_laplacian)
+    cfg = write_cfg(tmp_path, DIRAC_1D)
+    out = tmp_path / "out"
+    assert main(["solve", cfg, "--out", str(out)]) == 2
+    assert "reason,2,linear_solve,sine-transform solve failed" in capsys.readouterr().out
+    assert (out / "reason.csv").read_text().splitlines()[1].startswith("2,linear_solve,")
 
 
 def test_solve_deterministic_outputs(tmp_path):
@@ -152,6 +169,43 @@ def test_module_entry_point_runs_solve(tmp_path):
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert (out / "sequence.csv").exists()
+
+
+def test_commands_do_not_import_scipy(tmp_path):
+    # The solves and their guard run on numpy alone; importing scipy would
+    # cost a fresh process more than a small command's solves.
+    cfg = write_cfg(tmp_path, "\n".join([
+        "domain.dim = 2",
+        "domain.cells = 8",
+        "h.kind = pure_power",
+        "h.gamma = 1.5",
+        "measure.atom = [0.5, 0.5, 0.5, 1.0]",
+        "sequence.n_schedule = 2, 8, 32",
+    ]) + "\n")
+    script = textwrap.dedent("""
+        import json, sys
+        from singpde.cli import main
+        cfg, out = sys.argv[1:]
+        codes = [
+            main(["solve", cfg, "--out", out + "/solve"]),
+            main(["verify", cfg, "--out", out + "/verify", "--suite", "all"]),
+        ]
+        scipy = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+        print(json.dumps({"codes": codes, "scipy": scipy}))
+    """)
+    src = str(Path(singpde.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", script, cfg, str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["codes"][0] == 0
+    assert result["codes"][1] in (0, 3)  # 3: a check failed, the run completed
+    assert result["scipy"] == []
 
 
 # -- verify ------------------------------------------------------------------

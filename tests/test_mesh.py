@@ -12,6 +12,7 @@ from singpde import (
     sample_field,
     solve_spd,
 )
+from singpde.mesh import _apply, _dst1
 
 
 def test_build_grid_1d_nodes():
@@ -54,6 +55,34 @@ def test_laplacian_1d_stencil_row():
     g = build_grid(1, 4)
     row = build_laplacian(g).matrix.toarray()[1]
     np.testing.assert_allclose(row, [-16.0, 32.0, -16.0])
+
+
+def test_laplacian_matrix_is_assembled_once():
+    op = build_laplacian(build_grid(2, 8))
+    assert op.matrix is op.matrix
+
+
+@pytest.mark.parametrize(
+    "dim,cells", [(1, 2), (1, 33), (2, 2), (2, 9), (3, 2), (3, 6)]
+)
+def test_apply_matches_assembled_matrix(dim, cells):
+    # The matrix-free stencil of the solve guard and the CSR Kronecker sum
+    # are two roundings of the same operator.
+    g = build_grid(dim, cells)
+    x = np.random.default_rng(cells).uniform(-1.0, 1.0, g.interior_count)
+    a_norm = 4.0 * dim / g.spacing**2
+    bound = 4.0 * np.finfo(float).eps * a_norm * np.max(np.abs(x))
+    assert np.max(np.abs(_apply(g, x) - build_laplacian(g).matrix @ x)) <= bound
+
+
+@pytest.mark.parametrize("shape", [(1,), (6,), (5, 3), (1, 1, 1), (4, 2, 3)])
+def test_dst1_matches_explicit_sine_sum(shape):
+    a = np.random.default_rng(len(shape)).uniform(-1.0, 1.0, shape)
+    for axis, m in enumerate(shape):
+        j = np.arange(1, m + 1)
+        s = 2.0 * np.sin(np.pi * np.outer(j, j) / (m + 1))
+        expected = np.moveaxis(np.tensordot(s, a, axes=([1], [axis])), 0, axis)
+        np.testing.assert_allclose(_dst1(a, axis), expected, rtol=0, atol=1e-14)
 
 
 def test_laplacian_is_exactly_symmetric():
