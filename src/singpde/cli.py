@@ -119,14 +119,14 @@ def _cmd_solve(cfg: RunConfig, out_dir: Path) -> int:
         text = template % tuple(res.u.values.tolist())
         (out_dir / f"solution_n{n}.csv").write_text(text, encoding="utf-8")
 
-    header = ["level", "iterations", "residual", "l1_diff", "max_diff"]
+    header = ["level", "iterations", "residual", "l1_diff", "max_diff", "linear_solves"]
     header += [f"min_K_{m:g}" for m in cfg.margins]
     rows = []
     for j, (n, res) in enumerate(zip(seq.n_schedule, seq.results)):
         l1 = seq.l1_diffs[j - 1] if j > 0 and j - 1 < len(seq.l1_diffs) else float("nan")
         mx = seq.max_diffs[j - 1] if j > 0 and j - 1 < len(seq.max_diffs) else float("nan")
         minima = [min_on_compact(res.u, m) for m in cfg.margins]
-        rows.append([n, res.iterations, res.residual, l1, mx] + minima)
+        rows.append([n, res.iterations, res.residual, l1, mx, res.linear_solves] + minima)
     _write_csv(out_dir / "sequence.csv", header, rows)
 
     if seq.aborted_level is not None:

@@ -61,7 +61,6 @@ KNOWN_KEYS = (
     "solver.tol_fp",
     "solver.tol_mono",
     "solver.max_iters",
-    "solver.damping",
     "verify.suite",
     "sweep.gamma",
     "sweep.cells",
@@ -329,7 +328,6 @@ class RunConfig:
         tol_fp = _get_float(raw, "solver.tol_fp")
         tol_mono = _get_float(raw, "solver.tol_mono", 1e-8)
         max_iters = _get_int(raw, "solver.max_iters", 500)
-        damping = _get_float(raw, "solver.damping")
         for key, value in (
             ("solver.tol_fp", tol_fp),
             ("solver.tol_mono", tol_mono),
@@ -338,13 +336,10 @@ class RunConfig:
                 raise ConfigError(key, f"tolerance must be positive, got {value}")
         if max_iters < 1:
             raise ConfigError("solver.max_iters", f"must be at least 1, got {max_iters}")
-        if damping is not None and not 0.0 < damping <= 1.0:
-            raise ConfigError("solver.damping", f"must lie in (0, 1], got {damping}")
         solver_cfg = SolverConfig(
             tol_fp=tol_fp,
             tol_mono=tol_mono,
             max_iters=max_iters,
-            damping=damping,
         )
 
         suite = _single(raw, "verify.suite") or "all"

@@ -10,7 +10,8 @@ Truncations: T_k clamps to [-k, k], G_k is the signed excess beyond k, and
 T_k + G_k is the identity in floating point.  At regularization level n the
 nonlinearity is capped at n, which for nonnegative h is simply min(n, h);
 ``eval_h_n`` is that cap, and both the solver's right-hand side and the Kato
-check evaluate h through it.
+check evaluate h through it.  ``slope_h_n`` is |d/ds min(n, h(s))|, the
+diagonal of the solver's Newton Jacobian.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import numpy as np
 __all__ = [
     "SingularNonlinearity",
     "eval_h_n",
+    "slope_h_n",
     "trunc_T",
     "trunc_G",
     "trunc_power",
@@ -93,6 +95,18 @@ def eval_h_n(h: SingularNonlinearity, n: int, s):
         raise ValueError(f"truncation level must be an integer >= 1, got {n}")
     out = np.minimum(float(n), np.asarray(h(s), dtype=float))
     return out if isinstance(s, np.ndarray) else float(out)
+
+
+def slope_h_n(h: SingularNonlinearity, n: int, s: np.ndarray, hs: np.ndarray) -> np.ndarray:
+    """|d/ds min(n, h(s))| at s > 0, given ``hs = eval_h_n(h, n, s)``.
+
+    Every family has |h'(s)| = gamma h(s) / (s + shift) where h is a power
+    (shift is 0 for pure_power and bounded_plateau).  The slope is 0 where the
+    cap n is active, and for bounded_plateau also where the plateau is; at a
+    kink the flat side's slope, 0, is taken.
+    """
+    flat = min(float(n), h.plateau) if h.kind == "bounded_plateau" else float(n)
+    return np.where(hs < flat, h.gamma * hs / (s + h.shift), 0.0)
 
 
 def _split_at_level(k: float, arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

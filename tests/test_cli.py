@@ -15,7 +15,7 @@ import singpde.solver as solver
 from singpde.cli import _fmt, _solution_rows_template, main
 from singpde.config import RunConfig
 from singpde.measures import RadonMeasure
-from singpde.mesh import build_grid, build_laplacian, l1_norm
+from singpde.mesh import build_grid, build_laplacian, l1_norm, solve_spd
 from singpde.singularity import SingularNonlinearity
 from singpde.solver import ProblemSpec, solve_sequence
 
@@ -97,6 +97,40 @@ def test_solve_failed_linear_solve_has_its_own_reason(tmp_path, monkeypatch, cap
     assert main(["solve", cfg, "--out", str(out)]) == 2
     assert "reason,2,linear_solve,sine-transform solve failed" in capsys.readouterr().out
     assert (out / "reason.csv").read_text().splitlines()[1].startswith("2,linear_solve,")
+
+
+def test_solve_linear_solves_column_counts_every_solve(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(op, rhs):
+        calls.append(1)
+        return solve_spd(op, rhs)
+
+    monkeypatch.setattr(solver, "solve_spd", counted)
+    cfg = write_cfg(tmp_path, DIRAC_1D.replace("domain.cells = 32", "domain.cells = 16"))
+    out = tmp_path / "out"
+    assert main(["solve", cfg, "--out", str(out)]) == 0
+    header, rows = read_rows(out / "sequence.csv")
+    assert header[4:7] == ["max_diff", "linear_solves", "min_K_0.125"]
+    assert sum(int(r[5]) for r in rows) == len(calls)
+
+
+@pytest.mark.parametrize("gamma", [40, 41])
+def test_solve_converges_for_very_strong_singularity(tmp_path, gamma):
+    # The damped Picard iteration stalled at level 256 on both configs.
+    text = "\n".join([
+        "domain.dim = 1",
+        "domain.cells = 16",
+        f"h.gamma = {gamma}",
+        "f.kind = constant",
+        "f.value = 1.0",
+        "measure.atom = [0.5, 0.5, 0.5, 1.0]",
+    ]) + "\n"
+    cfg = write_cfg(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["solve", cfg, "--out", str(out)]) == 0
+    _, rows = read_rows(out / "sequence.csv")
+    assert [int(r[0]) for r in rows] == [2**j for j in range(1, 11)]
 
 
 def test_solve_deterministic_outputs(tmp_path):
@@ -394,7 +428,7 @@ def test_sweep_nonconvergent_row_flagged_others_intact(tmp_path):
     # the nearly linear row converges within the iteration budget, the
     # strongly singular one cannot
     text = DIRAC_1D.replace("sequence.n_schedule = 2, 4, 8, 16, 32, 64", "sequence.n_schedule = 64")
-    text = text.replace("solver.tol_fp = 1e-10", "solver.tol_fp = 1e-10\nsolver.max_iters = 15")
+    text = text.replace("solver.tol_fp = 1e-10", "solver.tol_fp = 1e-10\nsolver.max_iters = 8")
     text += "sweep.gamma = 0.05, 2.0\n"
     cfg = write_cfg(tmp_path, text)
     out = tmp_path / "out"

@@ -55,7 +55,9 @@ def test_unknown_key_rejected(tmp_path):
     assert "domain.shape" in str(err.value)
 
 
-@pytest.mark.parametrize("line", ["seed = 7", "solver.tol_seq = 1e-6", "h.theta = 1.0"])
+@pytest.mark.parametrize(
+    "line", ["seed = 7", "solver.tol_seq = 1e-6", "h.theta = 1.0", "solver.damping = 0.5"]
+)
 def test_removed_keys_rejected(tmp_path, line):
     # Nothing read these keys, so they are no longer accepted.
     with pytest.raises(ConfigError) as err:

@@ -8,6 +8,7 @@ from singpde import (
     trunc_T,
     trunc_power,
 )
+from singpde.singularity import slope_h_n
 
 
 def sample_instances():
@@ -72,6 +73,26 @@ def test_eval_h_n_cap_examples():
     assert eval_h_n(h, 2, 0.01) == 2.0  # h = 100 capped at 2
     assert eval_h_n(h, 1000, 0.5) == 2.0  # below cap
     assert eval_h_n(h, 10, 1.0) == h(1.0)  # truncation inactive
+
+
+# (h, level n, the kink s* where min(n, h) turns flat for s < s*)
+_KINKS = [
+    (SingularNonlinearity.pure_power(1.5), 64, 64.0 ** (-1 / 1.5)),  # cap
+    (SingularNonlinearity.shifted_power(2.0, 0.05), 64, 0.125 - 0.05),  # cap
+    (SingularNonlinearity.bounded_plateau(1.5, 10.0), 64, 10.0 ** (-1 / 1.5)),  # plateau
+    (SingularNonlinearity.bounded_plateau(1.5, 100.0), 64, 64.0 ** (-1 / 1.5)),  # cap
+]
+
+
+@pytest.mark.parametrize("h, n, kink", _KINKS)
+def test_slope_h_n_matches_finite_differences_on_both_sides_of_kink(h, n, kink):
+    s = np.array([0.99 * kink, 1.01 * kink, 2.0 * kink, 10.0 * kink])
+    step = 1e-6 * s
+    fd = (eval_h_n(h, n, s + step) - eval_h_n(h, n, s - step)) / (2 * step)
+    slope = slope_h_n(h, n, s, eval_h_n(h, n, s))
+    assert slope[0] == 0.0 and fd[0] == 0.0  # flat side of the kink
+    assert np.all(slope[1:] > 0.0)
+    np.testing.assert_allclose(slope[1:], -fd[1:], rtol=1e-6)
 
 
 def test_eval_h_n_rejects_bad_level():

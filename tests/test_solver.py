@@ -109,6 +109,16 @@ def test_solve_initial_guess_override():
     assert np.max(np.abs(cold.u.values - warm.u.values)) <= 1e-8
 
 
+def test_solve_linear_problem_from_initial_guess_takes_the_picard_image():
+    # With f = 0 the Picard map is constant, so its first image is the solution.
+    spec = spec_1d(f=zero(), mu=DELTA_HALF, n=64)
+    start = GridFunction(spec.grid, green_exact(spec.grid) + 1.0)
+    res = solve_regularized(spec, SolverConfig(), initial=start)
+    assert res.converged
+    assert res.iterations == 2
+    assert np.max(np.abs(res.u.values - green_exact(spec.grid))) <= 1e-10
+
+
 # -- solve_sequence ----------------------------------------------------------
 
 
@@ -406,3 +416,77 @@ def test_clamped_and_plain_solves_respect_sandwich_and_comparison(gamma, c, posi
     u = solve_regularized(spec)
     assert v.converged and u.converged
     assert np.all(v.u.values <= u.u.values + tol)
+
+
+# -- reference: the damped Picard iteration the Newton solve replaced ----------
+
+
+def picard_map(spec, arg_map=np.abs):
+    """The paper's map T(u) = A^-1 (min(n, h(arg_map(u) + 1/n)) min(n, f) + mu_n)."""
+    lap = sp.build_laplacian(spec.grid)
+    f_capped = np.minimum(sample_field(spec.grid, spec.f).values, spec.n)
+    mu_n = sp.mollify(spec.mu, spec.grid, spec.n).values.values
+
+    def T(u):
+        hv = sp.eval_h_n(spec.h, spec.n, arg_map(u) + 1.0 / spec.n)
+        return sp.solve_spd(lap, GridFunction(spec.grid, hv * f_capped + mu_n)).values
+
+    return T
+
+
+def picard_reference(spec, tol, start=None, arg_map=np.abs):
+    """Damped Picard from ``start`` (default T(0)) until max|T(u) - u| <= tol."""
+    T = picard_map(spec, arg_map)
+    damping = 0.7 if spec.h.gamma >= 1.0 else 1.0
+    u = T(np.zeros(spec.grid.interior_count)) if start is None else start.copy()
+    for _ in range(5000):
+        w = T(u)
+        if np.max(np.abs(w - u)) <= tol:
+            return w
+        u = (1.0 - damping) * u + damping * w
+    raise AssertionError("reference Picard iteration did not converge")
+
+
+_H_FAMILIES = [
+    SingularNonlinearity.pure_power(1.5),
+    SingularNonlinearity.shifted_power(2.0, 0.05),
+    SingularNonlinearity.bounded_plateau(1.5, 10.0),
+]
+_GRIDS = [(1, 32), (2, 16), (3, 8)]
+
+
+def atom_spec(dim, cells, h, n=256):
+    return ProblemSpec(
+        grid=build_grid(dim, cells),
+        h=h,
+        f=constant(1.0),
+        mu=RadonMeasure(atoms=(((0.5,) * dim, 1.0),)),
+        n=n,
+    )
+
+
+@pytest.mark.parametrize("dim, cells", _GRIDS)
+@pytest.mark.parametrize("h", _H_FAMILIES, ids=lambda h: h.kind)
+def test_newton_matches_picard_reference(dim, cells, h):
+    spec = atom_spec(dim, cells, h)
+    tol_fp = SolverConfig().resolved_tol_fp(spec.grid)
+    res = solve_regularized(spec)
+    assert res.converged
+    reference = picard_reference(spec, tol_fp / 10)
+    assert np.max(np.abs(res.u.values - reference)) <= 10 * tol_fp
+    # the returned u is a fixed point of the undamped map within tol_fp
+    T = picard_map(spec)
+    assert np.max(np.abs(T(res.u.values) - res.u.values)) <= tol_fp
+
+
+@pytest.mark.parametrize("dim, cells", _GRIDS)
+def test_clamped_newton_matches_picard_reference(dim, cells):
+    spec = atom_spec(dim, cells, SingularNonlinearity.pure_power(1.5))
+    tol_fp = SolverConfig().resolved_tol_fp(spec.grid)
+    sw = build_sub_super(spec)
+    res = solve_clamped(spec, sw)
+    assert res.converged
+    reference = picard_reference(spec, tol_fp / 10, sw.sub.values, sw.clamp)
+    assert np.max(np.abs(res.u.values - reference)) <= 10 * tol_fp
+    T = picard_map(spec, sw.clamp)
+    assert np.max(np.abs(T(res.u.values) - res.u.values)) <= tol_fp
