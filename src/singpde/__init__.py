@@ -36,11 +36,8 @@ from .singularity import (
     trunc_power,
 )
 from .solver import (
-    ClampedSolveResult,
-    ComparisonReport,
     ConvergenceFailure,
     DEFAULT_SCHEDULE,
-    MonotoneReport,
     ProblemSpec,
     SandwichSpec,
     SequenceResult,
@@ -50,7 +47,6 @@ from .solver import (
     comparison_check,
     distance_lower_bound_check,
     monotone_check,
-    solve_auxiliary_v,
     solve_clamped,
     solve_regularized,
     solve_sequence,

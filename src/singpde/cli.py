@@ -2,21 +2,24 @@
 
 ``solve`` drives the regularization schedule and writes per-level solution
 files plus a sequence summary.  ``verify`` runs one of the named check
-suites and writes one row per check; the suites of one run share the full
-and the measure-free schedule, each solved at most once.  ``sweep`` runs
-the Cartesian product of the configured parameter grids concurrently and
+suites and writes one row per check.  The suites of one run share what they
+solve (the full and the measure-free schedule, the tight-tolerance level
+solves and the sub/super pair), each solved at most once; the solver and
+the diagnostics return observed numbers, and each suite holds the bounds
+that judge its rows.  ``sweep`` runs the Cartesian product of the
+configured parameter grids concurrently (``--threads`` workers) and
 aggregates one row per run.  All CSV output uses 17 significant digits so
 identical configurations reproduce byte-identical files.  Solution files
 are written column-wise: the node coordinates are formatted once per run
 and each level's values fill them in with one formatting call, giving the
 same bytes as formatting every value on its own.
 
-Exit codes: 0 ok, 1 configuration error, 2 nonconvergence, a linear solve
-that failed its backward-error check or an infrastructure failure, 3 failed
-check or invariant violation.  Every nonzero exit is accompanied by a
-machine-readable ``reason,<code>,<category>,<detail>`` line on stdout (and
-reason.csv when the output directory exists); exit 2 has the categories
-``nonconvergence``, ``linear_solve`` and ``infrastructure``.
+Exit codes: 0 ok, 1 configuration or usage error, 2 nonconvergence, a
+linear solve that failed its backward-error check or an infrastructure
+failure, 3 failed check or invariant violation.  Every nonzero exit is
+accompanied by a machine-readable ``reason,<code>,<category>,<detail>`` line
+on stdout (and reason.csv when the output directory exists); exit 2 has the
+categories ``nonconvergence``, ``linear_solve`` and ``infrastructure``.
 """
 
 from __future__ import annotations
@@ -33,16 +36,17 @@ from . import diagnostics as diag
 from . import fields
 from .config import ConfigError, RunConfig, SUITES
 from .measures import RadonMeasure, mollify, scale_measure
-from .mesh import Grid, GridFunction, LinearSolveError, build_grid, l1_norm, min_on_compact
+from .mesh import GridFunction, LinearSolveError, build_grid, l1_norm, min_on_compact
 from .solver import (
     ConvergenceFailure,
     ProblemSpec,
-    SolverConfig,
+    SandwichSpec,
+    SequenceResult,
+    SolveResult,
     build_sub_super,
     comparison_check,
     distance_lower_bound_check,
     monotone_check,
-    solve_auxiliary_v,
     solve_clamped,
     solve_regularized,
     solve_sequence,
@@ -150,31 +154,56 @@ def _cmd_solve(cfg: RunConfig, out_dir: Path) -> int:
 
 
 # ---------------------------------------------------------------------------
-# verify suites: each takes the config and the run's ``sequence`` lookup and
-# returns rows (name, observed, bound, status)
+# verify suites: each takes the config and the run's ``_Run`` and returns
+# rows (name, observed, bound, status); every bound sits next to its row
 # ---------------------------------------------------------------------------
 
 
-def _sequences(cfg: RunConfig):
-    """``sequence(with_measure)`` for one verify run: the full or the
-    measure-free schedule of ``cfg``, each solved on first use only.
+class _Run:
+    """The problems one verify run solves, each at most once.
 
-    A nonconvergent level raises ConvergenceFailure.
+    ``sequence(with_measure)`` is the full or the measure-free schedule of
+    the config; ``tight_level(mu)`` the cold level-n_max solve with measure
+    ``mu`` under ``tight``, the solver settings of the near-exact
+    identities; ``sandwich()`` the sub/super pair of the full problem at
+    level n_max.  Each is solved on first use, and a nonconvergent solve
+    raises ConvergenceFailure.
     """
-    memo = {}
 
-    def sequence(with_measure: bool):
-        if with_measure not in memo:
-            spec = _spec_from_config(cfg)
-            if not with_measure:
-                spec = spec.without_measure()
-            seq = solve_sequence(spec, cfg.n_schedule, cfg.solver)
+    def __init__(self, cfg: RunConfig):
+        self.cfg = cfg
+        self.spec = _spec_from_config(cfg)
+        # Near-exact identities need tighter tolerances than ordinary runs.
+        self.tight = replace(
+            cfg.solver,
+            tol_fp=min(cfg.solver.resolved_tol_fp(self.spec.grid), 1e-12),
+            max_iters=max(cfg.solver.max_iters, 800),
+        )
+        self._sequences = {}
+        self._levels = {}
+        self._sandwich = None
+
+    def sequence(self, with_measure: bool) -> SequenceResult:
+        if with_measure not in self._sequences:
+            spec = self.spec if with_measure else self.spec.without_measure()
+            seq = solve_sequence(spec, self.cfg.n_schedule, self.cfg.solver)
             if seq.aborted_level is not None:
                 raise ConvergenceFailure(f"level {seq.aborted_level} did not converge")
-            memo[with_measure] = seq
-        return memo[with_measure]
+            self._sequences[with_measure] = seq
+        return self._sequences[with_measure]
 
-    return sequence
+    def tight_level(self, mu: RadonMeasure) -> SolveResult:
+        if mu not in self._levels:
+            res = solve_regularized(replace(self.spec, mu=mu), self.tight)
+            if not res.converged:
+                raise ConvergenceFailure("tight-tolerance level solve")
+            self._levels[mu] = res
+        return self._levels[mu]
+
+    def sandwich(self) -> SandwichSpec:
+        if self._sandwich is None:
+            self._sandwich = build_sub_super(self.spec, self.cfg.solver)
+        return self._sandwich
 
 
 def _check(name, observed, bound, ok) -> tuple:
@@ -185,7 +214,7 @@ def _na(name, note="not-applicable") -> tuple:
     return (name, note, "", "na")
 
 
-def _suite_manufactured(cfg: RunConfig, sequence):
+def _suite_manufactured(cfg: RunConfig, run: _Run):
     if cfg.dim != 1:
         return [_na("manufactured.error", "needs dim=1")]
     if cfg.h.kind != "pure_power":
@@ -211,34 +240,21 @@ def _suite_manufactured(cfg: RunConfig, sequence):
     return rows
 
 
-def _suite_monotone(cfg: RunConfig, sequence):
-    seq = sequence(with_measure=False)
-    report = monotone_check([r.u for r in seq.results], tol=cfg.solver.tol_mono)
-    return [
-        _check(
-            "monotone.max_violation",
-            report.max_violation,
-            report.tol,
-            report.passed,
-        )
-    ]
+def _suite_monotone(cfg: RunConfig, run: _Run):
+    seq = run.sequence(with_measure=False)
+    worst = monotone_check([r.u for r in seq.results])
+    tol = cfg.solver.tol_mono
+    return [_check("monotone.max_violation", worst, tol, worst <= tol)]
 
 
-def _suite_lower_bound(cfg: RunConfig, sequence):
-    seq = sequence(with_measure=True)
-    vseq = sequence(with_measure=False)
+def _suite_lower_bound(cfg: RunConfig, run: _Run):
+    seq = run.sequence(with_measure=True)
+    vseq = run.sequence(with_measure=False)
     domination = max(
-        comparison_check(u.u, v.u, tol=cfg.solver.tol_mono).max_violation
-        for u, v in zip(seq.results, vseq.results)
+        comparison_check(u.u, v.u) for u, v in zip(seq.results, vseq.results)
     )
-    rows = [
-        _check(
-            "lower_bound.domination",
-            domination,
-            cfg.solver.tol_mono,
-            domination <= cfg.solver.tol_mono,
-        )
-    ]
+    tol = cfg.solver.tol_mono
+    rows = [_check("lower_bound.domination", domination, tol, domination <= tol)]
     top = len(seq.results) // 2
     for margin in cfg.margins:
         minima = [min_on_compact(r.u, margin) for r in seq.results[top:]]
@@ -254,10 +270,10 @@ def _suite_lower_bound(cfg: RunConfig, sequence):
 _ENERGY_KS = (1.0, 2.0, 4.0, 8.0, 16.0)
 
 
-def _suite_energy_law(cfg: RunConfig, sequence):
+def _suite_energy_law(cfg: RunConfig, run: _Run):
     if cfg.h.gamma < 1.0:
         return [_na("energy_law.slope", "needs gamma>=1")]
-    seq = sequence(with_measure=True)
+    seq = run.sequence(with_measure=True)
     top = len(seq.results) // 2
     worst_slope = -np.inf
     for res in seq.results[top:]:
@@ -274,13 +290,13 @@ def _suite_energy_law(cfg: RunConfig, sequence):
     return [_check("energy_law.slope", worst_slope, bound, worst_slope <= bound)]
 
 
-def _suite_tails(cfg: RunConfig, sequence):
+def _suite_tails(cfg: RunConfig, run: _Run):
     if cfg.dim != 3:
         return [
             _na("tails.gradient_slope", "needs dim=3"),
             _na("tails.u_slope", "needs dim=3"),
         ]
-    u = sequence(with_measure=True).final.u
+    u = run.sequence(with_measure=True).final.u
     rows = []
 
     grad = diag.discrete_gradient_magnitude(u)
@@ -306,72 +322,67 @@ def _suite_tails(cfg: RunConfig, sequence):
     return rows
 
 
-def _kato_solver_cfg(cfg: RunConfig, grid: Grid) -> SolverConfig:
-    # Near-exact identities need tighter tolerances than ordinary runs.
-    tol_fp = min(cfg.solver.resolved_tol_fp(grid), 1e-12)
-    return replace(cfg.solver, tol_fp=tol_fp, max_iters=max(cfg.solver.max_iters, 800))
+# The Kato inequality lhs <= rhs is exact for exact discrete solutions; the
+# tight-tolerance solves leave rhs - lhs at most this far below zero.
+_KATO_TOL = 1e-10
 
 
-def _suite_kato(cfg: RunConfig, sequence):
-    spec = _spec_from_config(cfg)
-    solver_cfg = _kato_solver_cfg(cfg, spec.grid)
-    n = cfg.n_schedule[-1]
+def _suite_kato(cfg: RunConfig, run: _Run):
+    grid, n = run.spec.grid, run.spec.n
     mu2 = cfg.mu
     mu1 = scale_measure(cfg.mu, 2.0)
-    res1 = solve_regularized(replace(spec, mu=mu1), solver_cfg)
-    res2 = solve_regularized(replace(spec, mu=mu2), solver_cfg)
-    if not (res1.converged and res2.converged):
-        raise ConvergenceFailure("kato solves")
-    mu1_d = mollify(mu1, spec.grid, n)
-    mu2_d = mollify(mu2, spec.grid, n)
-    phi0 = diag.torsion_function(spec.grid)
+    res1 = run.tight_level(mu1)
+    res2 = run.tight_level(mu2)
+    mu1_d = mollify(mu1, grid, n)
+    mu2_d = mollify(mu2, grid, n)
+    phi0 = diag.torsion_function(grid)
     forward = diag.kato_residual(res1, res2, mu1_d, mu2_d, cfg.f, cfg.h, phi0)
     mirrored = diag.kato_residual(res2, res1, mu2_d, mu1_d, cfg.f, cfg.h, phi0)
     return [
-        _check("kato.residual_forward", forward.residual, -forward.tol, forward.passed),
-        _check("kato.residual_mirrored", mirrored.residual, -mirrored.tol, mirrored.passed),
+        _check("kato.residual_forward", forward.residual, -_KATO_TOL,
+               forward.residual >= -_KATO_TOL),
+        _check("kato.residual_mirrored", mirrored.residual, -_KATO_TOL,
+               mirrored.residual >= -_KATO_TOL),
     ]
 
 
-def _suite_uniqueness(cfg: RunConfig, sequence):
+def _suite_uniqueness(cfg: RunConfig, run: _Run):
     if not cfg.h.strictly_decreasing:
         return [_na("uniqueness.gap", "needs strictly decreasing h")]
-    spec = _spec_from_config(cfg)
-    cold = solve_regularized(spec, cfg.solver)
-    if not cold.converged:
-        raise ConvergenceFailure("uniqueness cold start")
-    f_vals = cfg.f(spec.grid.node_coords)
+    # Both starts are solved at the tight tolerance: at tol_fp each lies about
+    # tol_fp / (1 - Lip T) from the fixed point, which alone can exceed 1e-8.
+    cold = run.tight_level(cfg.mu)
+    f_vals = cfg.f(run.spec.grid.node_coords)
     if np.all(f_vals > 0):
-        start = build_sub_super(spec, cfg.solver).sup
+        start = run.sandwich().sup
     else:
-        start = GridFunction(spec.grid, cold.u.values + 1.0)
-    warm = solve_regularized(spec, cfg.solver, initial=start)
+        start = GridFunction(run.spec.grid, cold.u.values + 1.0)
+    warm = solve_regularized(run.spec, run.tight, initial=start)
     if not warm.converged:
         raise ConvergenceFailure("uniqueness supersolution start")
     gap = float(np.max(np.abs(cold.u.values - warm.u.values)))
     return [_check("uniqueness.gap", gap, 1e-8, gap <= 1e-8)]
 
 
-def _suite_sandwich(cfg: RunConfig, sequence):
-    spec = _spec_from_config(cfg)
+def _suite_sandwich(cfg: RunConfig, run: _Run):
+    spec = run.spec
     f_vals = cfg.f(spec.grid.node_coords)
     if not np.all(f_vals > 0):
         return [_na("sandwich.breach", "needs f>0 at every node")]
-    sandwich = build_sub_super(spec, cfg.solver)
+    sandwich = run.sandwich()
     res = solve_clamped(spec, sandwich, cfg.solver)
     if not res.converged:
         raise ConvergenceFailure("clamped solve")
-    rows = [
-        _check("sandwich.breach", res.breach, cfg.solver.tol_mono, res.sandwich_ok)
-    ]
-    ratios = []
-    for cells in (cfg.cells, 2 * cfg.cells):
-        grid = build_grid(cfg.dim, cells, cfg.grid_margin)
-        sub_spec = ProblemSpec(grid=grid, h=cfg.h, f=cfg.f, mu=RadonMeasure(), n=spec.n)
-        v = solve_auxiliary_v(sub_spec, cfg.solver)
-        if not v.converged:
-            raise ConvergenceFailure(f"distance-bound solve at cells={cells}")
-        ratios.append(distance_lower_bound_check(v.u))
+    breach = sandwich.breach(res.u)
+    tol = cfg.solver.tol_mono
+    rows = [_check("sandwich.breach", breach, tol, breach <= tol)]
+    # The subsolution is the measure-free solve at cfg.cells; only the
+    # refined grid needs a solve of its own.
+    fine = replace(spec, grid=build_grid(cfg.dim, 2 * cfg.cells, cfg.grid_margin))
+    v = solve_regularized(fine.without_measure(), cfg.solver)
+    if not v.converged:
+        raise ConvergenceFailure(f"distance-bound solve at cells={2 * cfg.cells}")
+    ratios = [distance_lower_bound_check(sandwich.sub), distance_lower_bound_check(v.u)]
     rows.append(_check("sandwich.distance_ratio", ratios[0], ">0", ratios[0] > 0))
     stable = ratios[0] > 0 and 0.5 <= ratios[1] / ratios[0] <= 2.0
     rows.append(
@@ -399,15 +410,17 @@ _SUITE_RUNNERS = {
 
 def _cmd_verify(cfg: RunConfig, suite: str, out_dir: Path) -> int:
     names = list(_SUITE_RUNNERS) if suite == "all" else [suite]
-    sequence = _sequences(cfg)
+    run = _Run(cfg)
     rows = []
+    failure = None
     try:
         for name in names:
-            rows.extend(_SUITE_RUNNERS[name](cfg, sequence))
+            rows.extend(_SUITE_RUNNERS[name](cfg, run))
     except ConvergenceFailure as exc:
-        _write_csv(out_dir / f"verify_{suite}.csv", ("name", "observed", "bound", "status"), rows)
-        return _reason(out_dir, EXIT_NONCONVERGENCE, "nonconvergence", str(exc))
+        failure = str(exc)
     _write_csv(out_dir / f"verify_{suite}.csv", ("name", "observed", "bound", "status"), rows)
+    if failure is not None:
+        return _reason(out_dir, EXIT_NONCONVERGENCE, "nonconvergence", failure)
     for row in rows:
         print(",".join(_fmt(x) for x in row))
     failed = [r for r in rows if r[3] == "fail"]
@@ -487,8 +500,17 @@ def _cmd_sweep(cfg: RunConfig, out_dir: Path, threads: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a configuration error (exit 1, with a reason
+    line) instead of argparse's exit 2; ``--help`` still exits 0."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ConfigError("usage", message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="singpde",
         description="Solve and verify singular elliptic problems with measure data.",
     )
@@ -497,15 +519,16 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("config", help="path to a key-value config file")
         p.add_argument("--out", default=None, help="output directory (takes precedence over output.dir)")
-        p.add_argument("--threads", type=int, default=None, help="worker threads for sweep")
         if name == "verify":
             p.add_argument("--suite", default=None, choices=SUITES)
+        if name == "sweep":
+            p.add_argument("--threads", type=int, default=None, help="worker threads")
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         cfg = RunConfig.from_file(args.config)
     except ConfigError as exc:
         return _reason(None, EXIT_CONFIG, "config", str(exc))
@@ -518,14 +541,15 @@ def main(argv=None) -> int:
     except OSError as exc:
         return _reason(None, EXIT_NONCONVERGENCE, "infrastructure", str(exc))
 
-    threads = args.threads if args.threads is not None else cfg.threads
-
     try:
         if args.command == "solve":
             return _cmd_solve(cfg, out_dir)
         if args.command == "verify":
             suite = args.suite if args.suite is not None else cfg.suite
             return _cmd_verify(cfg, suite, out_dir)
+        threads = args.threads if args.threads is not None else cfg.threads
+        if threads < 1:
+            raise ConfigError("--threads", f"must be at least 1, got {threads}")
         return _cmd_sweep(cfg, out_dir, threads)
     except ConfigError as exc:
         return _reason(out_dir, EXIT_CONFIG, "config", str(exc))

@@ -23,13 +23,14 @@ are driven along a geometric schedule n = 2, 4, ..., 1024 with warm starts,
 and successive differences are tracked in the discrete L1 norm, the natural
 norm for the limit passage.
 
-The module also provides the measure-free comparison sequence v_n (same
-solve with mu dropped), nodewise monotonicity and domination checks, the
+The module also provides nodewise monotonicity and domination checks, the
 clamped sandwich scheme driven by a sub/supersolution pair, and the
-construction of that pair: sub = v and super = v + w with -Lap w = mu_n.
-The clamped right-hand side is evaluated through the same level-n capped and
-shifted nonlinearity that produced the subsolution, which makes the discrete
-sandwich property exact up to solver tolerance.
+construction of that pair: sub = v, the measure-free solve, and super =
+v + w with -Lap w = mu_n.  The clamped right-hand side is evaluated through
+the same level-n capped and shifted nonlinearity that produced the
+subsolution, which makes the discrete sandwich property exact up to solver
+tolerance.  The checks return the observed numbers; the bounds that judge
+them belong to the caller.
 """
 
 from __future__ import annotations
@@ -58,14 +59,10 @@ __all__ = [
     "SolveResult",
     "SequenceResult",
     "SandwichSpec",
-    "ClampedSolveResult",
-    "MonotoneReport",
-    "ComparisonReport",
     "ConvergenceFailure",
     "DEFAULT_SCHEDULE",
     "solve_regularized",
     "solve_sequence",
-    "solve_auxiliary_v",
     "monotone_check",
     "comparison_check",
     "solve_clamped",
@@ -74,8 +71,6 @@ __all__ = [
 ]
 
 DEFAULT_SCHEDULE = tuple(2**j for j in range(1, 11))  # 2, 4, ..., 1024
-
-TOL_MONO = 1e-8
 
 
 class ConvergenceFailure(RuntimeError):
@@ -114,12 +109,13 @@ class SolverConfig:
     A level is accepted once one Picard step moves the iterate by at most
     ``tol_fp`` in the max norm; ``tol_fp`` defaults to None and resolves to
     1e-10 in 1D and 1e-8 otherwise.  ``max_iters`` bounds the evaluations of
-    the Picard map per level.
+    the Picard map per level.  ``tol_mono`` is the bound the verify suites
+    put on nodewise order violations; no solve reads it.
     """
 
     tol_fp: float | None = None
     max_iters: int = 500
-    tol_mono: float = TOL_MONO
+    tol_mono: float = 1e-8
 
     def resolved_tol_fp(self, grid: Grid) -> float:
         if self.tol_fp is not None:
@@ -356,11 +352,6 @@ def solve_regularized(
     )
 
 
-def solve_auxiliary_v(spec: ProblemSpec, cfg: SolverConfig | None = None) -> SolveResult:
-    """Solve the measure-free companion problem -Lap v = h_cap(v + 1/n) f_cap."""
-    return solve_regularized(spec.without_measure(), cfg)
-
-
 def solve_sequence(
     spec: ProblemSpec,
     n_schedule=None,
@@ -416,47 +407,22 @@ def solve_sequence(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MonotoneReport:
+def monotone_check(v_sequence) -> float:
     """Worst nodewise decrease (v_n - v_{n+1})^+ over consecutive levels."""
-
-    max_violation: float
-    tol: float
-    passed: bool
-
-
-def monotone_check(v_sequence, tol: float = TOL_MONO) -> MonotoneReport:
-    funcs = [v.u if isinstance(v, SolveResult) else v for v in v_sequence]
-    if len(funcs) < 2:
+    if len(v_sequence) < 2:
         raise ValueError("need at least two levels to check monotonicity")
-    for v in funcs[1:]:
-        require_same_grid(funcs[0].grid, v.grid)
-    worst = max(
+    for v in v_sequence[1:]:
+        require_same_grid(v_sequence[0].grid, v.grid)
+    return max(
         float(np.max(np.clip(a.values - b.values, 0.0, None)))
-        for a, b in zip(funcs, funcs[1:])
+        for a, b in zip(v_sequence, v_sequence[1:])
     )
-    return MonotoneReport(max_violation=worst, tol=tol, passed=worst <= tol)
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
-    """Worst nodewise excess (v_n - u_n)^+."""
-
-    max_violation: float
-    tol: float
-    passed: bool
-
-
-def comparison_check(
-    u: GridFunction | SolveResult,
-    v: GridFunction | SolveResult,
-    tol: float = TOL_MONO,
-) -> ComparisonReport:
-    uf = u.u if isinstance(u, SolveResult) else u
-    vf = v.u if isinstance(v, SolveResult) else v
-    require_same_grid(uf.grid, vf.grid)
-    violation = float(np.max(np.clip(vf.values - uf.values, 0.0, None)))
-    return ComparisonReport(max_violation=violation, tol=tol, passed=violation <= tol)
+def comparison_check(u: GridFunction, v: GridFunction) -> float:
+    """Worst nodewise excess (v - u)^+ of the lower function v over u."""
+    require_same_grid(u.grid, v.grid)
+    return float(np.max(np.clip(v.values - u.values, 0.0, None)))
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +432,11 @@ def comparison_check(
 
 @dataclass(frozen=True, eq=False)
 class SandwichSpec:
-    """An ordered sub/supersolution pair; the clamp it induces tames h."""
+    """An ordered sub/supersolution pair; the clamp it induces tames h.
+
+    ``breach(u)`` is the largest nodewise distance of u outside [sub, sup],
+    0 when u lies inside.
+    """
 
     sub: GridFunction
     sup: GridFunction
@@ -481,54 +451,34 @@ class SandwichSpec:
     def clamp(self, values: np.ndarray) -> np.ndarray:
         return np.clip(values, self.sub.values, self.sup.values)
 
-
-@dataclass(frozen=True, eq=False)
-class ClampedSolveResult:
-    """Clamped fixed point plus the observed sandwich breach."""
-
-    u: GridFunction
-    iterations: int
-    residual: float
-    converged: bool
-    breach: float
-    sandwich_ok: bool
+    def breach(self, u: GridFunction) -> float:
+        require_same_grid(self.sub.grid, u.grid)
+        below = self.sub.values - u.values
+        above = u.values - self.sup.values
+        return float(np.max(np.maximum(np.maximum(below, above), 0.0)))
 
 
 def solve_clamped(
     spec: ProblemSpec,
     sandwich: SandwichSpec,
     cfg: SolverConfig | None = None,
-) -> ClampedSolveResult:
+) -> SolveResult:
     """Fixed point of the clamped Picard map, solved by inexact Newton-PCG
     from the subsolution.
 
     The right-hand side evaluates h at clamp(u) + 1/n with the same level-n
     caps used to build the sandwich, so every evaluation is nonsingular and
-    the exact discrete fixed point lies inside [sub, sup].  The largest
-    nodewise breach of [sub, sup] at exit is reported, and one beyond
-    tol_mono is flagged (not raised).
+    the exact discrete fixed point lies inside [sub, sup];
+    ``sandwich.breach(result.u)`` measures how far the returned u strays.
     """
     cfg = cfg or SolverConfig()
     require_same_grid(spec.grid, sandwich.sub.grid)
-    res = _iterate(
+    return _iterate(
         _prepare(spec),
         cfg,
         cfg.resolved_tol_fp(spec.grid),
         sandwich.sub.values,
         sandwich.clamp,
-    )
-
-    u = res.u.values
-    below = sandwich.sub.values - u
-    above = u - sandwich.sup.values
-    breach = float(np.max(np.maximum(np.maximum(below, above), 0.0)))
-    return ClampedSolveResult(
-        u=res.u,
-        iterations=res.iterations,
-        residual=res.residual,
-        converged=res.converged,
-        breach=breach,
-        sandwich_ok=breach <= cfg.tol_mono,
     )
 
 
@@ -539,7 +489,7 @@ def build_sub_super(spec: ProblemSpec, cfg: SolverConfig | None = None) -> Sandw
     f_vals = sample_field(spec.grid, spec.f).values
     if np.any(f_vals <= 0):
         raise ValueError("sub/supersolution construction needs f > 0 at every node")
-    v_res = solve_auxiliary_v(spec, cfg)
+    v_res = solve_regularized(spec.without_measure(), cfg)
     if not v_res.converged:
         raise ConvergenceFailure(
             "measure-free subsolution solve did not converge", result=v_res

@@ -344,6 +344,54 @@ def test_verify_solves_each_schedule_once(tmp_path, monkeypatch, suite, expected
     assert len(set(calls)) == expected_calls
 
 
+def test_verify_solves_no_level_problem_twice(tmp_path, monkeypatch):
+    # Every level solve goes through solver._iterate; two calls with the same
+    # grid, level, data, tolerance, start and argument map repeat one solve.
+    keys = []
+    iterate = solver._iterate
+
+    def recording_iterate(prep, cfg, tol_fp, initial, arg_map=np.abs):
+        keys.append((
+            prep.grid.dim,
+            prep.grid.cells_per_side,
+            prep.cap,
+            prep.f_capped.tobytes(),
+            prep.mu_vals.tobytes(),
+            tol_fp,
+            None if initial is None else np.asarray(initial).tobytes(),
+            arg_map,
+        ))
+        return iterate(prep, cfg, tol_fp, initial, arg_map)
+
+    monkeypatch.setattr(solver, "_iterate", recording_iterate)
+    text = DIRAC_1D.replace("h.gamma = 0.5", "h.gamma = 1.5")
+    cfg = write_cfg(tmp_path, text)
+    assert main(["verify", cfg, "--out", str(tmp_path / "out"), "--suite", "all"]) == 0
+    assert keys
+    assert len(set(keys)) == len(keys)
+
+
+def test_verify_uniqueness_gap_not_limited_by_tol_fp(tmp_path):
+    # Solved only to tol_fp = 1e-8, the two uniqueness starts differed by
+    # 1.1e-8 here and failed the 1e-8 bound on solver tolerance alone.
+    text = "\n".join([
+        "domain.dim = 2",
+        "domain.cells = 16",
+        "h.kind = pure_power",
+        "h.gamma = 1.5",
+        "f.kind = constant",
+        "f.value = 1",
+        "measure.atom = [0.5645790971609466, 0.5483664505513067, 0.5, 0.9920571580830845]",
+    ]) + "\n"
+    cfg = write_cfg(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["verify", cfg, "--out", str(out), "--suite", "all"]) == 0
+    _, rows = read_rows(out / "verify_all.csv")
+    gap = {row[0]: row for row in rows}["uniqueness.gap"]
+    assert gap[3] == "pass"
+    assert float(gap[1]) <= 1e-10
+
+
 def test_verify_manufactured_suite(tmp_path):
     cfg = write_cfg(tmp_path, DIRAC_1D)
     out = tmp_path / "out"
@@ -437,6 +485,44 @@ def test_sweep_nonconvergent_row_flagged_others_intact(tmp_path):
     status = {float(r[0]): r[3] for r in rows}
     assert status[0.05] == "ok"
     assert status[2.0] == "nonconverged"
+
+
+def test_sweep_threads_flag_below_one_is_config_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, SWEEP)
+    out = tmp_path / "out"
+    assert main(["sweep", cfg, "--out", str(out), "--threads", "0"]) == 1
+    assert "reason,1,config,--threads: must be at least 1, got 0" in capsys.readouterr().out
+    assert not (out / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_threads_flag_offered_only_by_sweep(tmp_path, capsys, command):
+    cfg = write_cfg(tmp_path, DIRAC_1D)
+    assert main([command, cfg, "--out", str(tmp_path / "out"), "--threads", "2"]) == 1
+    assert "reason,1,config,usage: unrecognized arguments: --threads 2" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "args, detail",
+    [
+        (["solve", "{cfg}", "--bogus"], "unrecognized arguments: --bogus"),
+        (["verify", "{cfg}", "--suite", "nope"], "argument --suite: invalid choice: 'nope'"),
+        (["sweep", "{cfg}", "--threads", "two"], "argument --threads: invalid int value"),
+        ([], "the following arguments are required: command"),
+    ],
+)
+def test_usage_error_exits_one_with_reason(tmp_path, capsys, args, detail):
+    cfg = write_cfg(tmp_path, DIRAC_1D)
+    assert main([a.format(cfg=cfg) for a in args]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1].startswith("reason,1,config,usage: " + detail)
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    assert "--suite" in capsys.readouterr().out
 
 
 def test_sweep_deterministic(tmp_path):

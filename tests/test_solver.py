@@ -20,7 +20,6 @@ from singpde import (
     min_on_compact,
     monotone_check,
     sample_field,
-    solve_auxiliary_v,
     solve_clamped,
     solve_regularized,
     solve_sequence,
@@ -168,24 +167,16 @@ def test_sequence_aborts_with_partial_results():
 # -- auxiliary sequence and comparisons --------------------------------------
 
 
-def test_auxiliary_matches_regularized_without_measure():
-    spec = spec_1d(f=constant(1.0), mu=DELTA_HALF)
-    cfg = SolverConfig(tol_fp=1e-11)
-    a = solve_auxiliary_v(spec, cfg)
-    b = solve_regularized(spec.without_measure(), cfg)
-    assert np.max(np.abs(a.u.values - b.u.values)) == 0.0
-
-
 def test_auxiliary_zero_source_gives_zero():
     spec = spec_1d(f=zero(), mu=DELTA_HALF)
-    res = solve_auxiliary_v(spec)
+    res = solve_regularized(spec.without_measure())
     assert np.all(res.u.values == 0.0)
 
 
 def test_auxiliary_matches_fine_grid_reference():
     cfg = SolverConfig(tol_fp=1e-11)
-    coarse = solve_auxiliary_v(spec_1d(cells=64, h=H_ONE, n=256), cfg)
-    fine = solve_auxiliary_v(spec_1d(cells=512, h=H_ONE, n=256), cfg)
+    coarse = solve_regularized(spec_1d(cells=64, h=H_ONE, n=256), cfg)
+    fine = solve_regularized(spec_1d(cells=512, h=H_ONE, n=256), cfg)
     # compare at shared nodes (every 8th fine node)
     shared = fine.u.values[7::8]
     assert np.max(np.abs(coarse.u.values - shared)) <= 5e-3
@@ -194,25 +185,22 @@ def test_auxiliary_matches_fine_grid_reference():
 def test_monotone_check_on_computed_sequence():
     spec = spec_1d(f=constant(1.0))
     seq = solve_sequence(spec.without_measure(), None, SolverConfig(tol_fp=1e-10))
-    report = monotone_check([r.u for r in seq.results])
-    assert report.passed
-    assert report.max_violation <= 1e-8
+    assert monotone_check([r.u for r in seq.results]) <= 1e-8
 
 
 def test_monotone_check_constant_sequence():
     grid = build_grid(1, 8)
     u = GridFunction(grid, np.ones(grid.interior_count))
-    report = monotone_check([u, u.copy(), u.copy()])
-    assert report.max_violation == 0.0
+    assert monotone_check([u, u.copy(), u.copy()]) == 0.0
 
 
 def test_monotone_check_detects_artificial_decrease():
     grid = build_grid(1, 8)
     a = GridFunction(grid, np.full(grid.interior_count, 2.0))
     b = GridFunction(grid, np.ones(grid.interior_count))
-    report = monotone_check([a, b])
-    assert not report.passed
-    assert report.max_violation == pytest.approx(1.0)
+    worst = monotone_check([a, b])
+    assert worst > 1e-8
+    assert worst == pytest.approx(1.0)
 
 
 def test_monotone_check_rejects_grid_mismatch_and_short_input():
@@ -228,10 +216,8 @@ def test_comparison_check_equal_problems():
     spec = spec_1d(f=constant(1.0))
     cfg = SolverConfig(tol_fp=1e-11)
     u = solve_regularized(spec, cfg)
-    v = solve_auxiliary_v(spec, cfg)
-    report = comparison_check(u.u, v.u)
-    assert report.passed
-    assert report.max_violation <= 1e-10
+    v = solve_regularized(spec.without_measure(), cfg)
+    assert comparison_check(u.u, v.u) <= 1e-10
 
 
 def test_comparison_check_measure_dominates():
@@ -241,8 +227,7 @@ def test_comparison_check_measure_dominates():
     vseq = solve_sequence(spec.without_measure(), None, cfg)
     minima = []
     for u, v in zip(useq.results, vseq.results):
-        report = comparison_check(u.u, v.u)
-        assert report.passed
+        assert comparison_check(u.u, v.u) <= 1e-8
         minima.append(min_on_compact(u.u, 0.25))
     top = minima[len(minima) // 2 :]
     assert min(top) > 0
@@ -253,10 +238,10 @@ def test_comparison_check_swapped_detects_measure_contribution():
     spec = spec_1d(f=constant(1.0), mu=DELTA_HALF)
     cfg = SolverConfig(tol_fp=1e-11)
     u = solve_regularized(spec, cfg)
-    v = solve_auxiliary_v(spec, cfg)
+    v = solve_regularized(spec.without_measure(), cfg)
     swapped = comparison_check(v.u, u.u)  # treats u as the lower function
-    assert not swapped.passed
-    assert swapped.max_violation > 0.1  # roughly the point-load contribution
+    assert swapped > 1e-8
+    assert swapped > 0.1  # roughly the point-load contribution
 
 
 # -- sandwich scheme ---------------------------------------------------------
@@ -295,8 +280,7 @@ def test_solve_clamped_stays_inside_sandwich():
     sw = build_sub_super(spec, cfg)
     res = solve_clamped(spec, sw, cfg)
     assert res.converged
-    assert res.sandwich_ok
-    assert res.breach <= 1e-8
+    assert sw.breach(res.u) <= 1e-8
 
 
 def test_solve_clamped_degenerate_sandwich_returns_subsolution():
@@ -306,6 +290,17 @@ def test_solve_clamped_degenerate_sandwich_returns_subsolution():
     res = solve_clamped(spec, sw, cfg)
     assert res.converged
     assert np.max(np.abs(res.u.values - sw.sub.values)) <= 1e-9
+
+
+def test_sandwich_breach_is_largest_distance_outside_the_pair():
+    grid = build_grid(1, 8)
+    sw = SandwichSpec(
+        sub=GridFunction(grid, np.ones(7)), sup=GridFunction(grid, np.full(7, 2.0))
+    )
+    u = np.full(7, 1.5)
+    assert sw.breach(GridFunction(grid, u)) == 0.0
+    u[0], u[3] = 0.25, 2.5
+    assert sw.breach(GridFunction(grid, u)) == 0.75
 
 
 def test_sandwich_spec_rejects_inverted_pair():
@@ -349,7 +344,7 @@ def test_distance_ratio_stable_under_refinement():
     ratios = []
     for cells in (64, 128):
         spec = spec_1d(cells=cells, f=constant(1.0), n=256)
-        v = solve_auxiliary_v(spec, cfg)
+        v = solve_regularized(spec.without_measure(), cfg)
         ratios.append(distance_lower_bound_check(v.u))
     assert ratios[0] > 0
     assert 0.5 <= ratios[1] / ratios[0] <= 2.0
@@ -381,8 +376,7 @@ def test_strong_singularity_sequence_converges_with_adaptive_damping():
     )
     seq = solve_sequence(spec, None, SolverConfig(tol_fp=1e-10))
     assert seq.aborted_level is None
-    report = monotone_check([r.u for r in seq.results])
-    assert report.passed
+    assert monotone_check([r.u for r in seq.results]) <= 1e-8
 
 
 # -- property: the shared Picard driver on random data -------------------------
@@ -408,11 +402,11 @@ def test_clamped_and_plain_solves_respect_sandwich_and_comparison(gamma, c, posi
     sw = build_sub_super(spec)
     clamped = solve_clamped(spec, sw)
     assert clamped.converged
-    assert clamped.sandwich_ok
+    assert sw.breach(clamped.u) <= tol
     assert np.all(sw.sub.values <= clamped.u.values + tol)
     assert np.all(clamped.u.values <= sw.sup.values + tol)
 
-    v = solve_auxiliary_v(spec)
+    v = solve_regularized(spec.without_measure())
     u = solve_regularized(spec)
     assert v.converged and u.converged
     assert np.all(v.u.values <= u.u.values + tol)
