@@ -7,9 +7,10 @@ solve (the full and the measure-free schedule, the tight-tolerance level
 solves and the sub/super pair), each solved at most once; the solver and
 the diagnostics return observed numbers, and each suite holds the bounds
 that judge its rows.  ``sweep`` runs the Cartesian product of the
-configured parameter grids concurrently (``--threads`` workers) and
-aggregates one row per run.  All CSV output uses 17 significant digits so
-identical configurations reproduce byte-identical files.  Solution files
+configured parameter grids and aggregates one row per run; the rows run in
+forked worker processes (``--threads`` of them), so ``sweep`` needs a
+POSIX system.  All CSV output uses 17 significant digits so identical
+configurations reproduce byte-identical files.  Solution files
 are written column-wise: the node coordinates are formatted once per run
 and each level's values fill them in with one formatting call, giving the
 same bytes as formatting every value on its own.
@@ -26,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -476,7 +476,22 @@ def _sweep_row(cfg: RunConfig, gamma: float, cells: int, measure_name: str):
         ] * len(cfg.margins)
 
 
+# The config of a sweep worker process, set once when the worker starts.
+_worker_cfg: RunConfig | None = None
+
+
+def _init_sweep_worker(cfg: RunConfig) -> None:
+    global _worker_cfg
+    _worker_cfg = cfg
+
+
+def _sweep_job(job: tuple) -> list:
+    return _sweep_row(_worker_cfg, *job)
+
+
 def _cmd_sweep(cfg: RunConfig, out_dir: Path, threads: int) -> int:
+    """Run the sweep's rows in ``threads`` forked worker processes (POSIX
+    only) and write them to sweep.csv in sorted job order."""
     gammas = cfg.sweep_gammas
     cells_list = cfg.sweep_cells or (cfg.cells,)
     measures = cfg.sweep_measures or ("none",)
@@ -485,8 +500,20 @@ def _cmd_sweep(cfg: RunConfig, out_dir: Path, threads: int) -> int:
     jobs = sorted(
         (g, c, m) for g in gammas for c in cells_list for m in measures
     )
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        rows = list(pool.map(lambda job: _sweep_row(cfg, *job), jobs))
+    # Imported here so that solve and verify do not pay for them.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # The workers are forked: the config holds lambdas and cannot be pickled,
+    # so it reaches them through ``initargs``, which fork passes unpickled.
+    # Only the job tuples and the finished rows cross the pipe.
+    with ProcessPoolExecutor(
+        max_workers=min(threads, len(jobs)),
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_init_sweep_worker,
+        initargs=(cfg,),
+    ) as pool:
+        rows = list(pool.map(_sweep_job, jobs))
     header = (
         ["gamma", "cells", "measure", "status", "levels", "final_l1_diff", "final_residual", "final_l1_norm"]
         + [f"min_K_{m:g}" for m in cfg.margins]
@@ -522,7 +549,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if name == "verify":
             p.add_argument("--suite", default=None, choices=SUITES)
         if name == "sweep":
-            p.add_argument("--threads", type=int, default=None, help="worker threads")
+            p.add_argument("--threads", type=int, default=None, help="worker processes, forked (POSIX only)")
     return parser
 
 

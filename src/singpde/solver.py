@@ -76,10 +76,6 @@ DEFAULT_SCHEDULE = tuple(2**j for j in range(1, 11))  # 2, 4, ..., 1024
 class ConvergenceFailure(RuntimeError):
     """A solve needed by a construction did not converge."""
 
-    def __init__(self, message: str, result=None):
-        super().__init__(message)
-        self.result = result
-
 
 @dataclass(frozen=True, eq=False)
 class ProblemSpec:
@@ -491,9 +487,7 @@ def build_sub_super(spec: ProblemSpec, cfg: SolverConfig | None = None) -> Sandw
         raise ValueError("sub/supersolution construction needs f > 0 at every node")
     v_res = solve_regularized(spec.without_measure(), cfg)
     if not v_res.converged:
-        raise ConvergenceFailure(
-            "measure-free subsolution solve did not converge", result=v_res
-        )
+        raise ConvergenceFailure("measure-free subsolution solve did not converge")
     lap = build_laplacian(spec.grid)
     mu_d = mollify(spec.mu, spec.grid, spec.n)
     w = solve_spd(lap, mu_d.values)

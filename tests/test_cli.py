@@ -207,7 +207,8 @@ def test_module_entry_point_runs_solve(tmp_path):
 
 def test_commands_do_not_import_scipy(tmp_path):
     # The solves and their guard run on numpy alone; importing scipy would
-    # cost a fresh process more than a small command's solves.
+    # cost a fresh process more than a small command's solves.  Only sweep
+    # needs multiprocessing, so solve and verify must not import it either.
     cfg = write_cfg(tmp_path, "\n".join([
         "domain.dim = 2",
         "domain.cells = 8",
@@ -224,8 +225,10 @@ def test_commands_do_not_import_scipy(tmp_path):
             main(["solve", cfg, "--out", out + "/solve"]),
             main(["verify", cfg, "--out", out + "/verify", "--suite", "all"]),
         ]
-        scipy = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
-        print(json.dumps({"codes": codes, "scipy": scipy}))
+        top = {m: m.partition(".")[0] for m in sys.modules}
+        scipy = sorted(m for m, t in top.items() if t == "scipy")
+        mp = sorted(m for m, t in top.items() if t == "multiprocessing")
+        print(json.dumps({"codes": codes, "scipy": scipy, "multiprocessing": mp}))
     """)
     src = str(Path(singpde.__file__).resolve().parents[1])
     proc = subprocess.run(
@@ -240,6 +243,7 @@ def test_commands_do_not_import_scipy(tmp_path):
     assert result["codes"][0] == 0
     assert result["codes"][1] in (0, 3)  # 3: a check failed, the run completed
     assert result["scipy"] == []
+    assert result["multiprocessing"] == []
 
 
 # -- verify ------------------------------------------------------------------
@@ -430,6 +434,59 @@ def test_sweep_product_rows(tmp_path):
     keys = [(float(r[0]), int(r[1]), r[2]) for r in rows]
     assert keys == sorted(keys)
     assert all(r[3] == "ok" for r in rows)
+
+
+def test_sweep_rows_run_outside_the_calling_process(tmp_path, monkeypatch):
+    # The forked workers inherit the patch; a row solved in this process
+    # would read error:RuntimeError.
+    caller = os.getpid()
+    real = cli.solve_sequence
+
+    def solve_outside_caller(*args, **kwargs):
+        if os.getpid() == caller:
+            raise RuntimeError("sweep row solved in the calling process")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "solve_sequence", solve_outside_caller)
+    cfg = write_cfg(tmp_path, SWEEP)
+    out = tmp_path / "out"
+    assert main(["sweep", cfg, "--out", str(out), "--threads", "2"]) == 0
+    _, rows = read_rows(out / "sweep.csv")
+    assert len(rows) == 8
+    assert [r[3] for r in rows] == ["ok"] * 8
+
+
+def test_sweep_worker_death_exits_two_without_hanging(tmp_path):
+    # A worker that dies mid-row breaks the pool; the sweep must report it
+    # and exit, not wait for the lost row.  Run in a subprocess so that a
+    # hang fails the test through the timeout.
+    cfg = write_cfg(tmp_path, SWEEP)
+    out = tmp_path / "out"
+    script = textwrap.dedent("""
+        import os, sys
+        import singpde.cli as cli
+        row = cli._sweep_row
+
+        def die_on_one_job(cfg, gamma, cells, measure):
+            if (gamma, cells, measure) == (1.0, 8, "none"):
+                os._exit(1)
+            return row(cfg, gamma, cells, measure)
+
+        cli._sweep_row = die_on_one_job
+        cfg, out = sys.argv[1:]
+        sys.exit(cli.main(["sweep", cfg, "--out", out, "--threads", "2"]))
+    """)
+    src = str(Path(singpde.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", script, cfg, str(out)],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1].startswith("reason,2,infrastructure,BrokenProcessPool")
+    assert not (out / "sweep.csv").exists()
 
 
 @pytest.mark.parametrize(
