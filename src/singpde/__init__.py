@@ -46,6 +46,7 @@ from .solver import (
     build_sub_super,
     comparison_check,
     distance_lower_bound_check,
+    level_source,
     monotone_check,
     solve_clamped,
     solve_regularized,

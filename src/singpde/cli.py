@@ -3,10 +3,12 @@
 ``solve`` drives the regularization schedule and writes per-level solution
 files plus a sequence summary.  ``verify`` runs one of the named check
 suites and writes one row per check.  The suites of one run share what they
-solve (the full and the measure-free schedule, the tight-tolerance level
-solves and the sub/super pair), each solved at most once; the solver and
-the diagnostics return observed numbers, and each suite holds the bounds
-that judge its rows.  ``sweep`` runs the Cartesian product of the
+solve (the full and the measure-free schedule and the tight-tolerance level
+solves), each solved at most once.  The sub/super pair is built from the
+measure-free schedule's last level, so it costs one linear solve, and the
+Kato check reads the solver's level-n source of its two tight solves.  The
+solver and the diagnostics return observed numbers, and each suite holds
+the bounds that judge its rows.  ``sweep`` runs the Cartesian product of the
 configured parameter grids and aggregates one row per run; the rows run in
 forked worker processes (``--threads`` of them), so ``sweep`` needs a
 POSIX system.  All CSV output uses 17 significant digits so identical
@@ -35,7 +37,7 @@ import numpy as np
 from . import diagnostics as diag
 from . import fields
 from .config import ConfigError, RunConfig, SUITES
-from .measures import RadonMeasure, mollify, scale_measure
+from .measures import RadonMeasure, scale_measure
 from .mesh import GridFunction, LinearSolveError, build_grid, l1_norm, min_on_compact
 from .solver import (
     ConvergenceFailure,
@@ -46,6 +48,7 @@ from .solver import (
     build_sub_super,
     comparison_check,
     distance_lower_bound_check,
+    level_source,
     monotone_check,
     solve_clamped,
     solve_regularized,
@@ -166,8 +169,10 @@ class _Run:
     the config; ``tight_level(mu)`` the cold level-n_max solve with measure
     ``mu`` under ``tight``, the solver settings of the near-exact
     identities; ``sandwich()`` the sub/super pair of the full problem at
-    level n_max.  Each is solved on first use, and a nonconvergent solve
-    raises ConvergenceFailure.
+    level n_max, built on the measure-free schedule's last level.  Each is
+    solved on first use, and a nonconvergent solve raises
+    ConvergenceFailure.  ``f_positive`` tells whether f > 0 at every node,
+    which the pair needs.
     """
 
     def __init__(self, cfg: RunConfig):
@@ -179,6 +184,7 @@ class _Run:
             tol_fp=min(cfg.solver.resolved_tol_fp(self.spec.grid), 1e-12),
             max_iters=max(cfg.solver.max_iters, 800),
         )
+        self.f_positive = bool(np.all(cfg.f(self.spec.grid.node_coords) > 0))
         self._sequences = {}
         self._levels = {}
         self._sandwich = None
@@ -202,7 +208,8 @@ class _Run:
 
     def sandwich(self) -> SandwichSpec:
         if self._sandwich is None:
-            self._sandwich = build_sub_super(self.spec, self.cfg.solver)
+            sub = self.sequence(with_measure=False).final.u
+            self._sandwich = build_sub_super(self.spec, sub)
         return self._sandwich
 
 
@@ -328,16 +335,15 @@ _KATO_TOL = 1e-10
 
 
 def _suite_kato(cfg: RunConfig, run: _Run):
-    grid, n = run.spec.grid, run.spec.n
-    mu2 = cfg.mu
-    mu1 = scale_measure(cfg.mu, 2.0)
-    res1 = run.tight_level(mu1)
-    res2 = run.tight_level(mu2)
-    mu1_d = mollify(mu1, grid, n)
-    mu2_d = mollify(mu2, grid, n)
-    phi0 = diag.torsion_function(grid)
-    forward = diag.kato_residual(res1, res2, mu1_d, mu2_d, cfg.f, cfg.h, phi0)
-    mirrored = diag.kato_residual(res2, res1, mu2_d, mu1_d, cfg.f, cfg.h, phi0)
+    spec1 = replace(run.spec, mu=scale_measure(cfg.mu, 2.0))
+    spec2 = run.spec
+    u1 = run.tight_level(spec1.mu).u
+    u2 = run.tight_level(spec2.mu).u
+    f1 = level_source(spec1, u1)
+    f2 = level_source(spec2, u2)
+    phi0 = diag.torsion_function(run.spec.grid)
+    forward = diag.kato_residual(u1, u2, f1, f2, phi0)
+    mirrored = diag.kato_residual(u2, u1, f2, f1, phi0)
     return [
         _check("kato.residual_forward", forward.residual, -_KATO_TOL,
                forward.residual >= -_KATO_TOL),
@@ -352,8 +358,7 @@ def _suite_uniqueness(cfg: RunConfig, run: _Run):
     # Both starts are solved at the tight tolerance: at tol_fp each lies about
     # tol_fp / (1 - Lip T) from the fixed point, which alone can exceed 1e-8.
     cold = run.tight_level(cfg.mu)
-    f_vals = cfg.f(run.spec.grid.node_coords)
-    if np.all(f_vals > 0):
+    if run.f_positive:
         start = run.sandwich().sup
     else:
         start = GridFunction(run.spec.grid, cold.u.values + 1.0)
@@ -366,8 +371,7 @@ def _suite_uniqueness(cfg: RunConfig, run: _Run):
 
 def _suite_sandwich(cfg: RunConfig, run: _Run):
     spec = run.spec
-    f_vals = cfg.f(spec.grid.node_coords)
-    if not np.all(f_vals > 0):
+    if not run.f_positive:
         return [_na("sandwich.breach", "needs f>0 at every node")]
     sandwich = run.sandwich()
     res = solve_clamped(spec, sandwich, cfg.solver)
@@ -376,8 +380,8 @@ def _suite_sandwich(cfg: RunConfig, run: _Run):
     breach = sandwich.breach(res.u)
     tol = cfg.solver.tol_mono
     rows = [_check("sandwich.breach", breach, tol, breach <= tol)]
-    # The subsolution is the measure-free solve at cfg.cells; only the
-    # refined grid needs a solve of its own.
+    # The subsolution is the measure-free schedule's last level at
+    # cfg.cells; only the refined grid needs a solve of its own.
     fine = replace(spec, grid=build_grid(cfg.dim, 2 * cfg.cells, cfg.grid_margin))
     v = solve_regularized(fine.without_measure(), cfg.solver)
     if not v.converged:
@@ -450,14 +454,9 @@ def _sweep_measure(name: str) -> RadonMeasure:
 def _sweep_row(cfg: RunConfig, gamma: float, cells: int, measure_name: str):
     base = [gamma, cells, measure_name]
     try:
-        grid = build_grid(cfg.dim, cells, cfg.grid_margin)
-        spec = ProblemSpec(
-            grid=grid,
-            h=replace(cfg.h, gamma=gamma),
-            f=cfg.f,
-            mu=_sweep_measure(measure_name),
-            n=cfg.n_schedule[-1],
-        )
+        spec = _spec_from_config(replace(
+            cfg, cells=cells, h=replace(cfg.h, gamma=gamma), mu=_sweep_measure(measure_name)
+        ))
         seq = solve_sequence(spec, cfg.n_schedule, cfg.solver)
         final = seq.final
         minima = [min_on_compact(final.u, m) for m in cfg.margins]

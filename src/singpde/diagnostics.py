@@ -8,8 +8,9 @@ least-squares fits of log(mass) against log(threshold).
 
 Also here: the truncation energy sum |grad T_k(u)^((gamma+1)/2)|^2, the
 torsion function solving -Lap phi0 = 1, and a Kato-type residual comparing
-the integral of (u1 - u2)^+ against the signed source differences weighted
-by phi0.
+the integral of (u1 - u2)^+ against the signed difference of the two
+solutions' sources weighted by phi0.  The sources are inputs: the solver
+defines them.
 """
 
 from __future__ import annotations
@@ -18,11 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import ScalarField
-from .measures import DiscretizedMeasure
 from .mesh import Grid, GridFunction, build_laplacian, require_same_grid, solve_spd
-from .singularity import SingularNonlinearity, eval_h_n, trunc_power
-from .solver import SolveResult
+from .singularity import trunc_power
 
 __all__ = [
     "DistributionSample",
@@ -125,13 +123,14 @@ def distribution_function(
     return DistributionSample(thresholds=thresholds, masses=masses)
 
 
-def default_thresholds(
-    values,
-    count: int = 16,
-    lo_percentile: float = 10.0,
-    hi_percentile: float = 99.9,
-    floor: float | None = None,
-) -> tuple[float, ...]:
+# default_thresholds spaces this many thresholds log-uniformly between these
+# two percentiles of the positive |values|.
+_THRESHOLD_COUNT = 16
+_LO_PERCENTILE = 10.0
+_HI_PERCENTILE = 99.9
+
+
+def default_thresholds(values, floor: float | None = None) -> tuple[float, ...]:
     """Log-spaced thresholds between two percentiles of |values|.
 
     ``floor`` clamps the lower end; tail estimates are only meaningful from
@@ -141,15 +140,15 @@ def default_thresholds(
     positive = absvals[absvals > 0]
     if positive.size == 0:
         return ()
-    lo = float(np.percentile(positive, lo_percentile))
-    hi = float(np.percentile(positive, hi_percentile))
+    lo = float(np.percentile(positive, _LO_PERCENTILE))
+    hi = float(np.percentile(positive, _HI_PERCENTILE))
     if floor is not None:
         lo = max(lo, floor)
     if hi <= 0:
         return ()
     if lo >= hi:
         lo = hi / 10.0
-    return tuple(np.geomspace(lo, hi, count))
+    return tuple(np.geomspace(lo, hi, _THRESHOLD_COUNT))
 
 
 @dataclass(frozen=True)
@@ -203,13 +202,12 @@ class KatoReport:
     """Comparison of the positive-part mass against the weighted source gap.
 
     lhs  = sum (u1 - u2)^+ * vol
-    rhs  = sum [u1 >= u2] * (f_cap (h_cap(u1+1/n) - h_cap(u2+1/n))
-                             + (mu1_n - mu2_n)) * phi0 * vol
+    rhs  = sum [u1 >= u2] * (F1 - F2) * phi0 * vol
 
-    The indicator multiplies the whole source difference, and h enters with
-    the same level-n cap and 1/n shift the solutions were computed with, so
-    for exact discrete solutions the inequality lhs <= rhs holds exactly and
-    ``residual = rhs - lhs`` is nonnegative; how far below zero solver
+    with F1, F2 the sources of which u1, u2 are the discrete solutions,
+    -Lap u_i = F_i.  The indicator multiplies the whole source difference,
+    so for exact discrete solutions the inequality lhs <= rhs holds exactly
+    and ``residual = rhs - lhs`` is nonnegative; how far below zero solver
     tolerance may take it is the caller's bound.
     """
 
@@ -219,45 +217,19 @@ class KatoReport:
 
 
 def kato_residual(
-    u1: SolveResult,
-    u2: SolveResult,
-    mu1_d: DiscretizedMeasure,
-    mu2_d: DiscretizedMeasure,
-    f_field: ScalarField | GridFunction,
-    h: SingularNonlinearity,
+    u1: GridFunction,
+    u2: GridFunction,
+    F1: GridFunction,
+    F2: GridFunction,
     phi0: GridFunction,
 ) -> KatoReport:
-    if not (u1.converged and u2.converged):
-        raise ValueError("Kato residual needs converged solutions")
-    grid = u1.u.grid
-    for other in (u2.u.grid, mu1_d.grid, mu2_d.grid, phi0.grid):
+    grid = u1.grid
+    for other in (u2.grid, F1.grid, F2.grid, phi0.grid):
         require_same_grid(grid, other)
-    if mu1_d.level != mu2_d.level:
-        raise ValueError("discretized measures must share a regularization level")
-    n = float(mu1_d.level)
-    shift = 1.0 / n
-
-    if isinstance(f_field, GridFunction):
-        require_same_grid(grid, f_field.grid)
-        f_vals = f_field.values
-    else:
-        f_vals = np.asarray(f_field(grid.node_coords), dtype=float)
-    f_capped = np.minimum(f_vals, n)
-
-    a = u1.u.values
-    b = u2.u.values
+    a = u1.values
+    b = u2.values
     vol = grid.cell_volume
     lhs = float(np.sum(np.clip(a - b, 0.0, None)) * vol)
-
     indicator = a >= b
-    hdiff = np.zeros_like(a)
-    active = f_capped > 0
-    if np.any(active):
-        h1 = eval_h_n(h, n, a[active] + shift)
-        h2 = eval_h_n(h, n, b[active] + shift)
-        hdiff[active] = h1 - h2
-    source_gap = f_capped * hdiff + (mu1_d.values.values - mu2_d.values.values)
-    rhs = float(np.sum(indicator * source_gap * phi0.values) * vol)
-
+    rhs = float(np.sum(indicator * (F1.values - F2.values) * phi0.values) * vol)
     return KatoReport(lhs=lhs, rhs=rhs, residual=rhs - lhs)
-

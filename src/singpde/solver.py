@@ -23,10 +23,15 @@ are driven along a geometric schedule n = 2, 4, ..., 1024 with warm starts,
 and successive differences are tracked in the discrete L1 norm, the natural
 norm for the limit passage.
 
+``level_source`` is the one definition of the level-n source
+F(u) = h_n(u + 1/n) min(n, f) + mu_n, so T(u) = A^-1 F(u); the Picard map
+and every caller that needs the source (the Kato check) use it.
+
 The module also provides nodewise monotonicity and domination checks, the
 clamped sandwich scheme driven by a sub/supersolution pair, and the
-construction of that pair: sub = v, the measure-free solve, and super =
-v + w with -Lap w = mu_n.  The clamped right-hand side is evaluated through
+construction of that pair from a measure-free solve v the caller already
+has: sub = v and super = v + w with -Lap w = mu_n, so building the pair
+costs one linear solve.  The clamped right-hand side is evaluated through
 the same level-n capped and shifted nonlinearity that produced the
 subsolution, which makes the discrete sandwich property exact up to solver
 tolerance.  The checks return the observed numbers; the bounds that judge
@@ -61,6 +66,7 @@ __all__ = [
     "SandwichSpec",
     "ConvergenceFailure",
     "DEFAULT_SCHEDULE",
+    "level_source",
     "solve_regularized",
     "solve_sequence",
     "monotone_check",
@@ -192,23 +198,38 @@ def _prepare(spec: ProblemSpec, lap: DiscreteOperator | None = None) -> _Prepare
     )
 
 
+def _source(prep: _Prepared, arg: np.ndarray | None):
+    """The level-n source ``(F, h values)`` with h evaluated at ``arg``.
+
+    With f identically zero the problem is linear in the measure: ``arg`` may
+    be None, h is never evaluated and the h values are None.
+    """
+    if not prep.f_active:
+        return prep.mu_vals, None
+    hv = eval_h_n(prep.h, prep.cap, arg + prep.shift)
+    rhs = hv * prep.f_capped + prep.mu_vals
+    if not np.all(np.isfinite(rhs)):
+        raise RuntimeError("right-hand side overflowed during Picard step")
+    return rhs, hv
+
+
+def level_source(spec: ProblemSpec, u: GridFunction) -> GridFunction:
+    """F(u) = min(n, h(|u| + 1/n)) min(n, f) + mu_n at level ``spec.n``: the
+    source whose solve is the Picard map's image, T(u) = A^-1 F(u)."""
+    require_same_grid(spec.grid, u.grid)
+    rhs, _ = _source(_prepare(spec), np.abs(u.values))
+    return GridFunction(spec.grid, rhs)
+
+
 def _picard(prep: _Prepared, u: np.ndarray, arg_map):
     """One step of the Picard map: ``(T(u), arg_map(u), h values)``.
 
     ``arg_map(u)`` is the argument of h (``np.abs`` for the plain scheme,
-    ``SandwichSpec.clamp`` for the clamped one).  With f identically zero the
-    problem is linear in the measure and h is never evaluated (the h values
-    are then None).
+    ``SandwichSpec.clamp`` for the clamped one); it and the h values are
+    None when f vanishes identically.
     """
-    if prep.f_active:
-        arg = arg_map(u)
-        hv = eval_h_n(prep.h, prep.cap, arg + prep.shift)
-        rhs = hv * prep.f_capped + prep.mu_vals
-        if not np.all(np.isfinite(rhs)):
-            raise RuntimeError("right-hand side overflowed during Picard step")
-    else:
-        arg = hv = None
-        rhs = prep.mu_vals
+    arg = arg_map(u) if prep.f_active else None
+    rhs, hv = _source(prep, arg)
     return solve_spd(prep.lap, GridFunction(prep.grid, rhs)).values, arg, hv
 
 
@@ -478,21 +499,14 @@ def solve_clamped(
     )
 
 
-def build_sub_super(spec: ProblemSpec, cfg: SolverConfig | None = None) -> SandwichSpec:
-    """Sub/supersolution pair: sub = v (measure-free solve) and
-    sup = v + w with -Lap w = mu_n; w >= 0 keeps the pair ordered exactly."""
-    cfg = cfg or SolverConfig()
-    f_vals = sample_field(spec.grid, spec.f).values
-    if np.any(f_vals <= 0):
-        raise ValueError("sub/supersolution construction needs f > 0 at every node")
-    v_res = solve_regularized(spec.without_measure(), cfg)
-    if not v_res.converged:
-        raise ConvergenceFailure("measure-free subsolution solve did not converge")
-    lap = build_laplacian(spec.grid)
-    mu_d = mollify(spec.mu, spec.grid, spec.n)
-    w = solve_spd(lap, mu_d.values)
-    sup = GridFunction(spec.grid, v_res.u.values + w.values)
-    return SandwichSpec(sub=v_res.u, sup=sup)
+def build_sub_super(spec: ProblemSpec, sub: GridFunction) -> SandwichSpec:
+    """Sub/supersolution pair of ``spec`` from ``sub`` = v, the measure-free
+    solve at level ``spec.n``: sup = v + w with -Lap w = mu_n, and w >= 0
+    keeps the pair ordered exactly.  SandwichSpec refuses a v that is not
+    positive at every node, which is what f = 0 gives."""
+    require_same_grid(spec.grid, sub.grid)
+    w = solve_spd(build_laplacian(spec.grid), mollify(spec.mu, spec.grid, spec.n).values)
+    return SandwichSpec(sub=sub, sup=GridFunction(spec.grid, sub.values + w.values))
 
 
 def distance_lower_bound_check(v: GridFunction) -> float:

@@ -312,8 +312,9 @@ def test_verify_sandwich_and_uniqueness_suites(tmp_path):
 
 
 def test_verify_nonconvergent_sandwich_writes_partial_csv(tmp_path, capsys):
-    # The measure-free subsolution solve inside build_sub_super cannot
-    # converge in two iterations; the suite still leaves its (empty) table.
+    # The measure-free schedule, whose last level is the sandwich pair's
+    # subsolution, cannot converge in two iterations; the suite still
+    # leaves its (empty) table.
     text = "\n".join([
         "domain.dim = 1",
         "domain.cells = 16",
@@ -373,6 +374,39 @@ def test_verify_solves_no_level_problem_twice(tmp_path, monkeypatch):
     assert main(["verify", cfg, "--out", str(tmp_path / "out"), "--suite", "all"]) == 0
     assert keys
     assert len(set(keys)) == len(keys)
+
+
+def test_verify_solves_the_measure_free_top_level_once(tmp_path, monkeypatch):
+    # The sandwich pair's subsolution is the measure-free schedule's last
+    # level, not a cold solve of the same problem.
+    top_levels = []
+    iterate = solver._iterate
+
+    def recording_iterate(prep, cfg, tol_fp, initial, arg_map=np.abs):
+        if prep.grid.cells_per_side == 32 and prep.cap == 64 and not prep.mu_vals.any():
+            top_levels.append(arg_map)
+        return iterate(prep, cfg, tol_fp, initial, arg_map)
+
+    monkeypatch.setattr(solver, "_iterate", recording_iterate)
+    text = DIRAC_1D.replace("h.gamma = 0.5", "h.gamma = 1.5")
+    cfg = write_cfg(tmp_path, text)
+    assert main(["verify", cfg, "--out", str(tmp_path / "out"), "--suite", "all"]) == 0
+    assert top_levels == [np.abs]
+
+
+def test_verify_sandwich_pair_is_built_on_the_measure_free_schedule(tmp_path):
+    run = cli._Run(RunConfig.from_file(write_cfg(tmp_path, DIRAC_1D)))
+    assert run.sandwich().sub is run.sequence(with_measure=False).final.u
+
+
+def test_verify_kato_unconverged_solve_exits_two(tmp_path, capsys):
+    # No tight solve reaches 1e-300, so the Kato residual is never formed
+    # from an unconverged solution.
+    cfg = write_cfg(tmp_path, DIRAC_1D.replace("tol_fp = 1e-10", "tol_fp = 1e-300"))
+    out = tmp_path / "out"
+    assert main(["verify", cfg, "--out", str(out), "--suite", "kato"]) == 2
+    assert "reason,2,nonconvergence,tight-tolerance level solve" in capsys.readouterr().out
+    assert read_rows(out / "verify_kato.csv")[1] == []
 
 
 def test_verify_uniqueness_gap_not_limited_by_tol_fp(tmp_path):

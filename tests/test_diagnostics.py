@@ -15,8 +15,8 @@ from singpde import (
     discrete_gradient_magnitude,
     distribution_function,
     kato_residual,
+    level_source,
     marcinkiewicz_fit,
-    mollify,
     sample_field,
     sobolev_norm,
     solve_regularized,
@@ -237,47 +237,59 @@ def test_torsion_2d_positive_with_central_maximum():
 
 
 def kato_setup(mass1=2.0, mass2=1.0, cells=64, n=256):
+    """Specs and tight level solves of two problems whose measures differ
+    only in the atom's mass, and the torsion function of their grid."""
     grid = build_grid(1, cells)
-    h = SingularNonlinearity.pure_power(0.5)
-    f = constant(1.0)
-    cfg = SolverConfig(tol_fp=1e-12)
-    mu1 = RadonMeasure(atoms=(((0.5,), mass1),))
-    mu2 = RadonMeasure(atoms=(((0.5,), mass2),))
-    r1 = solve_regularized(ProblemSpec(grid=grid, h=h, f=f, mu=mu1, n=n), cfg)
-    r2 = solve_regularized(ProblemSpec(grid=grid, h=h, f=f, mu=mu2, n=n), cfg)
-    phi0 = torsion_function(grid)
-    return grid, h, f, r1, r2, mollify(mu1, grid, n), mollify(mu2, grid, n), phi0
+    specs = [
+        ProblemSpec(
+            grid=grid,
+            h=SingularNonlinearity.pure_power(0.5),
+            f=constant(1.0),
+            mu=RadonMeasure(atoms=(((0.5,), mass),)),
+            n=n,
+        )
+        for mass in (mass1, mass2)
+    ]
+    solutions = []
+    for spec in specs:
+        res = solve_regularized(spec, SolverConfig(tol_fp=1e-12))
+        assert res.converged
+        solutions.append(res.u)
+    return specs, solutions, torsion_function(grid)
 
 
 def test_kato_identical_inputs_residual_zero():
-    grid, h, f, r1, r2, m1, m2, phi0 = kato_setup(mass1=1.0, mass2=1.0)
-    report = kato_residual(r1, r1, m1, m1, f, h, phi0)
+    (spec, _), (u, _), phi0 = kato_setup(mass1=1.0, mass2=1.0)
+    f = level_source(spec, u)
+    report = kato_residual(u, u, f, f, phi0)
     assert report.lhs == 0.0
     assert report.rhs == 0.0
     assert report.residual == 0.0
 
 
 def test_kato_ordered_measures_both_orientations():
-    grid, h, f, r1, r2, m1, m2, phi0 = kato_setup()
-    forward = kato_residual(r1, r2, m1, m2, f, h, phi0)
-    mirrored = kato_residual(r2, r1, m2, m1, f, h, phi0)
+    (spec1, spec2), (u1, u2), phi0 = kato_setup()
+    f1, f2 = level_source(spec1, u1), level_source(spec2, u2)
+    forward = kato_residual(u1, u2, f1, f2, phi0)
+    mirrored = kato_residual(u2, u1, f2, f1, phi0)
     assert forward.lhs > 0.0
     assert forward.residual >= -1e-10
     assert mirrored.lhs == 0.0
     assert mirrored.residual >= -1e-10
 
 
-def test_kato_rejects_unconverged_inputs():
-    grid, h, f, r1, r2, m1, m2, phi0 = kato_setup()
-    spec = ProblemSpec(grid=grid, h=h, f=f, mu=RadonMeasure(), n=256)
-    bad = solve_regularized(spec, SolverConfig(tol_fp=1e-15, max_iters=1))
-    assert not bad.converged
-    with pytest.raises(ValueError):
-        kato_residual(bad, r2, m1, m2, f, h, phi0)
+def test_kato_wrong_sources_make_the_residual_negative():
+    # Each solution paired with the other problem's source, F2(u1) and
+    # F1(u2): where u1 >= u2 the gap is (h(u1) - h(u2)) f + mu2 - mu1 <= 0,
+    # so the row the verify suite bounds by -1e-10 can fail.
+    (spec1, spec2), (u1, u2), phi0 = kato_setup()
+    wrong = kato_residual(u1, u2, level_source(spec2, u1), level_source(spec1, u2), phi0)
+    assert wrong.lhs > 0.0
+    assert wrong.residual < -1e-3
 
 
-def test_kato_rejects_mismatched_levels():
-    grid, h, f, r1, r2, m1, m2, phi0 = kato_setup()
-    m2_other = mollify(RadonMeasure(atoms=(((0.5,), 1.0),)), grid, 128)
+def test_kato_rejects_mismatched_grids():
+    (spec1, spec2), (u1, u2), _ = kato_setup()
+    f1, f2 = level_source(spec1, u1), level_source(spec2, u2)
     with pytest.raises(ValueError):
-        kato_residual(r1, r2, m1, m2_other, f, h, phi0)
+        kato_residual(u1, u2, f1, f2, torsion_function(build_grid(1, 32)))

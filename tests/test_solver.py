@@ -16,6 +16,7 @@ from singpde import (
     comparison_check,
     constant,
     distance_lower_bound_check,
+    level_source,
     manufactured_singular,
     min_on_compact,
     monotone_check,
@@ -33,6 +34,11 @@ DELTA_HALF = RadonMeasure(atoms=(((0.5,), 1.0),))
 
 def spec_1d(cells=64, h=H_HALF, f=constant(1.0), mu=RadonMeasure(), n=256):
     return ProblemSpec(grid=build_grid(1, cells), h=h, f=f, mu=mu, n=n)
+
+
+def sub_super(spec, cfg=None):
+    """The sandwich pair built on the measure-free solve of ``spec``'s level."""
+    return build_sub_super(spec, solve_regularized(spec.without_measure(), cfg).u)
 
 
 def green_exact(grid):
@@ -249,13 +255,13 @@ def test_comparison_check_swapped_detects_measure_contribution():
 
 def test_build_sub_super_zero_measure_degenerate():
     spec = spec_1d(f=constant(1.0), mu=RadonMeasure())
-    sw = build_sub_super(spec)
+    sw = sub_super(spec)
     assert np.max(np.abs(sw.sup.values - sw.sub.values)) == 0.0
 
 
 def test_build_sub_super_point_load_shifts_center():
     spec = spec_1d(f=constant(1.0), mu=DELTA_HALF, n=64)
-    sw = build_sub_super(spec, SolverConfig())
+    sw = sub_super(spec, SolverConfig())
     center = 31
     assert sw.sup.values[center] - sw.sub.values[center] == pytest.approx(
         0.25, abs=1e-10
@@ -264,20 +270,30 @@ def test_build_sub_super_point_load_shifts_center():
 
 def test_build_sub_super_super_dominates_exactly():
     spec = spec_1d(f=constant(1.0), mu=RadonMeasure(density=constant(1.0)))
-    sw = build_sub_super(spec)
+    sw = sub_super(spec)
     assert np.all(sw.sup.values >= sw.sub.values)
 
 
 def test_build_sub_super_requires_positive_source():
+    # f = 0 makes the measure-free solve vanish, and SandwichSpec refuses a
+    # subsolution that is not positive.
     spec = spec_1d(f=zero(), mu=DELTA_HALF)
-    with pytest.raises(ValueError):
-        build_sub_super(spec)
+    v = solve_regularized(spec.without_measure())
+    assert v.converged and np.all(v.u.values == 0.0)
+    with pytest.raises(ValueError, match="strictly positive"):
+        build_sub_super(spec, v.u)
+
+
+def test_build_sub_super_keeps_the_given_subsolution():
+    spec = spec_1d(f=constant(1.0), mu=DELTA_HALF)
+    v = solve_regularized(spec.without_measure()).u
+    assert build_sub_super(spec, v).sub is v
 
 
 def test_solve_clamped_stays_inside_sandwich():
     spec = spec_1d(f=constant(1.0), mu=DELTA_HALF, n=256)
     cfg = SolverConfig(tol_fp=1e-11)
-    sw = build_sub_super(spec, cfg)
+    sw = sub_super(spec, cfg)
     res = solve_clamped(spec, sw, cfg)
     assert res.converged
     assert sw.breach(res.u) <= 1e-8
@@ -286,7 +302,7 @@ def test_solve_clamped_stays_inside_sandwich():
 def test_solve_clamped_degenerate_sandwich_returns_subsolution():
     spec = spec_1d(f=constant(1.0), mu=RadonMeasure())
     cfg = SolverConfig(tol_fp=1e-11)
-    sw = build_sub_super(spec, cfg)
+    sw = sub_super(spec, cfg)
     res = solve_clamped(spec, sw, cfg)
     assert res.converged
     assert np.max(np.abs(res.u.values - sw.sub.values)) <= 1e-9
@@ -305,7 +321,7 @@ def test_sandwich_breach_is_largest_distance_outside_the_pair():
 
 def test_sandwich_spec_rejects_inverted_pair():
     spec = spec_1d(f=constant(1.0), mu=DELTA_HALF)
-    sw = build_sub_super(spec)
+    sw = sub_super(spec)
     with pytest.raises(ValueError):
         SandwichSpec(sub=sw.sup, sup=sw.sub)
 
@@ -356,7 +372,7 @@ def test_distance_ratio_stable_under_refinement():
 def test_uniqueness_cold_and_supersolution_starts_agree():
     spec = spec_1d(f=constant(1.0), mu=DELTA_HALF, n=256)
     cfg = SolverConfig(tol_fp=1e-11)
-    sw = build_sub_super(spec, cfg)
+    sw = sub_super(spec, cfg)
     cold = solve_regularized(spec, cfg)
     warm = solve_regularized(spec, cfg, initial=sw.sup)
     assert cold.converged and warm.converged
@@ -399,7 +415,7 @@ def test_clamped_and_plain_solves_respect_sandwich_and_comparison(gamma, c, posi
         n=n,
     )
     tol = SolverConfig().tol_mono
-    sw = build_sub_super(spec)
+    sw = sub_super(spec)
     clamped = solve_clamped(spec, sw)
     assert clamped.converged
     assert sw.breach(clamped.u) <= tol
@@ -477,10 +493,18 @@ def test_newton_matches_picard_reference(dim, cells, h):
 def test_clamped_newton_matches_picard_reference(dim, cells):
     spec = atom_spec(dim, cells, SingularNonlinearity.pure_power(1.5))
     tol_fp = SolverConfig().resolved_tol_fp(spec.grid)
-    sw = build_sub_super(spec)
+    sw = sub_super(spec)
     res = solve_clamped(spec, sw)
     assert res.converged
     reference = picard_reference(spec, tol_fp / 10, sw.sub.values, sw.clamp)
     assert np.max(np.abs(res.u.values - reference)) <= 10 * tol_fp
     T = picard_map(spec, sw.clamp)
     assert np.max(np.abs(T(res.u.values) - res.u.values)) <= tol_fp
+
+
+@pytest.mark.parametrize("dim, cells", _GRIDS)
+def test_level_source_is_the_picard_maps_source(dim, cells):
+    spec = atom_spec(dim, cells, SingularNonlinearity.shifted_power(2.0, 0.05), n=64)
+    u = solve_regularized(spec).u
+    image = sp.solve_spd(sp.build_laplacian(spec.grid), level_source(spec, u)).values
+    assert np.allclose(image, picard_map(spec)(u.values), rtol=1e-14, atol=0.0)
