@@ -45,7 +45,7 @@ from .solver import (
     SolverConfig,
     build_sub_super,
     comparison_check,
-    distance_lower_bound_check,
+    hopf_ratio_check,
     level_source,
     monotone_check,
     solve_clamped,

@@ -47,7 +47,7 @@ from .solver import (
     SolveResult,
     build_sub_super,
     comparison_check,
-    distance_lower_bound_check,
+    hopf_ratio_check,
     level_source,
     monotone_check,
     solve_clamped,
@@ -385,13 +385,13 @@ def _suite_sandwich(cfg: RunConfig, run: _Run):
     fine = replace(spec, grid=build_grid(cfg.dim, 2 * cfg.cells, cfg.grid_margin))
     v = solve_regularized(fine.without_measure(), cfg.solver)
     if not v.converged:
-        raise ConvergenceFailure(f"distance-bound solve at cells={2 * cfg.cells}")
-    ratios = [distance_lower_bound_check(sandwich.sub), distance_lower_bound_check(v.u)]
-    rows.append(_check("sandwich.distance_ratio", ratios[0], ">0", ratios[0] > 0))
+        raise ConvergenceFailure(f"Hopf-ratio solve at cells={2 * cfg.cells}")
+    ratios = [hopf_ratio_check(sandwich.sub), hopf_ratio_check(v.u)]
+    rows.append(_check("sandwich.hopf_ratio", ratios[0], ">0", ratios[0] > 0))
     stable = ratios[0] > 0 and 0.5 <= ratios[1] / ratios[0] <= 2.0
     rows.append(
         _check(
-            "sandwich.distance_ratio_stability",
+            "sandwich.hopf_ratio_stability",
             ratios[1] / ratios[0] if ratios[0] > 0 else float("nan"),
             "0.5..2",
             stable,

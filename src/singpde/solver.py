@@ -73,7 +73,7 @@ __all__ = [
     "comparison_check",
     "solve_clamped",
     "build_sub_super",
-    "distance_lower_bound_check",
+    "hopf_ratio_check",
 ]
 
 DEFAULT_SCHEDULE = tuple(2**j for j in range(1, 11))  # 2, 4, ..., 1024
@@ -509,7 +509,12 @@ def build_sub_super(spec: ProblemSpec, sub: GridFunction) -> SandwichSpec:
     return SandwichSpec(sub=sub, sup=GridFunction(spec.grid, sub.values + w.values))
 
 
-def distance_lower_bound_check(v: GridFunction) -> float:
-    """Smallest nodal ratio v(x) / d(x); positive ratios certify a linear
-    lower bound in terms of the boundary distance."""
-    return float(np.min(v.values / v.grid.boundary_distance))
+def hopf_ratio_check(v: GridFunction) -> float:
+    """Smallest nodal ratio v(x) / phi_1(x), with phi_1 = prod_i sin(pi x_i)
+    the first Dirichlet eigenfunction of the box; a positive ratio certifies
+    the Hopf-type lower bound v >= c phi_1.  At a corner of the box phi_1
+    vanishes to the same order as v (like x y in 2D), while the boundary
+    distance min(x, y) does not, so v/phi_1 settles under refinement where
+    v/d halves with each doubling of the cells."""
+    phi1 = np.prod(np.sin(np.pi * v.grid.node_coords), axis=1)
+    return float(np.min(v.values / phi1))

@@ -333,6 +333,31 @@ def test_verify_nonconvergent_sandwich_writes_partial_csv(tmp_path, capsys):
     assert rows == []
 
 
+def test_verify_hopf_ratio_stable_at_box_corners(tmp_path):
+    # With f = sin_pi the subsolution vanishes like x y at a corner.  Its
+    # ratio to the boundary distance min(x, y) halved from 24 to 48 cells
+    # (0.5016, against the bound 0.5); its ratio to phi_1 settles.
+    text = "\n".join([
+        "domain.dim = 2",
+        "domain.cells = 24",
+        "h.kind = shifted_power",
+        "h.gamma = 0.5",
+        "h.shift = 1.0",
+        "f.kind = sin_pi",
+        "measure.atom = [0.4, 0.6, 0.5, 1.0]",
+        "measure.density = constant(0.5)",
+    ]) + "\n"
+    cfg = write_cfg(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["verify", cfg, "--out", str(out), "--suite", "sandwich"]) == 0
+    _, rows = read_rows(out / "verify_sandwich.csv")
+    rows = {row[0]: row for row in rows}
+    assert rows["sandwich.hopf_ratio"][3] == "pass"
+    stability = rows["sandwich.hopf_ratio_stability"]
+    assert stability[3] == "pass"
+    assert abs(float(stability[1]) - 1.0) <= 0.01
+
+
 @pytest.mark.parametrize("suite, expected_calls", [("all", 2), ("monotone", 1)])
 def test_verify_solves_each_schedule_once(tmp_path, monkeypatch, suite, expected_calls):
     calls = []

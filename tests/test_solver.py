@@ -15,7 +15,7 @@ from singpde import (
     build_sub_super,
     comparison_check,
     constant,
-    distance_lower_bound_check,
+    hopf_ratio_check,
     level_source,
     manufactured_singular,
     min_on_compact,
@@ -334,34 +334,31 @@ def test_sandwich_spec_rejects_nonpositive_subsolution():
         SandwichSpec(sub=flat, sup=one)
 
 
-# -- distance lower bound ----------------------------------------------------
+# -- Hopf ratio ----------------------------------------------------------------
 
 
-def test_distance_ratio_of_sine():
-    grid = build_grid(1, 4)
-    v = sample_field(grid, lambda p: np.sin(np.pi * p[:, 0]))
-    assert distance_lower_bound_check(v) == pytest.approx(2.0)
+def test_hopf_ratio_of_first_eigenfunction():
+    # phi_1 vanishes like x y at a 2D corner, where min(x, y) / phi_1 would
+    # grow as the grid refines; the ratio of phi_1 to itself stays 1.
+    for dim, cells in ((1, 4), (2, 8), (2, 32), (3, 8)):
+        grid = build_grid(dim, cells)
+        v = sample_field(grid, lambda p: np.prod(np.sin(np.pi * p), axis=1))
+        assert hopf_ratio_check(v) == pytest.approx(1.0, rel=1e-14)
 
 
-def test_distance_ratio_zero_function_fails():
+def test_hopf_ratio_zero_function_fails():
     grid = build_grid(1, 8)
     v = GridFunction(grid, np.zeros(grid.interior_count))
-    assert distance_lower_bound_check(v) == 0.0
+    assert hopf_ratio_check(v) == 0.0
 
 
-def test_distance_ratio_of_distance_itself():
-    grid = build_grid(2, 8)
-    v = GridFunction(grid, grid.boundary_distance.copy())
-    assert distance_lower_bound_check(v) == pytest.approx(1.0)
-
-
-def test_distance_ratio_stable_under_refinement():
+def test_hopf_ratio_stable_under_refinement():
     cfg = SolverConfig(tol_fp=1e-11)
     ratios = []
     for cells in (64, 128):
         spec = spec_1d(cells=cells, f=constant(1.0), n=256)
         v = solve_regularized(spec.without_measure(), cfg)
-        ratios.append(distance_lower_bound_check(v.u))
+        ratios.append(hopf_ratio_check(v.u))
     assert ratios[0] > 0
     assert 0.5 <= ratios[1] / ratios[0] <= 2.0
 
