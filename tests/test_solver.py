@@ -284,11 +284,6 @@ def test_build_sub_super_requires_positive_source():
         build_sub_super(spec, v.u)
 
 
-def test_build_sub_super_keeps_the_given_subsolution():
-    spec = spec_1d(f=constant(1.0), mu=DELTA_HALF)
-    v = solve_regularized(spec.without_measure()).u
-    assert build_sub_super(spec, v).sub is v
-
 
 def test_solve_clamped_stays_inside_sandwich():
     spec = spec_1d(f=constant(1.0), mu=DELTA_HALF, n=256)
