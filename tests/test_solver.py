@@ -341,6 +341,20 @@ def test_hopf_ratio_of_first_eigenfunction():
         assert hopf_ratio_check(v) == pytest.approx(1.0, rel=1e-14)
 
 
+def test_distance_ratio_of_sine():
+    grid = build_grid(1, 4)
+    v = sample_field(grid, lambda p: np.sin(np.pi * p[:, 0]))
+    assert hopf_ratio_check(v) == pytest.approx(1.0)
+
+
+def test_distance_ratio_of_distance_itself():
+    # d / phi_1 >= t / sin(pi t) with t = d, smallest at the first interior
+    # row's edge midpoint (1/8, 1/2), where phi_1 = sin(pi / 8).
+    grid = build_grid(2, 8)
+    v = GridFunction(grid, grid.boundary_distance.copy())
+    assert hopf_ratio_check(v) == pytest.approx(0.125 / np.sin(np.pi / 8))
+
+
 def test_hopf_ratio_zero_function_fails():
     grid = build_grid(1, 8)
     v = GridFunction(grid, np.zeros(grid.interior_count))
