@@ -36,7 +36,6 @@ from .singularity import (
     trunc_power,
 )
 from .solver import (
-    ConvergenceFailure,
     DEFAULT_SCHEDULE,
     ProblemSpec,
     SandwichSpec,

@@ -2,20 +2,23 @@
 
 ``solve`` drives the regularization schedule and writes per-level solution
 files plus a sequence summary.  ``verify`` runs one of the named check
-suites and writes one row per check.  The suites of one run share what they
-solve (the full and the measure-free schedule and the tight-tolerance level
-solves), each solved at most once.  The sub/super pair is built from the
-measure-free schedule's last level, so it costs one linear solve, and the
-Kato check reads the solver's level-n source of its two tight solves.  The
-solver and the diagnostics return observed numbers, and each suite holds
-the bounds that judge its rows.  ``sweep`` runs the Cartesian product of the
-configured parameter grids and aggregates one row per run; the rows run in
-forked worker processes (``--threads`` of them), so ``sweep`` needs a
-POSIX system.  All CSV output uses 17 significant digits so identical
-configurations reproduce byte-identical files.  Solution files
-are written column-wise: the node coordinates are formatted once per run
-and each level's values fill them in with one formatting call, giving the
-same bytes as formatting every value on its own.
+suites and writes one row per check.  The suites of one run share only the
+solves that two or more of them need (the full and the measure-free
+schedule and the tight-tolerance level solves), each solved at most once;
+a suite makes every other solve it needs itself.  The sandwich suite builds
+its sub/super pair from the measure-free schedule's last level, so the pair
+costs one linear solve, and the Kato check reads the solver's level-n
+source of its two tight solves.  The solver and the diagnostics return
+observed numbers, and each suite holds the bounds that judge its rows; a
+solve that a suite needs and that does not converge ends the run with
+exit 2.  ``sweep`` runs the Cartesian product of the configured parameter
+grids and aggregates one row per run; the rows run in forked worker
+processes (``--threads`` of them), so ``sweep`` needs a POSIX system.
+All CSV output uses 17 significant digits so identical configurations
+reproduce byte-identical files.  Solution files are written column-wise:
+the node coordinates are formatted once per run and each level's values
+fill them in with one formatting call, giving the same bytes as formatting
+every value on its own.
 
 Exit codes: 0 ok, 1 configuration or usage error, 2 nonconvergence, a
 linear solve that failed its backward-error check or an infrastructure
@@ -40,9 +43,7 @@ from .config import ConfigError, RunConfig, SUITES
 from .measures import RadonMeasure, scale_measure
 from .mesh import GridFunction, LinearSolveError, build_grid, l1_norm, min_on_compact
 from .solver import (
-    ConvergenceFailure,
     ProblemSpec,
-    SandwichSpec,
     SequenceResult,
     SolveResult,
     build_sub_super,
@@ -162,17 +163,29 @@ def _cmd_solve(cfg: RunConfig, out_dir: Path) -> int:
 # ---------------------------------------------------------------------------
 
 
+# The order relations that the monotone, lower-bound and sandwich suites
+# check hold exactly for exact discrete solutions, by the discrete
+# comparison principle; solves accepted at the default tol_fp (1e-8 at
+# most) may break them by about that much.
+_TOL_MONO = 1e-8
+# The Kato inequality lhs <= rhs is exact for exact discrete solutions; the
+# tight-tolerance solves leave rhs - lhs at most this far below zero.
+_KATO_TOL = 1e-10
+
+
+class _ConvergenceFailure(RuntimeError):
+    """A solve that a verify suite needs did not converge."""
+
+
 class _Run:
-    """The problems one verify run solves, each at most once.
+    """The solves that two or more verify suites share, each made at most
+    once per run.
 
     ``sequence(with_measure)`` is the full or the measure-free schedule of
     the config; ``tight_level(mu)`` the cold level-n_max solve with measure
     ``mu`` under ``tight``, the solver settings of the near-exact
-    identities; ``sandwich()`` the sub/super pair of the full problem at
-    level n_max, built on the measure-free schedule's last level.  Each is
-    solved on first use, and a nonconvergent solve raises
-    ConvergenceFailure.  ``f_positive`` tells whether f > 0 at every node,
-    which the pair needs.
+    identities.  Each is solved on first use, and a nonconvergent solve
+    raises _ConvergenceFailure.
     """
 
     def __init__(self, cfg: RunConfig):
@@ -184,17 +197,15 @@ class _Run:
             tol_fp=min(cfg.solver.resolved_tol_fp(self.spec.grid), 1e-12),
             max_iters=max(cfg.solver.max_iters, 800),
         )
-        self.f_positive = bool(np.all(cfg.f(self.spec.grid.node_coords) > 0))
         self._sequences = {}
         self._levels = {}
-        self._sandwich = None
 
     def sequence(self, with_measure: bool) -> SequenceResult:
         if with_measure not in self._sequences:
             spec = self.spec if with_measure else self.spec.without_measure()
             seq = solve_sequence(spec, self.cfg.n_schedule, self.cfg.solver)
             if seq.aborted_level is not None:
-                raise ConvergenceFailure(f"level {seq.aborted_level} did not converge")
+                raise _ConvergenceFailure(f"level {seq.aborted_level} did not converge")
             self._sequences[with_measure] = seq
         return self._sequences[with_measure]
 
@@ -202,15 +213,9 @@ class _Run:
         if mu not in self._levels:
             res = solve_regularized(replace(self.spec, mu=mu), self.tight)
             if not res.converged:
-                raise ConvergenceFailure("tight-tolerance level solve")
+                raise _ConvergenceFailure("tight-tolerance level solve")
             self._levels[mu] = res
         return self._levels[mu]
-
-    def sandwich(self) -> SandwichSpec:
-        if self._sandwich is None:
-            sub = self.sequence(with_measure=False).final.u
-            self._sandwich = build_sub_super(self.spec, sub)
-        return self._sandwich
 
 
 def _check(name, observed, bound, ok) -> tuple:
@@ -234,7 +239,7 @@ def _suite_manufactured(cfg: RunConfig, run: _Run):
         spec = ProblemSpec(grid=grid, h=cfg.h, f=f, mu=RadonMeasure(), n=10**6)
         res = solve_regularized(spec, cfg.solver)
         if not res.converged:
-            raise ConvergenceFailure(f"manufactured solve at cells={cells}")
+            raise _ConvergenceFailure(f"manufactured solve at cells={cells}")
         exact = np.sin(np.pi * grid.node_coords[:, 0])
         errors[cells] = float(np.max(np.abs(res.u.values - exact)))
     hs = np.log([1.0 / c for c in _MANUFACTURED_CELLS])
@@ -250,8 +255,7 @@ def _suite_manufactured(cfg: RunConfig, run: _Run):
 def _suite_monotone(cfg: RunConfig, run: _Run):
     seq = run.sequence(with_measure=False)
     worst = monotone_check([r.u for r in seq.results])
-    tol = cfg.solver.tol_mono
-    return [_check("monotone.max_violation", worst, tol, worst <= tol)]
+    return [_check("monotone.max_violation", worst, _TOL_MONO, worst <= _TOL_MONO)]
 
 
 def _suite_lower_bound(cfg: RunConfig, run: _Run):
@@ -260,8 +264,7 @@ def _suite_lower_bound(cfg: RunConfig, run: _Run):
     domination = max(
         comparison_check(u.u, v.u) for u, v in zip(seq.results, vseq.results)
     )
-    tol = cfg.solver.tol_mono
-    rows = [_check("lower_bound.domination", domination, tol, domination <= tol)]
+    rows = [_check("lower_bound.domination", domination, _TOL_MONO, domination <= _TOL_MONO)]
     top = len(seq.results) // 2
     for margin in cfg.margins:
         minima = [min_on_compact(r.u, margin) for r in seq.results[top:]]
@@ -329,11 +332,6 @@ def _suite_tails(cfg: RunConfig, run: _Run):
     return rows
 
 
-# The Kato inequality lhs <= rhs is exact for exact discrete solutions; the
-# tight-tolerance solves leave rhs - lhs at most this far below zero.
-_KATO_TOL = 1e-10
-
-
 def _suite_kato(cfg: RunConfig, run: _Run):
     spec1 = replace(run.spec, mu=scale_measure(cfg.mu, 2.0))
     spec2 = run.spec
@@ -353,39 +351,39 @@ def _suite_kato(cfg: RunConfig, run: _Run):
 
 
 def _suite_uniqueness(cfg: RunConfig, run: _Run):
+    """Largest nodal gap between the level-n_max solutions reached from the
+    cold start and from cold + 1, a start above it at every node.  The cold
+    solve is the tight one the Kato suite shares; the suite needs no
+    schedule."""
     if not cfg.h.strictly_decreasing:
         return [_na("uniqueness.gap", "needs strictly decreasing h")]
     # Both starts are solved at the tight tolerance: at tol_fp each lies about
     # tol_fp / (1 - Lip T) from the fixed point, which alone can exceed 1e-8.
     cold = run.tight_level(cfg.mu)
-    if run.f_positive:
-        start = run.sandwich().sup
-    else:
-        start = GridFunction(run.spec.grid, cold.u.values + 1.0)
+    start = GridFunction(run.spec.grid, cold.u.values + 1.0)
     warm = solve_regularized(run.spec, run.tight, initial=start)
     if not warm.converged:
-        raise ConvergenceFailure("uniqueness supersolution start")
+        raise _ConvergenceFailure("uniqueness warm start")
     gap = float(np.max(np.abs(cold.u.values - warm.u.values)))
     return [_check("uniqueness.gap", gap, 1e-8, gap <= 1e-8)]
 
 
 def _suite_sandwich(cfg: RunConfig, run: _Run):
     spec = run.spec
-    if not run.f_positive:
+    if not np.all(cfg.f(spec.grid.node_coords) > 0):
         return [_na("sandwich.breach", "needs f>0 at every node")]
-    sandwich = run.sandwich()
+    sandwich = build_sub_super(spec, run.sequence(with_measure=False).final.u)
     res = solve_clamped(spec, sandwich, cfg.solver)
     if not res.converged:
-        raise ConvergenceFailure("clamped solve")
+        raise _ConvergenceFailure("clamped solve")
     breach = sandwich.breach(res.u)
-    tol = cfg.solver.tol_mono
-    rows = [_check("sandwich.breach", breach, tol, breach <= tol)]
+    rows = [_check("sandwich.breach", breach, _TOL_MONO, breach <= _TOL_MONO)]
     # The subsolution is the measure-free schedule's last level at
     # cfg.cells; only the refined grid needs a solve of its own.
     fine = replace(spec, grid=build_grid(cfg.dim, 2 * cfg.cells, cfg.grid_margin))
     v = solve_regularized(fine.without_measure(), cfg.solver)
     if not v.converged:
-        raise ConvergenceFailure(f"Hopf-ratio solve at cells={2 * cfg.cells}")
+        raise _ConvergenceFailure(f"Hopf-ratio solve at cells={2 * cfg.cells}")
     ratios = [hopf_ratio_check(sandwich.sub), hopf_ratio_check(v.u)]
     rows.append(_check("sandwich.hopf_ratio", ratios[0], ">0", ratios[0] > 0))
     stable = ratios[0] > 0 and 0.5 <= ratios[1] / ratios[0] <= 2.0
@@ -420,7 +418,7 @@ def _cmd_verify(cfg: RunConfig, suite: str, out_dir: Path) -> int:
     try:
         for name in names:
             rows.extend(_SUITE_RUNNERS[name](cfg, run))
-    except ConvergenceFailure as exc:
+    except _ConvergenceFailure as exc:
         failure = str(exc)
     _write_csv(out_dir / f"verify_{suite}.csv", ("name", "observed", "bound", "status"), rows)
     if failure is not None:

@@ -59,7 +59,6 @@ KNOWN_KEYS = (
     "measure.density",
     "sequence.n_schedule",
     "solver.tol_fp",
-    "solver.tol_mono",
     "solver.max_iters",
     "verify.suite",
     "sweep.gamma",
@@ -326,21 +325,12 @@ class RunConfig:
             )
 
         tol_fp = _get_float(raw, "solver.tol_fp")
-        tol_mono = _get_float(raw, "solver.tol_mono", 1e-8)
         max_iters = _get_int(raw, "solver.max_iters", 500)
-        for key, value in (
-            ("solver.tol_fp", tol_fp),
-            ("solver.tol_mono", tol_mono),
-        ):
-            if value is not None and value <= 0:
-                raise ConfigError(key, f"tolerance must be positive, got {value}")
+        if tol_fp is not None and tol_fp <= 0:
+            raise ConfigError("solver.tol_fp", f"tolerance must be positive, got {tol_fp}")
         if max_iters < 1:
             raise ConfigError("solver.max_iters", f"must be at least 1, got {max_iters}")
-        solver_cfg = SolverConfig(
-            tol_fp=tol_fp,
-            tol_mono=tol_mono,
-            max_iters=max_iters,
-        )
+        solver_cfg = SolverConfig(tol_fp=tol_fp, max_iters=max_iters)
 
         suite = _single(raw, "verify.suite") or "all"
         if suite not in SUITES:

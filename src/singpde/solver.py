@@ -64,7 +64,6 @@ __all__ = [
     "SolveResult",
     "SequenceResult",
     "SandwichSpec",
-    "ConvergenceFailure",
     "DEFAULT_SCHEDULE",
     "level_source",
     "solve_regularized",
@@ -77,10 +76,6 @@ __all__ = [
 ]
 
 DEFAULT_SCHEDULE = tuple(2**j for j in range(1, 11))  # 2, 4, ..., 1024
-
-
-class ConvergenceFailure(RuntimeError):
-    """A solve needed by a construction did not converge."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,13 +106,12 @@ class SolverConfig:
     A level is accepted once one Picard step moves the iterate by at most
     ``tol_fp`` in the max norm; ``tol_fp`` defaults to None and resolves to
     1e-10 in 1D and 1e-8 otherwise.  ``max_iters`` bounds the evaluations of
-    the Picard map per level.  ``tol_mono`` is the bound the verify suites
-    put on nodewise order violations; no solve reads it.
+    the Picard map per level.  The bounds that judge verify's checks are not
+    solver settings; they sit with the suites in ``cli``.
     """
 
     tol_fp: float | None = None
     max_iters: int = 500
-    tol_mono: float = 1e-8
 
     def resolved_tol_fp(self, grid: Grid) -> float:
         if self.tol_fp is not None:
@@ -170,7 +164,6 @@ class SequenceResult:
 @dataclass(eq=False)
 class _Prepared:
     grid: Grid
-    lap: DiscreteOperator
     h: SingularNonlinearity
     cap: float
     shift: float
@@ -179,7 +172,7 @@ class _Prepared:
     f_active: bool
 
 
-def _prepare(spec: ProblemSpec, lap: DiscreteOperator | None = None) -> _Prepared:
+def _prepare(spec: ProblemSpec) -> _Prepared:
     f_vals = sample_field(spec.grid, spec.f).values
     if np.any(f_vals < 0):
         raise ValueError("source f must be nonnegative at every node")
@@ -188,7 +181,6 @@ def _prepare(spec: ProblemSpec, lap: DiscreteOperator | None = None) -> _Prepare
     mu_vals = mollify(spec.mu, spec.grid, spec.n).values.values
     return _Prepared(
         grid=spec.grid,
-        lap=lap if lap is not None else build_laplacian(spec.grid),
         h=spec.h,
         cap=n,
         shift=1.0 / n,
@@ -221,8 +213,9 @@ def level_source(spec: ProblemSpec, u: GridFunction) -> GridFunction:
     return GridFunction(spec.grid, rhs)
 
 
-def _picard(prep: _Prepared, u: np.ndarray, arg_map):
-    """One step of the Picard map: ``(T(u), arg_map(u), h values)``.
+def _picard(prep: _Prepared, lap: DiscreteOperator, u: np.ndarray, arg_map):
+    """One step of the Picard map: ``(T(u), arg_map(u), h values)``, with
+    ``lap`` the Laplacian of ``prep.grid``.
 
     ``arg_map(u)`` is the argument of h (``np.abs`` for the plain scheme,
     ``SandwichSpec.clamp`` for the clamped one); it and the h values are
@@ -230,7 +223,7 @@ def _picard(prep: _Prepared, u: np.ndarray, arg_map):
     """
     arg = arg_map(u) if prep.f_active else None
     rhs, hv = _source(prep, arg)
-    return solve_spd(prep.lap, GridFunction(prep.grid, rhs)).values, arg, hv
+    return solve_spd(lap, GridFunction(prep.grid, rhs)).values, arg, hv
 
 
 # Forcing term of the inexact Newton solve: PCG stops once the linear
@@ -244,7 +237,9 @@ _MAX_CG_ITERS = 50
 _MIN_STEP = 1.0 / 64.0
 
 
-def _newton_direction(prep: _Prepared, r: np.ndarray, diag: np.ndarray):
+def _newton_direction(
+    prep: _Prepared, lap: DiscreteOperator, r: np.ndarray, diag: np.ndarray
+):
     """Inexact solution d of (A + diag(diag)) d = A r by PCG, preconditioned
     by the exact solve of A; returns d and the number of solves made.
 
@@ -270,7 +265,7 @@ def _newton_direction(prep: _Prepared, r: np.ndarray, diag: np.ndarray):
         res -= alpha * q
         if float(np.linalg.norm(res)) <= stop:
             break
-        z = solve_spd(prep.lap, GridFunction(prep.grid, res)).values
+        z = solve_spd(lap, GridFunction(prep.grid, res)).values
         solves += 1
         rz, rz_old = float(res @ z), rz
         beta = rz / rz_old
@@ -283,6 +278,7 @@ def _newton_direction(prep: _Prepared, r: np.ndarray, diag: np.ndarray):
 
 def _iterate(
     prep: _Prepared,
+    lap: DiscreteOperator,
     cfg: SolverConfig,
     tol_fp: float,
     initial: np.ndarray | None,
@@ -300,7 +296,7 @@ def _iterate(
     """
     solves = 0
     if initial is None:
-        u, _, _ = _picard(prep, np.zeros(prep.grid.interior_count), arg_map)
+        u, _, _ = _picard(prep, lap, np.zeros(prep.grid.interior_count), arg_map)
         solves += 1
     else:
         u = np.array(initial, dtype=float)
@@ -311,7 +307,7 @@ def _iterate(
     base_residual = np.inf
     step = 1.0
     for iterations in range(1, cfg.max_iters + 1):
-        r, arg, hv = _picard(prep, u, arg_map)
+        r, arg, hv = _picard(prep, lap, u, arg_map)
         solves += 1
         r -= u  # T(u) - u, in place
         residual = float(np.max(np.abs(r)))
@@ -332,7 +328,7 @@ def _iterate(
         # level solve's peak memory.
         del arg, hv, base_d
         base_u, base_residual, step = u, residual, 1.0
-        base_d, cg_solves = _newton_direction(prep, r, diag)
+        base_d, cg_solves = _newton_direction(prep, lap, r, diag)
         solves += cg_solves
         u = np.maximum(u + base_d, 0.5 * u)
         if not np.all(np.isfinite(u)):
@@ -363,6 +359,7 @@ def solve_regularized(
         require_same_grid(spec.grid, initial.grid)
     return _iterate(
         _prepare(spec),
+        build_laplacian(spec.grid),
         cfg,
         cfg.resolved_tol_fp(spec.grid),
         None if initial is None else initial.values,
@@ -395,8 +392,7 @@ def solve_sequence(
     max_diffs: list[float] = []
     prev: np.ndarray | None = None
     for n in schedule:
-        prep = _prepare(spec.with_level(n), lap=lap)
-        res = _iterate(prep, cfg, tol_fp, prev)
+        res = _iterate(_prepare(spec.with_level(n)), lap, cfg, tol_fp, prev)
         results.append(res)
         if not res.converged:
             return SequenceResult(
@@ -428,12 +424,7 @@ def monotone_check(v_sequence) -> float:
     """Worst nodewise decrease (v_n - v_{n+1})^+ over consecutive levels."""
     if len(v_sequence) < 2:
         raise ValueError("need at least two levels to check monotonicity")
-    for v in v_sequence[1:]:
-        require_same_grid(v_sequence[0].grid, v.grid)
-    return max(
-        float(np.max(np.clip(a.values - b.values, 0.0, None)))
-        for a, b in zip(v_sequence, v_sequence[1:])
-    )
+    return max(comparison_check(b, a) for a, b in zip(v_sequence, v_sequence[1:]))
 
 
 def comparison_check(u: GridFunction, v: GridFunction) -> float:
@@ -492,6 +483,7 @@ def solve_clamped(
     require_same_grid(spec.grid, sandwich.sub.grid)
     return _iterate(
         _prepare(spec),
+        build_laplacian(spec.grid),
         cfg,
         cfg.resolved_tol_fp(spec.grid),
         sandwich.sub.values,

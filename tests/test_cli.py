@@ -358,7 +358,9 @@ def test_verify_hopf_ratio_stable_at_box_corners(tmp_path):
     assert abs(float(stability[1]) - 1.0) <= 0.01
 
 
-@pytest.mark.parametrize("suite, expected_calls", [("all", 2), ("monotone", 1)])
+@pytest.mark.parametrize(
+    "suite, expected_calls", [("all", 2), ("monotone", 1), ("uniqueness", 0)]
+)
 def test_verify_solves_each_schedule_once(tmp_path, monkeypatch, suite, expected_calls):
     calls = []
 
@@ -370,6 +372,8 @@ def test_verify_solves_each_schedule_once(tmp_path, monkeypatch, suite, expected
     text = DIRAC_1D.replace("h.gamma = 0.5", "h.gamma = 1.5")
     cfg = write_cfg(tmp_path, text)
     assert main(["verify", cfg, "--out", str(tmp_path / "out"), "--suite", suite]) == 0
+    # A lone suite solves only the schedules it reads itself: uniqueness
+    # reads none.
     assert len(calls) == expected_calls
     assert len(set(calls)) == expected_calls
 
@@ -380,7 +384,7 @@ def test_verify_solves_no_level_problem_twice(tmp_path, monkeypatch):
     keys = []
     iterate = solver._iterate
 
-    def recording_iterate(prep, cfg, tol_fp, initial, arg_map=np.abs):
+    def recording_iterate(prep, lap, cfg, tol_fp, initial, arg_map=np.abs):
         keys.append((
             prep.grid.dim,
             prep.grid.cells_per_side,
@@ -391,7 +395,7 @@ def test_verify_solves_no_level_problem_twice(tmp_path, monkeypatch):
             None if initial is None else np.asarray(initial).tobytes(),
             arg_map,
         ))
-        return iterate(prep, cfg, tol_fp, initial, arg_map)
+        return iterate(prep, lap, cfg, tol_fp, initial, arg_map)
 
     monkeypatch.setattr(solver, "_iterate", recording_iterate)
     text = DIRAC_1D.replace("h.gamma = 0.5", "h.gamma = 1.5")
@@ -407,21 +411,16 @@ def test_verify_solves_the_measure_free_top_level_once(tmp_path, monkeypatch):
     top_levels = []
     iterate = solver._iterate
 
-    def recording_iterate(prep, cfg, tol_fp, initial, arg_map=np.abs):
+    def recording_iterate(prep, lap, cfg, tol_fp, initial, arg_map=np.abs):
         if prep.grid.cells_per_side == 32 and prep.cap == 64 and not prep.mu_vals.any():
             top_levels.append(arg_map)
-        return iterate(prep, cfg, tol_fp, initial, arg_map)
+        return iterate(prep, lap, cfg, tol_fp, initial, arg_map)
 
     monkeypatch.setattr(solver, "_iterate", recording_iterate)
     text = DIRAC_1D.replace("h.gamma = 0.5", "h.gamma = 1.5")
     cfg = write_cfg(tmp_path, text)
     assert main(["verify", cfg, "--out", str(tmp_path / "out"), "--suite", "all"]) == 0
     assert top_levels == [np.abs]
-
-
-def test_verify_sandwich_pair_is_built_on_the_measure_free_schedule(tmp_path):
-    run = cli._Run(RunConfig.from_file(write_cfg(tmp_path, DIRAC_1D)))
-    assert run.sandwich().sub is run.sequence(with_measure=False).final.u
 
 
 def test_verify_kato_unconverged_solve_exits_two(tmp_path, capsys):

@@ -56,7 +56,14 @@ def test_unknown_key_rejected(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "line", ["seed = 7", "solver.tol_seq = 1e-6", "h.theta = 1.0", "solver.damping = 0.5"]
+    "line",
+    [
+        "seed = 7",
+        "solver.tol_seq = 1e-6",
+        "h.theta = 1.0",
+        "solver.damping = 0.5",
+        "solver.tol_mono = 1e-8",
+    ],
 )
 def test_removed_keys_rejected(tmp_path, line):
     # Nothing read these keys, so they are no longer accepted.

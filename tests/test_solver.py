@@ -420,7 +420,7 @@ def test_clamped_and_plain_solves_respect_sandwich_and_comparison(gamma, c, posi
         mu=RadonMeasure(atoms=(((position,), mass),)),
         n=n,
     )
-    tol = SolverConfig().tol_mono
+    tol = 1e-8
     sw = sub_super(spec)
     clamped = solve_clamped(spec, sw)
     assert clamped.converged
@@ -514,3 +514,17 @@ def test_level_source_is_the_picard_maps_source(dim, cells):
     u = solve_regularized(spec).u
     image = sp.solve_spd(sp.build_laplacian(spec.grid), level_source(spec, u)).values
     assert np.allclose(image, picard_map(spec)(u.values), rtol=1e-14, atol=0.0)
+
+
+def test_level_source_builds_no_laplacian(monkeypatch):
+    # The source needs no operator; only the solves that apply T build one.
+    spec = atom_spec(2, 8, SingularNonlinearity.pure_power(1.5), n=64)
+    u = solve_regularized(spec).u
+
+    def no_laplacian(grid):
+        raise AssertionError("level_source built a Laplacian")
+
+    monkeypatch.setattr(sp.solver, "build_laplacian", no_laplacian)
+    source = level_source(spec, u)
+    assert source.grid is spec.grid
+    assert np.all(np.isfinite(source.values))
