@@ -13,7 +13,9 @@ observed numbers, and each suite holds the bounds that judge its rows; a
 solve that a suite needs and that does not converge ends the run with
 exit 2.  ``sweep`` runs the Cartesian product of the configured parameter
 grids and aggregates one row per run; the rows run in forked worker
-processes (``--threads`` of them), so ``sweep`` needs a POSIX system.
+processes (the config key ``threads`` sets how many), so ``sweep`` needs a
+POSIX system.  Only the output directory (``--out``, default ``out``) and
+verify's suite (``--suite``, default ``all``) are not config keys.
 All CSV output uses 17 significant digits so identical configurations
 reproduce byte-identical files.  Solution files are written column-wise:
 the node coordinates are formatted once per run and each level's values
@@ -31,6 +33,7 @@ categories ``nonconvergence``, ``linear_solve`` and ``infrastructure``.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -39,7 +42,7 @@ import numpy as np
 
 from . import diagnostics as diag
 from . import fields
-from .config import ConfigError, RunConfig, SUITES
+from .config import SWEEP_MEASURES, ConfigError, RunConfig
 from .measures import RadonMeasure, scale_measure
 from .mesh import GridFunction, LinearSolveError, build_grid, l1_norm, min_on_compact
 from .solver import (
@@ -232,11 +235,20 @@ def _suite_manufactured(cfg: RunConfig, run: _Run):
     if cfg.h.kind != "pure_power":
         return [_na("manufactured.error", "needs pure_power h")]
     gamma = cfg.h.gamma
+    # The cap min(n, h) must leave the manufactured source alone: n is at
+    # least twice h at the finest grid's first node, where u = sin(pi x) is
+    # least.  The first Picard step evaluates h(1/n) = n^gamma, so log n
+    # tells, without forming n, whether that overflows.
+    u_first = math.sin(math.pi / _MANUFACTURED_CELLS[-1])
+    log_n = max(math.log(10**6), math.log(2) - gamma * math.log(u_first))
+    if gamma * log_n >= math.log(sys.float_info.max):
+        return [_na("manufactured.error", "h(1/n) overflows at the n it needs")]
+    n = max(10**6, 2 * math.ceil(cfg.h(u_first)))
     f = fields.manufactured_singular(gamma)
     errors = {}
     for cells in _MANUFACTURED_CELLS:
         grid = build_grid(1, cells)
-        spec = ProblemSpec(grid=grid, h=cfg.h, f=f, mu=RadonMeasure(), n=10**6)
+        spec = ProblemSpec(grid=grid, h=cfg.h, f=f, mu=RadonMeasure(), n=n)
         res = solve_regularized(spec, cfg.solver)
         if not res.converged:
             raise _ConvergenceFailure(f"manufactured solve at cells={cells}")
@@ -310,7 +322,7 @@ def _suite_tails(cfg: RunConfig, run: _Run):
     rows = []
 
     grad = diag.discrete_gradient_magnitude(u)
-    thresholds = diag.default_thresholds(grad, floor=1.0)
+    thresholds = diag.default_thresholds(grad)
     fit = diag.marcinkiewicz_fit(diag.distribution_function(grad, thresholds, grid=u.grid))
     if not fit.conclusive:
         rows.append(_na("tails.gradient_slope", "inconclusive"))
@@ -322,7 +334,7 @@ def _suite_tails(cfg: RunConfig, run: _Run):
             _check("tails.gradient_r2", fit.r_squared, 0.9, fit.r_squared >= 0.9)
         )
 
-    thresholds = diag.default_thresholds(u.values, floor=1.0)
+    thresholds = diag.default_thresholds(u.values)
     fit = diag.marcinkiewicz_fit(diag.distribution_function(u, thresholds))
     if not fit.conclusive:
         rows.append(_na("tails.u_slope", "inconclusive"))
@@ -441,19 +453,11 @@ def _cmd_verify(cfg: RunConfig, suite: str, out_dir: Path) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _sweep_measure(name: str) -> RadonMeasure:
-    if name == "none":
-        return RadonMeasure()
-    if name == "dirac_center":
-        return RadonMeasure(atoms=(((0.5, 0.5, 0.5), 1.0),))
-    return RadonMeasure(density=fields.constant(1.0))  # uniform
-
-
 def _sweep_row(cfg: RunConfig, gamma: float, cells: int, measure_name: str):
     base = [gamma, cells, measure_name]
     try:
         spec = _spec_from_config(replace(
-            cfg, cells=cells, h=replace(cfg.h, gamma=gamma), mu=_sweep_measure(measure_name)
+            cfg, cells=cells, h=replace(cfg.h, gamma=gamma), mu=SWEEP_MEASURES[measure_name]
         ))
         seq = solve_sequence(spec, cfg.n_schedule, cfg.solver)
         final = seq.final
@@ -486,8 +490,8 @@ def _sweep_job(job: tuple) -> list:
     return _sweep_row(_worker_cfg, *job)
 
 
-def _cmd_sweep(cfg: RunConfig, out_dir: Path, threads: int) -> int:
-    """Run the sweep's rows in ``threads`` forked worker processes (POSIX
+def _cmd_sweep(cfg: RunConfig, out_dir: Path) -> int:
+    """Run the sweep's rows in ``cfg.threads`` forked worker processes (POSIX
     only) and write them to sweep.csv in sorted job order."""
     gammas = cfg.sweep_gammas
     cells_list = cfg.sweep_cells or (cfg.cells,)
@@ -505,7 +509,7 @@ def _cmd_sweep(cfg: RunConfig, out_dir: Path, threads: int) -> int:
     # so it reaches them through ``initargs``, which fork passes unpickled.
     # Only the job tuples and the finished rows cross the pipe.
     with ProcessPoolExecutor(
-        max_workers=min(threads, len(jobs)),
+        max_workers=min(cfg.threads, len(jobs)),
         mp_context=multiprocessing.get_context("fork"),
         initializer=_init_sweep_worker,
         initargs=(cfg,),
@@ -542,11 +546,9 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in ("solve", "verify", "sweep"):
         p = sub.add_parser(name)
         p.add_argument("config", help="path to a key-value config file")
-        p.add_argument("--out", default=None, help="output directory (takes precedence over output.dir)")
+        p.add_argument("--out", default="out", help="output directory (default: out)")
         if name == "verify":
-            p.add_argument("--suite", default=None, choices=SUITES)
-        if name == "sweep":
-            p.add_argument("--threads", type=int, default=None, help="worker processes, forked (POSIX only)")
+            p.add_argument("--suite", default="all", choices=(*_SUITE_RUNNERS, "all"))
     return parser
 
 
@@ -559,7 +561,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         return _reason(None, EXIT_CONFIG, "config", f"cannot read {args.config}: {exc}")
 
-    out_dir = Path(args.out if args.out is not None else cfg.out_dir)
+    out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -569,12 +571,8 @@ def main(argv=None) -> int:
         if args.command == "solve":
             return _cmd_solve(cfg, out_dir)
         if args.command == "verify":
-            suite = args.suite if args.suite is not None else cfg.suite
-            return _cmd_verify(cfg, suite, out_dir)
-        threads = args.threads if args.threads is not None else cfg.threads
-        if threads < 1:
-            raise ConfigError("--threads", f"must be at least 1, got {threads}")
-        return _cmd_sweep(cfg, out_dir, threads)
+            return _cmd_verify(cfg, args.suite, out_dir)
+        return _cmd_sweep(cfg, out_dir)
     except ConfigError as exc:
         return _reason(out_dir, EXIT_CONFIG, "config", str(exc))
     except LinearSolveError as exc:

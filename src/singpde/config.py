@@ -1,10 +1,9 @@
 """Flat key-value run configuration.
 
 One ``section.key = value`` per line, ``#`` starts a comment line, repeated
-keys are rejected except ``measure.atom`` which accumulates.  Every key can
-be overridden from the environment via SINGPDE_<KEY> with dots replaced by
-underscores (e.g. SINGPDE_H_GAMMA); SINGPDE_MEASURE_ATOM separates several
-atoms with semicolons.
+keys are rejected except ``measure.atom`` which accumulates.  The file is
+the only source of these settings; the verify suite and the output
+directory are command-line options of ``singpde`` and not keys.
 
 Every number must be finite: ``nan`` and ``inf`` are rejected under the key
 that holds them.
@@ -13,7 +12,6 @@ that holds them.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 from . import fields
@@ -21,25 +19,16 @@ from .measures import RadonMeasure
 from .singularity import SingularNonlinearity
 from .solver import DEFAULT_SCHEDULE, SolverConfig
 
-__all__ = ["ConfigError", "RunConfig", "load_raw_config", "ENV_PREFIX", "SUITES"]
-
-ENV_PREFIX = "SINGPDE_"
-
-SUITES = (
-    "lower_bound",
-    "monotone",
-    "energy_law",
-    "tails",
-    "kato",
-    "uniqueness",
-    "sandwich",
-    "manufactured",
-    "all",
-)
+__all__ = ["ConfigError", "RunConfig", "load_raw_config", "SWEEP_MEASURES"]
 
 _F_KINDS = ("zero", "constant", "gaussian_bump", "sin_pi", "manufactured_singular")
 _H_KINDS = ("pure_power", "shifted_power", "bounded_plateau")
-_SWEEP_MEASURES = ("none", "dirac_center", "uniform")
+# The measures a sweep row can use, by the name sweep.measure gives them.
+SWEEP_MEASURES = {
+    "none": RadonMeasure(),
+    "dirac_center": RadonMeasure(atoms=(((0.5, 0.5, 0.5), 1.0),)),
+    "uniform": RadonMeasure(density=fields.constant(1.0)),
+}
 
 KNOWN_KEYS = (
     "domain.dim",
@@ -60,15 +49,11 @@ KNOWN_KEYS = (
     "sequence.n_schedule",
     "solver.tol_fp",
     "solver.max_iters",
-    "verify.suite",
     "sweep.gamma",
     "sweep.cells",
     "sweep.measure",
-    "output.dir",
     "threads",
 )
-
-_REPEATABLE = ("measure.atom",)
 
 
 class ConfigError(ValueError):
@@ -79,13 +64,8 @@ class ConfigError(ValueError):
         self.key = key
 
 
-def _env_name(key: str) -> str:
-    return ENV_PREFIX + key.upper().replace(".", "_")
-
-
-def load_raw_config(path: str, environ=None) -> dict[str, list[str]]:
-    """Parse a config file into raw string values, then apply SINGPDE_* variables."""
-    environ = os.environ if environ is None else environ
+def load_raw_config(path: str) -> dict[str, list[str]]:
+    """Parse a config file into raw string values."""
     raw: dict[str, list[str]] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -97,21 +77,11 @@ def load_raw_config(path: str, environ=None) -> dict[str, list[str]]:
             key, value = stripped.split("=", 1)
             key = key.strip()
             value = value.strip()
-            if key == "atom":  # shorthand for measure.atom
-                key = "measure.atom"
             if key not in KNOWN_KEYS:
                 raise ConfigError(key, "unknown configuration key")
-            if key in raw and key not in _REPEATABLE:
+            if key in raw and key != "measure.atom":
                 raise ConfigError(key, "duplicate key")
             raw.setdefault(key, []).append(value)
-    for key in KNOWN_KEYS:
-        env_value = environ.get(_env_name(key))
-        if env_value is None:
-            continue
-        if key in _REPEATABLE:
-            raw[key] = [part.strip() for part in env_value.split(";") if part.strip()]
-        else:
-            raw[key] = [env_value]
     return raw
 
 
@@ -283,16 +253,14 @@ class RunConfig:
     mu: RadonMeasure
     n_schedule: tuple[int, ...]
     solver: SolverConfig
-    suite: str
-    out_dir: str
     threads: int
     sweep_gammas: tuple[float, ...]
     sweep_cells: tuple[int, ...]
     sweep_measures: tuple[str, ...]
 
     @classmethod
-    def from_file(cls, path: str, environ=None) -> "RunConfig":
-        return cls.from_raw(load_raw_config(path, environ=environ))
+    def from_file(cls, path: str) -> "RunConfig":
+        return cls.from_raw(load_raw_config(path))
 
     @classmethod
     def from_raw(cls, raw: dict[str, list[str]]) -> "RunConfig":
@@ -332,17 +300,13 @@ class RunConfig:
             raise ConfigError("solver.max_iters", f"must be at least 1, got {max_iters}")
         solver_cfg = SolverConfig(tol_fp=tol_fp, max_iters=max_iters)
 
-        suite = _single(raw, "verify.suite") or "all"
-        if suite not in SUITES:
-            raise ConfigError("verify.suite", f"must be one of {SUITES}, got {suite!r}")
-
         sweep_measures = tuple(
             str(s) for s in _get_list(raw, "sweep.measure", str, ())
         )
         for name in sweep_measures:
-            if name not in _SWEEP_MEASURES:
+            if name not in SWEEP_MEASURES:
                 raise ConfigError(
-                    "sweep.measure", f"must be one of {_SWEEP_MEASURES}, got {name!r}"
+                    "sweep.measure", f"must be one of {tuple(SWEEP_MEASURES)}, got {name!r}"
                 )
         sweep_cells = _get_list(raw, "sweep.cells", int, ())
         for c in sweep_cells:
@@ -367,8 +331,6 @@ class RunConfig:
             mu=mu,
             n_schedule=schedule,
             solver=solver_cfg,
-            suite=suite,
-            out_dir=_single(raw, "output.dir") or "out",
             threads=threads,
             sweep_gammas=sweep_gammas,
             sweep_cells=sweep_cells,

@@ -128,22 +128,19 @@ def distribution_function(
 _THRESHOLD_COUNT = 16
 _LO_PERCENTILE = 10.0
 _HI_PERCENTILE = 99.9
+# Tail estimates are only meaningful from threshold 1 upward.
+_THRESHOLD_FLOOR = 1.0
 
 
-def default_thresholds(values, floor: float | None = None) -> tuple[float, ...]:
-    """Log-spaced thresholds between two percentiles of |values|.
-
-    ``floor`` clamps the lower end; tail estimates are only meaningful from
-    threshold 1 upward, so tail fitting passes floor=1.0.
-    """
+def default_thresholds(values) -> tuple[float, ...]:
+    """Log-spaced thresholds between two percentiles of |values|, the lower
+    one raised to at least _THRESHOLD_FLOOR."""
     absvals = np.abs(np.asarray(values, dtype=float)).ravel()
     positive = absvals[absvals > 0]
     if positive.size == 0:
         return ()
-    lo = float(np.percentile(positive, _LO_PERCENTILE))
+    lo = max(float(np.percentile(positive, _LO_PERCENTILE)), _THRESHOLD_FLOOR)
     hi = float(np.percentile(positive, _HI_PERCENTILE))
-    if floor is not None:
-        lo = max(lo, floor)
     if hi <= 0:
         return ()
     if lo >= hi:

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -464,11 +465,27 @@ def test_verify_manufactured_suite(tmp_path):
     assert abs(float(by_name["manufactured.order_slope"][1]) - 2.0) <= 0.2
 
 
-def test_verify_suite_from_config_key(tmp_path):
-    cfg = write_cfg(tmp_path, DIRAC_1D + "verify.suite = monotone\n")
+def test_verify_manufactured_suite_passes_for_strong_singularity(tmp_path):
+    # At gamma = 5 the cap min(n, h) at n = 10^6 would be active at the first
+    # node of the 128-cell grid and change the problem that is solved.
+    cfg = write_cfg(tmp_path, DIRAC_1D.replace("h.gamma = 0.5", "h.gamma = 5"))
     out = tmp_path / "out"
-    assert main(["verify", cfg, "--out", str(out)]) == 0
-    assert (out / "verify_monotone.csv").exists()
+    assert main(["verify", cfg, "--out", str(out), "--suite", "manufactured"]) == 0
+    _, rows = read_rows(out / "verify_manufactured.csv")
+    assert [row[3] for row in rows] == ["pass", "pass"]
+
+
+def test_verify_manufactured_suite_huge_gamma_raises_no_warning(tmp_path):
+    # h(1/n) = n^gamma overflows for the n that gamma = 200 needs; the suite
+    # must say so instead of solving with an infinite source.
+    cfg = write_cfg(tmp_path, DIRAC_1D.replace("h.gamma = 0.5", "h.gamma = 200"))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["verify", cfg, "--out", str(out), "--suite", "manufactured"])
+    assert code == 0
+    _, rows = read_rows(out / "verify_manufactured.csv")
+    assert {row[3] for row in rows} <= {"na", "pass"}
 
 
 # -- sweep -------------------------------------------------------------------
@@ -478,13 +495,14 @@ SWEEP = DIRAC_1D + """
 sweep.gamma = 0.5, 1.0
 sweep.cells = 8, 16
 sweep.measure = none, dirac_center
+threads = 2
 """
 
 
 def test_sweep_product_rows(tmp_path):
     cfg = write_cfg(tmp_path, SWEEP)
     out = tmp_path / "out"
-    assert main(["sweep", cfg, "--out", str(out), "--threads", "2"]) == 0
+    assert main(["sweep", cfg, "--out", str(out)]) == 0
     header, rows = read_rows(out / "sweep.csv")
     assert len(rows) == 8  # 2 gammas x 2 cells x 2 measures
     assert header[:3] == ["gamma", "cells", "measure"]
@@ -508,7 +526,7 @@ def test_sweep_rows_run_outside_the_calling_process(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "solve_sequence", solve_outside_caller)
     cfg = write_cfg(tmp_path, SWEEP)
     out = tmp_path / "out"
-    assert main(["sweep", cfg, "--out", str(out), "--threads", "2"]) == 0
+    assert main(["sweep", cfg, "--out", str(out)]) == 0
     _, rows = read_rows(out / "sweep.csv")
     assert len(rows) == 8
     assert [r[3] for r in rows] == ["ok"] * 8
@@ -532,7 +550,7 @@ def test_sweep_worker_death_exits_two_without_hanging(tmp_path):
 
         cli._sweep_row = die_on_one_job
         cfg, out = sys.argv[1:]
-        sys.exit(cli.main(["sweep", cfg, "--out", out, "--threads", "2"]))
+        sys.exit(cli.main(["sweep", cfg, "--out", out]))
     """)
     src = str(Path(singpde.__file__).resolve().parents[1])
     proc = subprocess.run(
@@ -602,16 +620,17 @@ def test_sweep_nonconvergent_row_flagged_others_intact(tmp_path):
     assert status[2.0] == "nonconverged"
 
 
-def test_sweep_threads_flag_below_one_is_config_error(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, SWEEP)
+def test_sweep_threads_below_one_is_config_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, SWEEP.replace("threads = 2", "threads = 0"))
     out = tmp_path / "out"
-    assert main(["sweep", cfg, "--out", str(out), "--threads", "0"]) == 1
-    assert "reason,1,config,--threads: must be at least 1, got 0" in capsys.readouterr().out
+    assert main(["sweep", cfg, "--out", str(out)]) == 1
+    assert "reason,1,config,threads: must be at least 1, got 0" in capsys.readouterr().out
     assert not (out / "sweep.csv").exists()
 
 
-@pytest.mark.parametrize("command", ["solve", "verify"])
-def test_threads_flag_offered_only_by_sweep(tmp_path, capsys, command):
+@pytest.mark.parametrize("command", ["solve", "verify", "sweep"])
+def test_threads_flag_is_unrecognized(tmp_path, capsys, command):
+    # The worker count is the threads key and has no command-line flag.
     cfg = write_cfg(tmp_path, DIRAC_1D)
     assert main([command, cfg, "--out", str(tmp_path / "out"), "--threads", "2"]) == 1
     assert "reason,1,config,usage: unrecognized arguments: --threads 2" in capsys.readouterr().out
@@ -622,7 +641,7 @@ def test_threads_flag_offered_only_by_sweep(tmp_path, capsys, command):
     [
         (["solve", "{cfg}", "--bogus"], "unrecognized arguments: --bogus"),
         (["verify", "{cfg}", "--suite", "nope"], "argument --suite: invalid choice: 'nope'"),
-        (["sweep", "{cfg}", "--threads", "two"], "argument --threads: invalid int value"),
+        (["sweep", "{cfg}", "--suite", "all"], "unrecognized arguments: --suite all"),
         ([], "the following arguments are required: command"),
     ],
 )
@@ -641,8 +660,9 @@ def test_help_exits_zero(capsys):
 
 
 def test_sweep_deterministic(tmp_path):
-    cfg = write_cfg(tmp_path, SWEEP)
+    cfg1 = write_cfg(tmp_path, SWEEP.replace("threads = 2", "threads = 3"), "a.cfg")
+    cfg2 = write_cfg(tmp_path, SWEEP.replace("threads = 2", "threads = 1"), "b.cfg")
     out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert main(["sweep", cfg, "--out", str(out1), "--threads", "3"]) == 0
-    assert main(["sweep", cfg, "--out", str(out2), "--threads", "1"]) == 0
+    assert main(["sweep", cfg1, "--out", str(out1)]) == 0
+    assert main(["sweep", cfg2, "--out", str(out2)]) == 0
     assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()

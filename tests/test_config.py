@@ -20,7 +20,6 @@ f.value = 1.0
 measure.atom = [0.5, 0.5, 0.5, 1.0]
 sequence.n_schedule = 2, 4, 8
 solver.tol_fp = 1e-10
-output.dir = out
 """
 
 
@@ -35,11 +34,15 @@ def test_parse_basic_config(tmp_path):
 
 
 def test_atoms_accumulate_and_bare_key(tmp_path):
-    text = BASIC + "atom = [0.25, 0.5, 0.5, 2.0]\n"
+    text = BASIC + "measure.atom = [0.25, 0.5, 0.5, 2.0]\n"
     cfg = RunConfig.from_file(write(tmp_path, text))
     assert len(cfg.mu.atoms) == 2
     masses = sorted(m for _, m in cfg.mu.atoms)
     assert masses == [1.0, 2.0]
+    # The bare key is no alias of measure.atom: one key per setting.
+    with pytest.raises(ConfigError) as err:
+        RunConfig.from_file(write(tmp_path, BASIC + "atom = [0.25, 0.5, 0.5, 2.0]\n"))
+    assert err.value.key == "atom"
 
 
 def test_duplicate_key_rejected(tmp_path):
@@ -63,10 +66,14 @@ def test_unknown_key_rejected(tmp_path):
         "h.theta = 1.0",
         "solver.damping = 0.5",
         "solver.tol_mono = 1e-8",
+        "verify.suite = kato",
+        "output.dir = out",
+        "atom = [0.5, 0.5, 0.5, 1.0]",
     ],
 )
 def test_removed_keys_rejected(tmp_path, line):
-    # Nothing read these keys, so they are no longer accepted.
+    # Nothing read these keys, or a command-line option or another key sets
+    # the same value, so they are no longer accepted.
     with pytest.raises(ConfigError) as err:
         RunConfig.from_file(write(tmp_path, BASIC + line + "\n"))
     assert line.split(" =")[0] in str(err.value)
@@ -92,11 +99,14 @@ def test_negative_gamma_names_offending_key(tmp_path):
             "[0.5, 0.5, 0.5, 1.0]", "[0.5, 0.5, 0.5, nan]", "measure.atom", id="atom-mass-nan"
         ),
         pytest.param(
-            "output.dir = out", "sweep.gamma = 0.5, nan", "sweep.gamma", id="sweep-gamma-nan"
+            "solver.tol_fp = 1e-10",
+            "solver.tol_fp = 1e-10\nsweep.gamma = 0.5, nan",
+            "sweep.gamma",
+            id="sweep-gamma-nan",
         ),
         pytest.param(
-            "output.dir = out",
-            "measure.density = constant(inf)",
+            "solver.tol_fp = 1e-10",
+            "solver.tol_fp = 1e-10\nmeasure.density = constant(inf)",
             "measure.density",
             id="density-inf",
         ),
@@ -160,27 +170,13 @@ def test_negative_density_rejected(tmp_path, density):
     assert err.value.key == "measure.density"
 
 
-def test_env_override(tmp_path, monkeypatch):
+def test_environment_does_not_override_the_file(tmp_path, monkeypatch):
+    # The file is the only source of a run's settings.
     monkeypatch.setenv("SINGPDE_H_GAMMA", "2.0")
     monkeypatch.setenv("SINGPDE_DOMAIN_CELLS", "16")
     cfg = RunConfig.from_file(write(tmp_path, BASIC))
-    assert cfg.h.gamma == 2.0
-    assert cfg.cells == 16
-
-
-def test_env_override_atoms_semicolon_list(tmp_path, monkeypatch):
-    monkeypatch.setenv(
-        "SINGPDE_MEASURE_ATOM", "[0.3, 0.5, 0.5, 1.0]; [0.7, 0.5, 0.5, 2.0]"
-    )
-    cfg = RunConfig.from_file(write(tmp_path, BASIC))
-    assert len(cfg.mu.atoms) == 2
-
-
-def test_verify_suite_validation(tmp_path):
-    cfg = RunConfig.from_file(write(tmp_path, BASIC + "verify.suite = kato\n"))
-    assert cfg.suite == "kato"
-    with pytest.raises(ConfigError):
-        RunConfig.from_file(write(tmp_path, BASIC + "verify.suite = everything\n"))
+    assert cfg.h.gamma == 0.5
+    assert cfg.cells == 32
 
 
 def test_malformed_line_rejected(tmp_path):
@@ -195,5 +191,4 @@ def test_defaults_when_keys_absent(tmp_path):
     assert cfg.f.name == "constant"
     assert cfg.mu.atoms == () and cfg.mu.density is None
     assert cfg.n_schedule[-1] == 1024
-    assert cfg.suite == "all"
     assert cfg.threads == 1
