@@ -23,11 +23,12 @@ fill them in with one formatting call, giving the same bytes as formatting
 every value on its own.
 
 Exit codes: 0 ok, 1 configuration or usage error, 2 nonconvergence, a
-linear solve that failed its backward-error check or an infrastructure
-failure, 3 failed check or invariant violation.  Every nonzero exit is
-accompanied by a machine-readable ``reason,<code>,<category>,<detail>`` line
-on stdout (and reason.csv when the output directory exists); exit 2 has the
-categories ``nonconvergence``, ``linear_solve`` and ``infrastructure``.
+linear solve that failed its backward-error check, floating-point overflow
+in a level solve or an infrastructure failure, 3 failed check or invariant
+violation.  Every nonzero exit is accompanied by a machine-readable
+``reason,<code>,<category>,<detail>`` line on stdout (and reason.csv when
+the output directory exists); exit 2 has the categories ``nonconvergence``,
+``linear_solve``, ``overflow`` and ``infrastructure``.
 """
 
 from __future__ import annotations
@@ -398,12 +399,15 @@ def _suite_sandwich(cfg: RunConfig, run: _Run):
         raise _ConvergenceFailure(f"Hopf-ratio solve at cells={2 * cfg.cells}")
     ratios = [hopf_ratio_check(sandwich.sub), hopf_ratio_check(v.u)]
     rows.append(_check("sandwich.hopf_ratio", ratios[0], ">0", ratios[0] > 0))
-    stable = ratios[0] > 0 and 0.5 <= ratios[1] / ratios[0] <= 2.0
+    # min v/phi_1 settles under refinement: the ratio across the doubling
+    # read 1.002 to 1.031 from 1D/16 to 3D/24 (gamma 1.5, one centre atom),
+    # and 0.70 to 0.88 with v^2 fed for v.
+    stable = ratios[0] > 0 and 0.9 <= ratios[1] / ratios[0] <= 1.1
     rows.append(
         _check(
             "sandwich.hopf_ratio_stability",
             ratios[1] / ratios[0] if ratios[0] > 0 else float("nan"),
-            "0.5..2",
+            "0.9..1.1",
             stable,
         )
     )
@@ -577,6 +581,8 @@ def main(argv=None) -> int:
         return _reason(out_dir, EXIT_CONFIG, "config", str(exc))
     except LinearSolveError as exc:
         return _reason(out_dir, EXIT_NONCONVERGENCE, "linear_solve", str(exc))
+    except OverflowError as exc:
+        return _reason(out_dir, EXIT_NONCONVERGENCE, "overflow", str(exc))
     except Exception as exc:  # infrastructure failure
         return _reason(out_dir, EXIT_NONCONVERGENCE, "infrastructure", f"{type(exc).__name__}: {exc}")
 

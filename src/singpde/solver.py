@@ -201,7 +201,7 @@ def _source(prep: _Prepared, arg: np.ndarray | None):
     hv = eval_h_n(prep.h, prep.cap, arg + prep.shift)
     rhs = hv * prep.f_capped + prep.mu_vals
     if not np.all(np.isfinite(rhs)):
-        raise RuntimeError("right-hand side overflowed during Picard step")
+        raise OverflowError("right-hand side overflowed during Picard step")
     return rhs, hv
 
 
@@ -263,7 +263,9 @@ def _newton_direction(
         alpha = rz / float(p @ q)
         d += alpha * p
         res -= alpha * q
-        if float(np.linalg.norm(res)) <= stop:
+        # Written so that a non-finite norm (overflow) also ends the loop;
+        # the caller's finiteness check on the new iterate reports it.
+        if not stop < float(np.linalg.norm(res)) < np.inf:
             break
         z = solve_spd(lap, GridFunction(prep.grid, res)).values
         solves += 1
@@ -276,6 +278,7 @@ def _newton_direction(
     return d, solves
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _iterate(
     prep: _Prepared,
     lap: DiscreteOperator,
@@ -292,7 +295,8 @@ def _iterate(
     1/n)| where the clamp is inactive, and moves to max(u + d, u/2).  A step
     that does not lower max|w - u| below its base is halved from the base.
     The returned u is the last one judged, so ``residual`` is its own
-    max|T(u) - u|.
+    max|T(u) - u|.  Floating-point overflow raises no warning here: a
+    non-finite source or iterate raises OverflowError instead.
     """
     solves = 0
     if initial is None:
@@ -332,7 +336,7 @@ def _iterate(
         solves += cg_solves
         u = np.maximum(u + base_d, 0.5 * u)
         if not np.all(np.isfinite(u)):
-            raise RuntimeError("Newton iterate contains non-finite values")
+            raise OverflowError("Newton iterate contains non-finite values")
     return SolveResult(
         u=GridFunction(prep.grid, u),
         iterations=iterations,

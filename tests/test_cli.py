@@ -16,7 +16,7 @@ import singpde.solver as solver
 from singpde.cli import _fmt, _solution_rows_template, main
 from singpde.config import RunConfig
 from singpde.measures import RadonMeasure
-from singpde.mesh import build_grid, build_laplacian, l1_norm, solve_spd
+from singpde.mesh import GridFunction, build_grid, build_laplacian, l1_norm, solve_spd
 from singpde.singularity import SingularNonlinearity
 from singpde.solver import ProblemSpec, solve_sequence
 
@@ -98,6 +98,26 @@ def test_solve_failed_linear_solve_has_its_own_reason(tmp_path, monkeypatch, cap
     assert main(["solve", cfg, "--out", str(out)]) == 2
     assert "reason,2,linear_solve,sine-transform solve failed" in capsys.readouterr().out
     assert (out / "reason.csv").read_text().splitlines()[1].startswith("2,linear_solve,")
+
+
+def test_solve_overflow_exits_two_as_overflow_without_warning(tmp_path):
+    # At n = 10^200 the source n f = 10^400 does not fit a float; the Newton
+    # step overflows first.  It used to print numpy's overflow warnings and
+    # exit as an infrastructure failure.
+    text = "\n".join([
+        "domain.dim = 1",
+        "domain.cells = 16",
+        "f.value = 1e200",
+        f"sequence.n_schedule = 2, {10**200}",
+    ]) + "\n"
+    cfg = write_cfg(tmp_path, text)
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["solve", cfg, "--out", str(out)])
+    assert code == 2
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert (out / "reason.csv").read_text().splitlines()[1].startswith("2,overflow,")
 
 
 def test_solve_linear_solves_column_counts_every_solve(tmp_path, monkeypatch):
@@ -357,6 +377,29 @@ def test_verify_hopf_ratio_stable_at_box_corners(tmp_path):
     stability = rows["sandwich.hopf_ratio_stability"]
     assert stability[3] == "pass"
     assert abs(float(stability[1]) - 1.0) <= 0.01
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_verify_hopf_ratio_stability_fails_for_squared_subsolution(tmp_path, monkeypatch, dim):
+    # Fed v^2 for v, the ratio across the doubling read 0.70 on 1D/64 and
+    # 0.71 on 2D/64, inside the former 0.5..2 band.
+    real = cli.hopf_ratio_check
+    monkeypatch.setattr(
+        cli, "hopf_ratio_check", lambda v: real(GridFunction(v.grid, v.values**2))
+    )
+    text = "\n".join([
+        f"domain.dim = {dim}",
+        "domain.cells = 64",
+        "h.gamma = 1.5",
+        "measure.atom = [0.5, 0.5, 0.5, 1.0]",
+    ]) + "\n"
+    cfg = write_cfg(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["verify", cfg, "--out", str(out), "--suite", "sandwich"]) == 3
+    _, rows = read_rows(out / "verify_sandwich.csv")
+    rows = {row[0]: row for row in rows}
+    assert rows["sandwich.hopf_ratio_stability"][3] == "fail"
+    assert float(rows["sandwich.hopf_ratio_stability"][1]) < 0.9
 
 
 @pytest.mark.parametrize(

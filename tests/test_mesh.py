@@ -12,7 +12,8 @@ from singpde import (
     sample_field,
     solve_spd,
 )
-from singpde.mesh import _apply, _dst1
+import singpde.mesh as mesh
+from singpde.mesh import _DENSE_MAX, _apply, _dst1, _sine_transform
 
 
 def test_build_grid_1d_nodes():
@@ -75,14 +76,89 @@ def test_apply_matches_assembled_matrix(dim, cells):
     assert np.max(np.abs(_apply(g, x) - build_laplacian(g).matrix @ x)) <= bound
 
 
+def _explicit_dst(a, axes):
+    """Unnormalised DST-I of ``a`` along ``axes``, by the explicit sine sum."""
+    for axis in axes:
+        m = a.shape[axis]
+        j = np.arange(1, m + 1)
+        s = 2.0 * np.sin(np.pi * np.outer(j, j) / (m + 1))
+        a = np.moveaxis(np.tensordot(s, a, axes=([1], [axis])), 0, axis)
+    return a
+
+
 @pytest.mark.parametrize("shape", [(1,), (6,), (5, 3), (1, 1, 1), (4, 2, 3)])
 def test_dst1_matches_explicit_sine_sum(shape):
     a = np.random.default_rng(len(shape)).uniform(-1.0, 1.0, shape)
-    for axis, m in enumerate(shape):
-        j = np.arange(1, m + 1)
-        s = 2.0 * np.sin(np.pi * np.outer(j, j) / (m + 1))
-        expected = np.moveaxis(np.tensordot(s, a, axes=([1], [axis])), 0, axis)
+    for axis in range(len(shape)):
+        expected = _explicit_dst(a, [axis])
         np.testing.assert_allclose(_dst1(a, axis), expected, rtol=0, atol=1e-14)
+
+
+def _check_sine_transform(dim, cells):
+    op = build_laplacian(build_grid(dim, cells))
+    assert (op.sine is not None) == (cells - 1 <= mesh._DENSE_MAX)
+    a = np.random.default_rng(cells).uniform(-1.0, 1.0, op.grid.shape)
+    expected = _explicit_dst(a, range(dim))
+    atol = 1e-13 * np.max(np.abs(expected))
+    np.testing.assert_allclose(_sine_transform(op, a), expected, rtol=0, atol=atol)
+
+
+# Both sides of the cutoff: the last axis length with a dense sine matrix
+# and the first that takes the FFT.
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("cells", [_DENSE_MAX + 1, _DENSE_MAX + 2])
+def test_sine_transform_matches_explicit_sum_at_cutoff(dim, cells):
+    _check_sine_transform(dim, cells)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("cells", [7, 8])
+def test_sine_transform_matches_explicit_sum_at_lowered_cutoff(monkeypatch, dim, cells):
+    # A 3D lattice at the real cutoff would hold 11 million nodes; the same
+    # switch on a cutoff of 6 unknowns covers every dimension.
+    monkeypatch.setattr(mesh, "_DENSE_MAX", 6)
+    _check_sine_transform(dim, cells)
+
+
+def test_laplacian_stores_sine_matrix_only_up_to_cutoff():
+    m = _DENSE_MAX
+    sine = build_laplacian(build_grid(1, m + 1)).sine
+    assert sine.shape == (m, m)
+    for dim, cells in ((1, m + 2), (2, m + 2), (1, 2048)):
+        assert build_laplacian(build_grid(dim, cells)).sine is None
+
+
+def test_sine_matrix_entries_are_accurate_at_cutoff():
+    # Reducing j k mod 2(m + 1) keeps every entry within a few ulp; the
+    # unreduced arguments, up to pi m, cost 2.5e-13 at m = 223.
+    m = _DENSE_MAX
+    k = np.arange(1, m + 1)
+    pi = np.arccos(np.longdouble(-1.0))
+    exact = 2 * np.sin(pi * (np.outer(k, k) % (2 * (m + 1))) / (m + 1))
+    sine = build_laplacian(build_grid(1, m + 1)).sine
+    assert float(np.max(np.abs(sine - exact))) <= 1e-14
+
+
+@pytest.mark.parametrize("dim, cells", [(1, _DENSE_MAX + 1), (2, _DENSE_MAX + 1), (3, 24)])
+def test_solve_dense_and_fft_transforms_agree(dim, cells):
+    g = build_grid(dim, cells)
+    op = build_laplacian(g)
+    assert op.sine is not None
+    rhs = GridFunction(g, np.random.default_rng(3).uniform(0.0, 1.0, g.interior_count))
+    dense = solve_spd(op, rhs).values
+    fft = solve_spd(replace(op, sine=None), rhs).values
+    assert np.max(np.abs(dense - fft)) <= 1e-14 * np.max(np.abs(fft))
+
+
+def test_solve_rejects_corrupted_sine_matrix():
+    g = build_grid(3, 8)
+    op = build_laplacian(g)
+    bad = op.sine.copy()
+    bad[2, 4] += 1e-3
+    rhs = GridFunction(g, np.ones(g.interior_count))
+    with pytest.raises(LinearSolveError) as err:
+        solve_spd(replace(op, sine=bad), rhs)
+    assert err.value.residual > 1e-6
 
 
 def test_laplacian_is_exactly_symmetric():

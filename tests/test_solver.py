@@ -528,3 +528,10 @@ def test_level_source_builds_no_laplacian(monkeypatch):
     source = level_source(spec, u)
     assert source.grid is spec.grid
     assert np.all(np.isfinite(source.values))
+
+
+def test_overflowing_source_raises_overflow_error():
+    # h_n(1/n) f_n = n^2 = 10^400 at n = 10^200 with f = 10^200.
+    spec = spec_1d(cells=8, h=SingularNonlinearity.pure_power(1.5), f=constant(1e200), n=10**200)
+    with pytest.raises(OverflowError, match="right-hand side"):
+        solve_regularized(spec)
