@@ -18,9 +18,9 @@ POSIX system.  Only the output directory (``--out``, default ``out``) and
 verify's suite (``--suite``, default ``all``) are not config keys.
 All CSV output uses 17 significant digits so identical configurations
 reproduce byte-identical files.  Solution files are written column-wise:
-the node coordinates are formatted once per run and each level's values
-fill them in with one formatting call, giving the same bytes as formatting
-every value on its own.
+each axis coordinate is formatted once per run, the node rows are joined
+from those texts, and each level's values fill them in with one formatting
+call, giving the same bytes as formatting every value on its own.
 
 Exit codes: 0 ok, 1 configuration or usage error, 2 nonconvergence, a
 linear solve that failed its backward-error check, floating-point overflow
@@ -34,6 +34,7 @@ the output directory exists); exit 2 has the categories ``nonconvergence``,
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import sys
 from dataclasses import replace
@@ -87,17 +88,19 @@ def _write_csv(path: Path, header, rows) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _solution_rows_template(coords: np.ndarray) -> str:
-    """CSV rows of the nodes in ``coords`` (shape (nodes, dim)), with the
-    coordinates formatted and a ``%.17g`` placeholder for each node's value.
+def _solution_rows_template(axis: np.ndarray, dim: int) -> str:
+    """CSV rows of the lattice nodes whose coordinates run over ``axis`` along
+    each of ``dim`` axes, in C order (the order of ``Grid.node_coords``), with
+    the coordinates formatted and a ``%.17g`` placeholder for each node's value.
 
-    ``"%.17g" % x`` is the text ``_fmt`` gives a float, and formatted numbers
-    contain no ``%``, so ``template % tuple(values)`` writes a whole
-    solution file in one call while the coordinates are formatted once.
+    Each axis value is formatted once, and the rows join the texts in
+    ``itertools.product`` order.  ``"%.17g" % x`` is the text ``_fmt`` gives
+    a float, and formatted numbers contain no ``%``, so
+    ``template % tuple(values)`` writes a whole solution file in one call.
     """
-    nodes, dim = coords.shape
-    row = "%.17g," * dim + "%%.17g\n"
-    return (row * nodes) % tuple(coords.ravel().tolist())
+    texts = ["%.17g," % x for x in axis.tolist()]
+    rows = map("".join, itertools.product(texts, repeat=dim))
+    return "%.17g\n".join(rows) + "%.17g\n"
 
 
 def _reason(out_dir: Path | None, code: int, category: str, detail: str) -> int:
@@ -126,7 +129,9 @@ def _cmd_solve(cfg: RunConfig, out_dir: Path) -> int:
     seq = solve_sequence(spec, cfg.n_schedule, cfg.solver)
 
     names = ("x", "y", "z")[: cfg.dim] + ("u",)
-    template = ",".join(names) + "\n" + _solution_rows_template(spec.grid.node_coords)
+    grid = spec.grid
+    axis = grid.node_coords[: grid.cells_per_side - 1, -1]  # the last axis runs fastest
+    template = ",".join(names) + "\n" + _solution_rows_template(axis, grid.dim)
     for n, res in zip(seq.n_schedule, seq.results):
         text = template % tuple(res.u.values.tolist())
         (out_dir / f"solution_n{n}.csv").write_text(text, encoding="utf-8")

@@ -9,16 +9,19 @@ transforms and one division by the eigenvalues (the fast Poisson solver of
 Buzbee, Golub and Nielson, 1970).  Along axes of at most ``_DENSE_MAX``
 unknowns the transform is a product with the dense sine matrix (Lynch, Rice
 and Thomas, 1964), which BLAS does faster than an FFT there; longer axes use
-the FFT.  A backward-error check, independent of the transform, guards every
-solve; it applies the stencil matrix-free on the lattice, so no solve needs
-``scipy``.  The operator's sparse CSR matrix is assembled, and
-``scipy.sparse`` imported, only when ``DiscreteOperator.matrix`` is first
-read.  Everything here is value-semantic: build and solve are pure
-functions, safe to call concurrently on distinct inputs.
+the FFT.  Every solve runs in one array kernel, ``_solve``, with the
+transforms and a backward-error guard independent of them, which applies the
+stencil matrix-free on the lattice, so no solve needs ``scipy``;
+``solve_spd`` is its GridFunction wrapper.  The operator's sparse CSR matrix
+is assembled, and ``scipy.sparse`` imported, only when
+``DiscreteOperator.matrix`` is first read.  Everything here is
+value-semantic: build and solve are pure functions, safe to call
+concurrently on distinct inputs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -55,6 +58,8 @@ _MARGIN_EPS = 1e-12
 # or a corrupted transform leaves a residual comparable to max|b| itself,
 # many orders of magnitude above the bound.
 _BACKWARD_ERROR_FACTOR = 64.0
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 
 # Longest axis (in unknowns) whose DST-I is a dense matrix product; longer
 # ones use the FFT.  Per axis with one BLAS thread (2-core x86-64), dense
@@ -88,7 +93,7 @@ class Grid:
     node_coords: np.ndarray  # (interior_count, dim), C-ordered lattice
     boundary_distance: np.ndarray  # (interior_count,)
 
-    @property
+    @cached_property
     def shape(self) -> tuple[int, ...]:
         return (self.cells_per_side - 1,) * self.dim
 
@@ -236,6 +241,14 @@ def build_laplacian(grid: Grid) -> DiscreteOperator:
     return DiscreteOperator(grid=grid, eigenvalues=eigenvalues, sine=sine)
 
 
+# Per dimension, the index tuples of the (lower, upper) ends of the stencil
+# edges along each axis; the axes after it are taken whole.
+_SHIFTS = {
+    d: [((slice(None),) * a + np.s_[:-1,], (slice(None),) * a + np.s_[1:,]) for a in range(d)]
+    for d in (1, 2, 3)
+}
+
+
 def _apply(grid: Grid, x: np.ndarray) -> np.ndarray:
     """A x for the (2*dim+1)-point stencil on the lattice, boundary values 0.
 
@@ -244,34 +257,22 @@ def _apply(grid: Grid, x: np.ndarray) -> np.ndarray:
     """
     u = x.reshape(grid.shape)
     y = (2.0 * grid.dim) * u
-    for axis in range(grid.dim):
-        lo = _along(grid.dim, axis, slice(None, -1))
-        hi = _along(grid.dim, axis, slice(1, None))
+    for lo, hi in _SHIFTS[grid.dim]:
         y[lo] -= u[hi]
         y[hi] -= u[lo]
     y *= 1.0 / grid.spacing**2
     return y.ravel()
 
 
-def _along(ndim: int, axis: int, index) -> tuple:
-    """Index tuple selecting ``index`` along ``axis`` and everything elsewhere."""
-    return (slice(None),) * axis + (index,) + (slice(None),) * (ndim - axis - 1)
-
-
 def _dst1(a: np.ndarray, axis: int) -> np.ndarray:
     """Unnormalised DST-I along one axis, y_k = 2 sum_j a_j sin(pi j k / (m+1)),
     read off the real FFT of the odd extension [0, a, 0, -reversed(a)]."""
-    m = a.shape[axis]
-
-    def at(index):
-        return _along(a.ndim, axis, index)
-
-    extended = np.empty(a.shape[:axis] + (2 * m + 2,) + a.shape[axis + 1 :])
-    extended[at(0)] = 0.0
-    extended[at(slice(1, m + 1))] = a
-    extended[at(m + 1)] = 0.0
-    np.negative(np.flip(a, axis), out=extended[at(slice(m + 2, None))])
-    return -np.fft.rfft(extended, axis=axis).imag[at(slice(1, -1))]
+    a = a.swapaxes(axis, -1)
+    m = a.shape[-1]
+    extended = np.zeros(a.shape[:-1] + (2 * m + 2,))
+    extended[..., 1 : m + 1] = a
+    np.negative(a[..., ::-1], out=extended[..., m + 2 :])
+    return (-np.fft.rfft(extended).imag[..., 1:-1]).swapaxes(-1, axis)
 
 
 def _sine_transform(op: DiscreteOperator, y: np.ndarray) -> np.ndarray:
@@ -292,8 +293,9 @@ def _sine_transform(op: DiscreteOperator, y: np.ndarray) -> np.ndarray:
     return y
 
 
-def solve_spd(op: DiscreteOperator, rhs: GridFunction) -> GridFunction:
-    """Solve op @ x = rhs exactly by the sine-transform Poisson solver.
+def _solve(op: DiscreteOperator, b: np.ndarray) -> np.ndarray:
+    """x with op @ x = b for a finite flat array ``b``: the one Laplacian
+    solve of the package.
 
     With S the unnormalised DST-I along every axis, S S = (2 cells_per_side)^dim
     times the identity and S diagonalises op, so x = S(S b / eigenvalues) /
@@ -303,25 +305,35 @@ def solve_spd(op: DiscreteOperator, rhs: GridFunction) -> GridFunction:
     ``op.matrix``): a backward error max|A x - b| above
     _BACKWARD_ERROR_FACTOR * eps * (||A||_inf (max|x| + tiny) + max|b|)
     raises LinearSolveError, so a wrong eigenvalue or sine matrix is caught.
+    A non-finite max|x|, the sign that the transforms overflowed on a ``b``
+    near the float limit, raises OverflowError.
     """
-    require_same_grid(op.grid, rhs.grid)
     grid = op.grid
-    y = _sine_transform(op, rhs.reshape()) / op.eigenvalues
+    y = _sine_transform(op, b.reshape(grid.shape)) / op.eigenvalues
     x = _sine_transform(op, y).ravel() / (2.0 * grid.cells_per_side) ** grid.dim
 
-    b = rhs.values
-    residual = float(np.max(np.abs(_apply(grid, x) - b)))
+    residual = float(np.abs(_apply(grid, x) - b).max())
+    x_max = float(np.abs(x).max())
+    if not math.isfinite(x_max):
+        raise OverflowError("sine-transform solve overflowed: the solution is not finite")
     a_norm = 4.0 * grid.dim / grid.spacing**2
-    finfo = np.finfo(float)
-    bound = _BACKWARD_ERROR_FACTOR * finfo.eps * (
-        a_norm * (float(np.max(np.abs(x))) + finfo.tiny) + float(np.max(np.abs(b)))
-    )
+    bound = _BACKWARD_ERROR_FACTOR * _EPS * (a_norm * (x_max + _TINY) + float(np.abs(b).max()))
     if not residual <= bound:
         raise LinearSolveError(
             f"sine-transform solve failed its backward-error check: "
             f"max|Ax - b| = {residual:.3e} > {bound:.3e}",
             residual=residual,
         )
+    return x
+
+
+def solve_spd(op: DiscreteOperator, rhs: GridFunction) -> GridFunction:
+    """Solve op @ x = rhs exactly by the sine-transform Poisson solver
+    ``_solve``: LinearSolveError when its backward-error guard fails, and
+    OverflowError, without numpy warnings, when the transforms overflow."""
+    require_same_grid(op.grid, rhs.grid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = _solve(op, rhs.values)
     return GridFunction(rhs.grid, x)
 
 

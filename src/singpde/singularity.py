@@ -59,7 +59,7 @@ class SingularNonlinearity:
     def __call__(self, s):
         """Evaluate h(s) for s > 0 (scalar or array)."""
         arr = np.asarray(s, dtype=float)
-        if np.any(arr <= 0.0):
+        if (arr <= 0.0).any():
             raise ValueError("h is only defined for positive arguments")
         if self.kind == "pure_power":
             out = arr ** (-self.gamma)

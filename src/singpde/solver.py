@@ -23,6 +23,10 @@ are driven along a geometric schedule n = 2, 4, ..., 1024 with warm starts,
 and successive differences are tracked in the discrete L1 norm, the natural
 norm for the limit passage.
 
+A level runs on plain arrays and solves with the kernel ``mesh._solve``; a
+GridFunction is built only where a value leaves: ``SolveResult.u``,
+``level_source`` and the sandwich pair.
+
 ``level_source`` is the one definition of the level-n source
 F(u) = h_n(u + 1/n) min(n, f) + mu_n, so T(u) = A^-1 F(u); the Picard map
 and every caller that needs the source (the Kato check) use it.
@@ -40,6 +44,7 @@ them belong to the caller.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -51,6 +56,7 @@ from .mesh import (
     Grid,
     GridFunction,
     _apply,
+    _solve,
     build_laplacian,
     require_same_grid,
     sample_field,
@@ -200,7 +206,7 @@ def _source(prep: _Prepared, arg: np.ndarray | None):
         return prep.mu_vals, None
     hv = eval_h_n(prep.h, prep.cap, arg + prep.shift)
     rhs = hv * prep.f_capped + prep.mu_vals
-    if not np.all(np.isfinite(rhs)):
+    if not np.isfinite(rhs).all():
         raise OverflowError("right-hand side overflowed during Picard step")
     return rhs, hv
 
@@ -223,7 +229,7 @@ def _picard(prep: _Prepared, lap: DiscreteOperator, u: np.ndarray, arg_map):
     """
     arg = arg_map(u) if prep.f_active else None
     rhs, hv = _source(prep, arg)
-    return solve_spd(lap, GridFunction(prep.grid, rhs)).values, arg, hv
+    return _solve(lap, rhs), arg, hv
 
 
 # Forcing term of the inexact Newton solve: PCG stops once the linear
@@ -249,7 +255,7 @@ def _newton_direction(
     serves as the search direction.
     """
     b = _apply(prep.grid, r)
-    stop = _FORCING * float(np.linalg.norm(b))
+    stop = _FORCING * math.sqrt(b @ b)
     d = np.zeros_like(r)
     res = b
     p = r
@@ -265,9 +271,9 @@ def _newton_direction(
         res -= alpha * q
         # Written so that a non-finite norm (overflow) also ends the loop;
         # the caller's finiteness check on the new iterate reports it.
-        if not stop < float(np.linalg.norm(res)) < np.inf:
+        if not stop < math.sqrt(res @ res) < np.inf:
             break
-        z = solve_spd(lap, GridFunction(prep.grid, res)).values
+        z = _solve(lap, res)
         solves += 1
         rz, rz_old = float(res @ z), rz
         beta = rz / rz_old
@@ -314,7 +320,7 @@ def _iterate(
         r, arg, hv = _picard(prep, lap, u, arg_map)
         solves += 1
         r -= u  # T(u) - u, in place
-        residual = float(np.max(np.abs(r)))
+        residual = float(np.abs(r).max())
         converged = residual <= tol_fp
         if converged or iterations == cfg.max_iters:
             break
@@ -335,7 +341,7 @@ def _iterate(
         base_d, cg_solves = _newton_direction(prep, lap, r, diag)
         solves += cg_solves
         u = np.maximum(u + base_d, 0.5 * u)
-        if not np.all(np.isfinite(u)):
+        if not np.isfinite(u).all():
             raise OverflowError("Newton iterate contains non-finite values")
     return SolveResult(
         u=GridFunction(prep.grid, u),

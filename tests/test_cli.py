@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -16,7 +17,7 @@ import singpde.solver as solver
 from singpde.cli import _fmt, _solution_rows_template, main
 from singpde.config import RunConfig
 from singpde.measures import RadonMeasure
-from singpde.mesh import GridFunction, build_grid, build_laplacian, l1_norm, solve_spd
+from singpde.mesh import GridFunction, _solve, build_grid, build_laplacian, l1_norm
 from singpde.singularity import SingularNonlinearity
 from singpde.solver import ProblemSpec, solve_sequence
 
@@ -123,11 +124,12 @@ def test_solve_overflow_exits_two_as_overflow_without_warning(tmp_path):
 def test_solve_linear_solves_column_counts_every_solve(tmp_path, monkeypatch):
     calls = []
 
-    def counted(op, rhs):
+    def counted(op, b):
         calls.append(1)
-        return solve_spd(op, rhs)
+        return _solve(op, b)
 
-    monkeypatch.setattr(solver, "solve_spd", counted)
+    # The level loop solves through the array kernel, not solve_spd.
+    monkeypatch.setattr(solver, "_solve", counted)
     cfg = write_cfg(tmp_path, DIRAC_1D.replace("domain.cells = 32", "domain.cells = 16"))
     out = tmp_path / "out"
     assert main(["solve", cfg, "--out", str(out)]) == 0
@@ -165,13 +167,25 @@ def test_solve_deterministic_outputs(tmp_path):
 
 def test_solution_rows_template_matches_fmt_on_edge_values():
     edge = [0.0, -0.0, 5e-324, 1e-300, 0.1, 1 / 3, 1.2345678901234567e17]
-    coords = np.array([edge, edge[::-1]]).T
-    values = edge[3:] + edge[:3]
+    coords = list(itertools.product(edge, repeat=2))
+    values = [edge[k % len(edge)] for k in range(3, 3 + len(coords))]
     expected = "".join(
-        ",".join(_fmt(x) for x in tuple(coord) + (value,)) + "\n"
+        ",".join(_fmt(x) for x in coord + (value,)) + "\n"
         for coord, value in zip(coords, values)
     )
-    assert _solution_rows_template(coords) % tuple(values) == expected
+    assert _solution_rows_template(np.array(edge), 2) % tuple(values) == expected
+
+
+@pytest.mark.parametrize("dim, cells", [(1, 7), (2, 5), (3, 4)])
+def test_solution_rows_template_matches_fmt_per_node(dim, cells):
+    grid = build_grid(dim, cells)
+    values = np.random.default_rng(dim).uniform(0.0, 1.0, grid.interior_count)
+    expected = "".join(
+        ",".join(_fmt(x) for x in tuple(coord.tolist()) + (value,)) + "\n"
+        for coord, value in zip(grid.node_coords, values.tolist())
+    )
+    axis = grid.node_coords[: cells - 1, -1]
+    assert _solution_rows_template(axis, dim) % tuple(values.tolist()) == expected
 
 
 def test_solve_solution_files_match_per_value_formatting(tmp_path):

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +14,7 @@ from singpde import (
     solve_spd,
 )
 import singpde.mesh as mesh
-from singpde.mesh import _DENSE_MAX, _apply, _dst1, _sine_transform
+from singpde.mesh import _DENSE_MAX, _apply, _dst1, _sine_transform, _solve
 
 
 def test_build_grid_1d_nodes():
@@ -159,6 +160,51 @@ def test_solve_rejects_corrupted_sine_matrix():
     with pytest.raises(LinearSolveError) as err:
         solve_spd(replace(op, sine=bad), rhs)
     assert err.value.residual > 1e-6
+
+
+@pytest.mark.parametrize("dim, cells", [(1, 32), (1, 1024), (2, 16), (3, 8)])
+def test_kernel_and_solve_spd_return_the_same_bits(dim, cells):
+    g = build_grid(dim, cells)
+    op = build_laplacian(g)
+    b = np.random.default_rng(dim).uniform(-1.0, 1.0, g.interior_count)
+    x = _solve(op, b)
+    assert isinstance(x, np.ndarray) and x.shape == (g.interior_count,)
+    assert np.array_equal(x, solve_spd(op, GridFunction(g, b)).values)
+
+
+def test_kernel_rejects_corrupted_sine_matrix():
+    g = build_grid(2, 8)
+    op = build_laplacian(g)
+    bad = op.sine.copy()
+    bad[1, 3] -= 1e-3
+    with pytest.raises(LinearSolveError) as err:
+        _solve(replace(op, sine=bad), np.ones(g.interior_count))
+    assert err.value.residual > 1e-6
+
+
+@pytest.mark.parametrize("dim, cells", [(1, 16), (1, 1024), (3, 4)])
+def test_kernel_rejects_wrong_eigenvalues(dim, cells):
+    g = build_grid(dim, cells)
+    op = build_laplacian(g)
+    bad = replace(op, eigenvalues=1.5 * op.eigenvalues)
+    with pytest.raises(LinearSolveError) as err:
+        _solve(bad, np.ones(g.interior_count))
+    assert err.value.residual > 0.1
+
+
+@pytest.mark.parametrize("dim, cells", [(2, 16), (1, 1024)])
+def test_solve_overflow_in_transform_raises_overflow_error_without_warning(dim, cells):
+    # A finite right-hand side near the float limit overflows inside the
+    # sine transform (dense on 2D/16, FFT on 1D/1024).  It used to print
+    # numpy warnings and fail the guard as LinearSolveError: nan > nan.
+    g = build_grid(dim, cells)
+    assert (build_laplacian(g).sine is None) == (cells - 1 > _DENSE_MAX)
+    rhs = GridFunction(g, np.full(g.interior_count, 1e306))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(OverflowError):
+            solve_spd(build_laplacian(g), rhs)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_laplacian_is_exactly_symmetric():
