@@ -47,20 +47,16 @@ from .solver import (
     hopf_ratio_check,
     level_source,
     monotone_check,
-    solve_clamped,
     solve_regularized,
     solve_sequence,
 )
 from .diagnostics import (
-    DistributionSample,
     ExponentFit,
     KatoReport,
-    default_thresholds,
     discrete_gradient_magnitude,
-    distribution_function,
     kato_residual,
-    marcinkiewicz_fit,
     sobolev_norm,
+    tail_fit,
     torsion_function,
     truncation_energy,
 )

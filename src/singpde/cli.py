@@ -56,7 +56,6 @@ from .solver import (
     hopf_ratio_check,
     level_source,
     monotone_check,
-    solve_clamped,
     solve_regularized,
     solve_sequence,
 )
@@ -326,27 +325,16 @@ def _suite_tails(cfg: RunConfig, run: _Run):
         ]
     u = run.sequence(with_measure=True).final.u
     rows = []
-
-    grad = diag.discrete_gradient_magnitude(u)
-    thresholds = diag.default_thresholds(grad)
-    fit = diag.marcinkiewicz_fit(diag.distribution_function(grad, thresholds, grid=u.grid))
-    if not fit.conclusive:
-        rows.append(_na("tails.gradient_slope", "inconclusive"))
-    else:
-        rows.append(
-            _check("tails.gradient_slope", fit.slope, -1.3, fit.slope <= -1.3)
-        )
-        rows.append(
-            _check("tails.gradient_r2", fit.r_squared, 0.9, fit.r_squared >= 0.9)
-        )
-
-    thresholds = diag.default_thresholds(u.values)
-    fit = diag.marcinkiewicz_fit(diag.distribution_function(u, thresholds))
-    if not fit.conclusive:
-        rows.append(_na("tails.u_slope", "inconclusive"))
-    else:
-        rows.append(_check("tails.u_slope", fit.slope, -2.7, fit.slope <= -2.7))
-        rows.append(_check("tails.u_r2", fit.r_squared, 0.9, fit.r_squared >= 0.9))
+    for name, values, bound in (
+        ("gradient", diag.discrete_gradient_magnitude(u), -1.3),
+        ("u", u.values, -2.7),
+    ):
+        fit = diag.tail_fit(values, u.grid.cell_volume)
+        if not fit.conclusive:
+            rows.append(_na(f"tails.{name}_slope", "inconclusive"))
+            continue
+        rows.append(_check(f"tails.{name}_slope", fit.slope, bound, fit.slope <= bound))
+        rows.append(_check(f"tails.{name}_r2", fit.r_squared, 0.9, fit.r_squared >= 0.9))
     return rows
 
 
@@ -391,7 +379,7 @@ def _suite_sandwich(cfg: RunConfig, run: _Run):
     if not np.all(cfg.f(spec.grid.node_coords) > 0):
         return [_na("sandwich.breach", "needs f>0 at every node")]
     sandwich = build_sub_super(spec, run.sequence(with_measure=False).final.u)
-    res = solve_clamped(spec, sandwich, cfg.solver)
+    res = solve_regularized(spec, cfg.solver, sandwich.sub, sandwich)
     if not res.converged:
         raise _ConvergenceFailure("clamped solve")
     breach = sandwich.breach(res.u)

@@ -1,10 +1,11 @@
-"""Discrete norms, distribution functions, tail-exponent fits and residuals.
+"""Discrete norms, tail-exponent fits and residuals.
 
 Gradients are per-cell forward differences anchored at each cell's lower
 corner, with the implicit zero boundary values filled in, so a grid with m
-cells per side yields an m^dim cell field.  Superlevel-set masses are cell or
-node counts times the cell volume; weak-Lebesgue tail exponents come from
-least-squares fits of log(mass) against log(threshold).
+cells per side yields an m^dim cell field.  ``tail_fit`` estimates a
+weak-Lebesgue (Marcinkiewicz) tail exponent of nodal or cell values: the
+masses of the superlevel sets {|v| >= t}, counts times the cell volume, at
+log-spaced thresholds t, fitted by least squares of log(mass) against log(t).
 
 Also here: the truncation energy sum |grad T_k(u)^((gamma+1)/2)|^2, the
 torsion function solving -Lap phi0 = 1, and a Kato-type residual comparing
@@ -23,14 +24,11 @@ from .mesh import Grid, GridFunction, build_laplacian, require_same_grid, solve_
 from .singularity import trunc_power
 
 __all__ = [
-    "DistributionSample",
     "ExponentFit",
     "KatoReport",
     "discrete_gradient_magnitude",
     "sobolev_norm",
-    "distribution_function",
-    "default_thresholds",
-    "marcinkiewicz_fit",
+    "tail_fit",
     "truncation_energy",
     "torsion_function",
     "kato_residual",
@@ -87,68 +85,6 @@ def sobolev_norm(u: GridFunction, q: float) -> float:
 
 
 @dataclass(frozen=True)
-class DistributionSample:
-    """Masses of the superlevel sets {|field| >= t} for sorted thresholds."""
-
-    thresholds: tuple[float, ...]
-    masses: tuple[float, ...]
-
-    def __post_init__(self):
-        t = self.thresholds
-        if any(x <= 0 for x in t):
-            raise ValueError("thresholds must be positive")
-        if any(b < a for a, b in zip(t, t[1:])):
-            raise ValueError("thresholds must be sorted ascending")
-
-
-def distribution_function(
-    field, thresholds, grid: Grid | None = None
-) -> DistributionSample:
-    """Superlevel-set measures count(|field| >= t) * cell volume.
-
-    ``field`` is a GridFunction (nodal) or a cell array from
-    discrete_gradient_magnitude; plain arrays need ``grid`` for the volume.
-    """
-    if isinstance(field, GridFunction):
-        values = field.values
-        vol = field.grid.cell_volume
-    else:
-        if grid is None:
-            raise ValueError("plain arrays need an explicit grid for the cell volume")
-        values = np.asarray(field, dtype=float)
-        vol = grid.cell_volume
-    absvals = np.abs(values).ravel()
-    thresholds = tuple(float(t) for t in thresholds)
-    masses = tuple(float(np.count_nonzero(absvals >= t) * vol) for t in thresholds)
-    return DistributionSample(thresholds=thresholds, masses=masses)
-
-
-# default_thresholds spaces this many thresholds log-uniformly between these
-# two percentiles of the positive |values|.
-_THRESHOLD_COUNT = 16
-_LO_PERCENTILE = 10.0
-_HI_PERCENTILE = 99.9
-# Tail estimates are only meaningful from threshold 1 upward.
-_THRESHOLD_FLOOR = 1.0
-
-
-def default_thresholds(values) -> tuple[float, ...]:
-    """Log-spaced thresholds between two percentiles of |values|, the lower
-    one raised to at least _THRESHOLD_FLOOR."""
-    absvals = np.abs(np.asarray(values, dtype=float)).ravel()
-    positive = absvals[absvals > 0]
-    if positive.size == 0:
-        return ()
-    lo = max(float(np.percentile(positive, _LO_PERCENTILE)), _THRESHOLD_FLOOR)
-    hi = float(np.percentile(positive, _HI_PERCENTILE))
-    if hi <= 0:
-        return ()
-    if lo >= hi:
-        lo = hi / 10.0
-    return tuple(np.geomspace(lo, hi, _THRESHOLD_COUNT))
-
-
-@dataclass(frozen=True)
 class ExponentFit:
     """Least-squares slope of log(mass) against log(threshold)."""
 
@@ -157,17 +93,39 @@ class ExponentFit:
     conclusive: bool = True
 
 
-def marcinkiewicz_fit(sample: DistributionSample) -> ExponentFit:
-    """Fit the tail exponent of a distribution sample.
+# tail_fit spaces this many thresholds log-uniformly between these two
+# percentiles of the positive |values|.
+_THRESHOLD_COUNT = 16
+_LO_PERCENTILE = 10.0
+_HI_PERCENTILE = 99.9
+# Tail estimates are only meaningful from threshold 1 upward.
+_THRESHOLD_FLOOR = 1.0
 
-    Only thresholds with positive mass enter the fit; fewer than four such
-    points yields an inconclusive fit rather than a failure.
+
+def tail_fit(values, cell_volume: float) -> ExponentFit:
+    """Tail exponent of ``values`` (nodal values, or a cell array from
+    discrete_gradient_magnitude), each node or cell weighing ``cell_volume``.
+
+    The thresholds run log-uniformly between two percentiles of the positive
+    |values|, the lower one raised to at least _THRESHOLD_FLOOR and cut to a
+    tenth of the upper one if it then reaches it.  Only thresholds whose
+    superlevel set {|values| >= t} has positive mass enter the fit; fewer
+    than four such points yields an inconclusive fit, not a failure.
     """
-    t = np.asarray(sample.thresholds, dtype=float)
-    m = np.asarray(sample.masses, dtype=float)
+    absvals = np.abs(np.asarray(values, dtype=float)).ravel()
+    positive = absvals[absvals > 0]
+    inconclusive = ExponentFit(float("nan"), float("nan"), conclusive=False)
+    if positive.size == 0:
+        return inconclusive
+    lo = max(float(np.percentile(positive, _LO_PERCENTILE)), _THRESHOLD_FLOOR)
+    hi = float(np.percentile(positive, _HI_PERCENTILE))
+    if lo >= hi:
+        lo = hi / 10.0
+    t = np.geomspace(lo, hi, _THRESHOLD_COUNT)
+    m = np.array([float(np.count_nonzero(absvals >= x) * cell_volume) for x in t])
     mask = m > 0
     if np.count_nonzero(mask) < 4:
-        return ExponentFit(slope=float("nan"), r_squared=float("nan"), conclusive=False)
+        return inconclusive
     logt = np.log(t[mask])
     logm = np.log(m[mask])
     slope, intercept = np.polyfit(logt, logm, 1)

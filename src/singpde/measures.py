@@ -52,11 +52,10 @@ class RadonMeasure:
 
 @dataclass(frozen=True, eq=False)
 class DiscretizedMeasure:
-    """Mollified nodal representation of a measure at regularization level n."""
+    """Mollified nodal representation of a measure at one regularization level."""
 
     grid: Grid
     values: GridFunction
-    level: int
 
     @property
     def discrete_mass(self) -> float:
@@ -90,7 +89,7 @@ def mollify(mu: RadonMeasure, grid: Grid, n: int) -> DiscretizedMeasure:
         if np.any(dens < 0):
             raise ValueError("measure density must be nonnegative")
         values += dens
-    return DiscretizedMeasure(grid=grid, values=GridFunction(grid, values), level=int(n))
+    return DiscretizedMeasure(grid=grid, values=GridFunction(grid, values))
 
 
 def scale_measure(mu: RadonMeasure, factor: float) -> RadonMeasure:

@@ -141,9 +141,6 @@ class GridFunction:
         """Values as a (m-1,)*dim lattice array (view when possible)."""
         return self.values.reshape(self.grid.shape)
 
-    def copy(self) -> "GridFunction":
-        return GridFunction(self.grid, self.values.copy())
-
 
 @dataclass(frozen=True, eq=False)
 class DiscreteOperator:

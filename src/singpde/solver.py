@@ -16,12 +16,16 @@ Methods for Linear and Nonlinear Equations, 1995).  Multiplied by the
 Laplacian A, the Newton system is (A + D) d = A (T(u) - u) with the diagonal
 D = min(n, f) |h_n'(u + 1/n)| >= 0 (zero where the sandwich clamp is
 active), an SPD system that conjugate gradients solve, preconditioned by the
-exact sine-transform solve of A, to relative residual 0.1.  The step is u <- max(u + d, u/2), which keeps u positive, and
-a step that does not lower max|T(u) - u| is halved.  T stays the judge: a
-level is accepted, and u returned, once max|T(u) - u| <= tol_fp.  Levels
-are driven along a geometric schedule n = 2, 4, ..., 1024 with warm starts,
-and successive differences are tracked in the discrete L1 norm, the natural
-norm for the limit passage.
+exact sine-transform solve of A, to relative residual 0.1.  The step is
+u <- max(u + d, u/2), which keeps u positive, and a step that does not lower
+max|T(u) - u| is halved.  T stays the judge: a level is accepted, and u
+returned, once max|T(u) - u| <= tol_fp.
+
+Two drivers run levels, both through ``_prepare`` and ``_iterate``:
+``solve_regularized`` solves one level, plain or clamped by a sandwich pair,
+and ``solve_sequence`` drives the geometric schedule n = 2, 4, ..., 1024
+with warm starts and one Laplacian, tracking successive differences in the
+discrete L1 norm, the natural norm for the limit passage.
 
 A level runs on plain arrays and solves with the kernel ``mesh._solve``; a
 GridFunction is built only where a value leaves: ``SolveResult.u``,
@@ -32,14 +36,11 @@ F(u) = h_n(u + 1/n) min(n, f) + mu_n, so T(u) = A^-1 F(u); the Picard map
 and every caller that needs the source (the Kato check) use it.
 
 The module also provides nodewise monotonicity and domination checks, the
-clamped sandwich scheme driven by a sub/supersolution pair, and the
-construction of that pair from a measure-free solve v the caller already
-has: sub = v and super = v + w with -Lap w = mu_n, so building the pair
-costs one linear solve.  The clamped right-hand side is evaluated through
-the same level-n capped and shifted nonlinearity that produced the
-subsolution, which makes the discrete sandwich property exact up to solver
-tolerance.  The checks return the observed numbers; the bounds that judge
-them belong to the caller.
+sub/supersolution pair that clamps the argument of h, and the construction
+of that pair from a measure-free solve v the caller already has: sub = v and
+super = v + w with -Lap w = mu_n, so building the pair costs one linear
+solve.  The checks return the observed numbers; the bounds that judge them
+belong to the caller.
 """
 
 from __future__ import annotations
@@ -76,7 +77,6 @@ __all__ = [
     "solve_sequence",
     "monotone_check",
     "comparison_check",
-    "solve_clamped",
     "build_sub_super",
     "hopf_ratio_check",
 ]
@@ -356,6 +356,7 @@ def solve_regularized(
     spec: ProblemSpec,
     cfg: SolverConfig | None = None,
     initial: GridFunction | None = None,
+    sandwich: SandwichSpec | None = None,
 ) -> SolveResult:
     """Solve one regularized level by inexact Newton-PCG.
 
@@ -363,16 +364,28 @@ def solve_regularized(
     Picard step from zero, i.e. the linear solve with h frozen at h(1/n).
     Nonconvergence within max_iters evaluations of the Picard map returns a
     flagged result carrying the last max|T(u) - u|.
+
+    With a ``sandwich`` the level is the fixed point of the clamped Picard
+    map: h is evaluated at clamp(u) + 1/n with the same level-n caps used to
+    build the pair, so every evaluation is nonsingular and the exact
+    discrete fixed point lies inside [sub, sup];
+    ``sandwich.breach(result.u)`` measures how far the returned u strays.
+    The caller picks the start, usually ``sandwich.sub``.
     """
     cfg = cfg or SolverConfig()
+    arg_map = np.abs
     if initial is not None:
         require_same_grid(spec.grid, initial.grid)
+    if sandwich is not None:
+        require_same_grid(spec.grid, sandwich.sub.grid)
+        arg_map = sandwich.clamp
     return _iterate(
         _prepare(spec),
         build_laplacian(spec.grid),
         cfg,
         cfg.resolved_tol_fp(spec.grid),
         None if initial is None else initial.values,
+        arg_map,
     )
 
 
@@ -383,8 +396,9 @@ def solve_sequence(
 ) -> SequenceResult:
     """Drive the regularization schedule with warm starts.
 
-    ``spec.n`` is ignored; each level uses its schedule value.  Any
-    nonconvergent level aborts the sweep and returns the partial results.
+    ``spec.n`` is ignored; each level uses its schedule value.  The first
+    nonconvergent level aborts the sweep: the result holds the levels solved
+    so far, that one included, and names it ``aborted_level``.
     """
     cfg = cfg or SolverConfig()
     schedule = tuple(
@@ -401,17 +415,13 @@ def solve_sequence(
     l1_diffs: list[float] = []
     max_diffs: list[float] = []
     prev: np.ndarray | None = None
+    aborted = None
     for n in schedule:
         res = _iterate(_prepare(spec.with_level(n)), lap, cfg, tol_fp, prev)
         results.append(res)
         if not res.converged:
-            return SequenceResult(
-                results=tuple(results),
-                n_schedule=schedule[: len(results)],
-                l1_diffs=tuple(l1_diffs),
-                max_diffs=tuple(max_diffs),
-                aborted_level=n,
-            )
+            aborted = n
+            break
         if prev is not None:
             diff = res.u.values - prev
             l1_diffs.append(float(np.sum(np.abs(diff)) * spec.grid.cell_volume))
@@ -419,9 +429,10 @@ def solve_sequence(
         prev = res.u.values
     return SequenceResult(
         results=tuple(results),
-        n_schedule=schedule,
+        n_schedule=schedule[: len(results)],
         l1_diffs=tuple(l1_diffs),
         max_diffs=tuple(max_diffs),
+        aborted_level=aborted,
     )
 
 
@@ -444,7 +455,7 @@ def comparison_check(u: GridFunction, v: GridFunction) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Sandwich scheme
+# Sandwich pair
 # ---------------------------------------------------------------------------
 
 
@@ -474,31 +485,6 @@ class SandwichSpec:
         below = self.sub.values - u.values
         above = u.values - self.sup.values
         return float(np.max(np.maximum(np.maximum(below, above), 0.0)))
-
-
-def solve_clamped(
-    spec: ProblemSpec,
-    sandwich: SandwichSpec,
-    cfg: SolverConfig | None = None,
-) -> SolveResult:
-    """Fixed point of the clamped Picard map, solved by inexact Newton-PCG
-    from the subsolution.
-
-    The right-hand side evaluates h at clamp(u) + 1/n with the same level-n
-    caps used to build the sandwich, so every evaluation is nonsingular and
-    the exact discrete fixed point lies inside [sub, sup];
-    ``sandwich.breach(result.u)`` measures how far the returned u strays.
-    """
-    cfg = cfg or SolverConfig()
-    require_same_grid(spec.grid, sandwich.sub.grid)
-    return _iterate(
-        _prepare(spec),
-        build_laplacian(spec.grid),
-        cfg,
-        cfg.resolved_tol_fp(spec.grid),
-        sandwich.sub.values,
-        sandwich.clamp,
-    )
 
 
 def build_sub_super(spec: ProblemSpec, sub: GridFunction) -> SandwichSpec:

@@ -88,6 +88,34 @@ def test_solve_nonconvergence_exits_two(tmp_path, capsys):
     assert (out / "sequence.csv").exists()  # partial results still written
 
 
+def test_solve_abort_past_the_first_level_writes_levels_solved(tmp_path, capsys):
+    # Levels 2 and 4 converge within 5 evaluations of T; level 8 needs 6.
+    text = """
+domain.dim = 1
+domain.cells = 64
+h.kind = pure_power
+h.gamma = 0.5
+f.kind = constant
+f.value = 1.0
+sequence.n_schedule = 2, 4, 8, 16
+solver.tol_fp = 1e-10
+solver.max_iters = 5
+"""
+    out = tmp_path / "out"
+    assert main(["solve", write_cfg(tmp_path, text), "--out", str(out)]) == 2
+    assert "reason,2,nonconvergence,level 8 did not converge" in capsys.readouterr().out
+    header, rows = read_rows(out / "sequence.csv")
+    assert [r[0] for r in rows] == ["2", "4", "8"]
+    assert sorted(p.name for p in out.glob("solution_n*.csv")) == [
+        "solution_n2.csv", "solution_n4.csv", "solution_n8.csv"
+    ]
+    l1, mx = header.index("l1_diff"), header.index("max_diff")
+    # Only the converged level 4 has a difference; the aborted level has none.
+    assert [(r[l1], r[mx]) for r in (rows[0], rows[2])] == [("nan", "nan")] * 2
+    assert float(rows[1][l1]) > 0 and float(rows[1][mx]) > 0
+    assert rows[2][1] == "5" and float(rows[2][2]) > 1e-10
+
+
 def test_solve_failed_linear_solve_has_its_own_reason(tmp_path, monkeypatch, capsys):
     def wrong_laplacian(grid):
         op = build_laplacian(grid)
@@ -326,6 +354,30 @@ def test_verify_tails_not_applicable_in_1d(tmp_path):
     assert main(["verify", cfg, "--out", str(out), "--suite", "tails"]) == 0
     _, rows = read_rows(out / "verify_tails.csv")
     assert all(row[3] == "na" for row in rows)
+
+
+def test_verify_tails_rows_are_tail_fits_of_the_final_level(tmp_path):
+    # tails judges only 3D; whether its rows pass at 3D/16 is a matter of
+    # resolution, so only their values are checked.
+    cfg = write_cfg(tmp_path, "domain.dim = 3\ndomain.cells = 16\nh.gamma = 1.5\n"
+                    "measure.atom = [0.5, 0.5, 0.5, 1.0]\n")
+    out = tmp_path / "out"
+    assert main(["verify", cfg, "--out", str(out), "--suite", "tails"]) in (0, 3)
+    _, rows = read_rows(out / "verify_tails.csv")
+    observed = {row[0]: float(row[1]) for row in rows}
+    run_cfg = RunConfig.from_file(cfg)
+    spec = cli._spec_from_config(run_cfg)
+    u = solve_sequence(spec, run_cfg.n_schedule, run_cfg.solver).final.u
+    grad = singpde.tail_fit(singpde.discrete_gradient_magnitude(u), u.grid.cell_volume)
+    fit_u = singpde.tail_fit(u.values, u.grid.cell_volume)
+    assert observed == {
+        "tails.gradient_slope": grad.slope,
+        "tails.gradient_r2": grad.r_squared,
+        "tails.u_slope": fit_u.slope,
+        "tails.u_r2": fit_u.r_squared,
+    }
+    assert list(observed) == ["tails.gradient_slope", "tails.gradient_r2",
+                              "tails.u_slope", "tails.u_r2"]
 
 
 def test_verify_lower_bound_fails_for_vanishing_solution(tmp_path, capsys):

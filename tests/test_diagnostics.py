@@ -11,14 +11,12 @@ from singpde import (
     build_grid,
     build_laplacian,
     constant,
-    default_thresholds,
     discrete_gradient_magnitude,
-    distribution_function,
     kato_residual,
     level_source,
-    marcinkiewicz_fit,
     sample_field,
     sobolev_norm,
+    tail_fit,
     solve_regularized,
     solve_spd,
     torsion_function,
@@ -88,64 +86,84 @@ def test_sobolev_norm_rejects_q_below_one():
         sobolev_norm(u, 0.5)
 
 
-# -- distribution functions and tail fits ------------------------------------
+# -- tail fits ---------------------------------------------------------------
+
+
+def power_law_sample(count=100_000):
+    """Values sqrt(count / k), k = 1..count, all >= 1: count(v >= t) is
+    floor(count / t^2), a tail of exponent -2."""
+    return np.sqrt(count / np.arange(1, count + 1))
 
 
 def test_distribution_constant_field():
+    # A constant field puts the lower percentile at or above the upper one,
+    # above the floor (3) as well as below it (0.5), so the thresholds run
+    # over the decade below the value; every superlevel set is the whole box.
     grid = build_grid(1, 64)
-    field = np.full(64, 3.0)
-    sample = distribution_function(field, [1.0, 5.0], grid=grid)
-    assert sample.masses == (1.0, 0.0)
+    for value in (3.0, 0.5):
+        fit = tail_fit(np.full(64, value), grid.cell_volume)
+        assert fit.conclusive
+        assert fit.slope == pytest.approx(0.0, abs=1e-12)
+        assert fit.r_squared == 1.0
 
 
 def test_distribution_greens_gradient_step():
-    grid, u = greens_tent()
-    grad = discrete_gradient_magnitude(u)
-    # The exact discrete tent has slope +-1/2 in every cell, so a threshold
-    # at exactly 0.5 would be decided by rounding; sit just below it.
-    assert np.allclose(grad, 0.5, rtol=0, atol=1e-12)
-    sample = distribution_function(grad, [0.4, 0.5 * (1 - 1e-12), 0.6], grid=grid)
-    assert sample.masses == (1.0, 1.0, 0.0)
-
-
-def test_distribution_empty_thresholds():
-    grid, u = greens_tent(16)
-    sample = distribution_function(u, [])
-    assert sample.masses == ()
+    # Two levels: 48 cells at 1 and 16 at 8, so the thresholds run from
+    # exactly 1 to exactly 8 and the values sit on both end thresholds.
+    # Masses count |v| >= t, so the first threshold holds the whole box and
+    # the last one the upper quarter.
+    grid = build_grid(1, 64)
+    field = np.where(np.arange(64) < 48, 1.0, 8.0)
+    fit = tail_fit(field, grid.cell_volume)
+    t = np.geomspace(1.0, 8.0, 16)
+    masses = np.array([1.0] + [0.25] * 15)
+    slope = np.polyfit(np.log(t), np.log(masses), 1)[0]
+    assert fit.conclusive
+    assert fit.slope == pytest.approx(slope, rel=1e-12)
+    assert fit.slope < -0.1
 
 
 def test_distribution_masses_nonincreasing():
     rng = np.random.default_rng(2)
     grid = build_grid(2, 16)
     u = GridFunction(grid, rng.uniform(0, 5, grid.interior_count))
-    ts = default_thresholds(u.values)
-    sample = distribution_function(u, ts)
-    assert all(b <= a for a, b in zip(sample.masses, sample.masses[1:]))
-    assert all(0.0 <= m <= 1.0 for m in sample.masses)
-
-
-def test_distribution_rejects_unsorted_thresholds():
-    grid, u = greens_tent(16)
-    with pytest.raises(ValueError):
-        distribution_function(u, [2.0, 1.0])
-    with pytest.raises(ValueError):
-        distribution_function(u, [-1.0, 1.0])
+    fit = tail_fit(u.values, grid.cell_volume)
+    assert fit.conclusive
+    assert fit.slope < 0.0
+    assert 0.0 <= fit.r_squared <= 1.0
+    # Only |values| count, in any shape, and the volume shifts log(mass)
+    # by a constant.
+    assert tail_fit(-u.reshape(), grid.cell_volume) == fit
+    scaled = tail_fit(u.values, 4.0 * grid.cell_volume)
+    assert scaled.slope == pytest.approx(fit.slope, rel=1e-12)
+    assert scaled.r_squared == pytest.approx(fit.r_squared, rel=1e-12)
 
 
 def test_marcinkiewicz_fit_exact_power_law():
-    ts = tuple(np.geomspace(1.0, 16.0, 8))
-    sample = sp.DistributionSample(ts, tuple(t**-2.0 for t in ts))
-    fit = marcinkiewicz_fit(sample)
+    fit = tail_fit(power_law_sample(), 1e-5)
     assert fit.conclusive
-    assert fit.slope == pytest.approx(-2.0, abs=1e-6)
-    assert fit.r_squared >= 1.0 - 1e-12
+    assert fit.slope == pytest.approx(-2.0, abs=1e-2)
+    assert fit.r_squared >= 0.9999
+
+
+def test_tail_fit_starts_at_the_floor():
+    # As many values again at 0.01 put the lower percentile far below 1;
+    # the floor keeps them out of the fit, which then sees the same tail.
+    tail = power_law_sample()
+    fit = tail_fit(np.concatenate([np.full(tail.size, 0.01), tail]), 1e-5)
+    assert fit.conclusive
+    assert fit.slope == pytest.approx(-2.0, abs=1e-2)
+    assert fit.r_squared >= 0.9999
 
 
 def test_marcinkiewicz_fit_inconclusive_with_few_points():
-    sample = sp.DistributionSample((1.0, 2.0, 4.0, 8.0), (0.5, 0.1, 0.0, 0.0))
-    fit = marcinkiewicz_fit(sample)
-    assert not fit.conclusive
-    assert np.isnan(fit.slope)
+    # Every threshold lies at or below the upper percentile, so only a field
+    # without positive values has fewer than four positive-mass thresholds.
+    grid = build_grid(3, 4)
+    for values in (np.zeros(grid.interior_count), np.array([])):
+        fit = tail_fit(values, grid.cell_volume)
+        assert not fit.conclusive
+        assert np.isnan(fit.slope) and np.isnan(fit.r_squared)
 
 
 # -- truncation energies and the G_1 part ------------------------------------

@@ -21,7 +21,6 @@ from singpde import (
     min_on_compact,
     monotone_check,
     sample_field,
-    solve_clamped,
     solve_regularized,
     solve_sequence,
     zero,
@@ -170,6 +169,21 @@ def test_sequence_aborts_with_partial_results():
     assert len(seq.results) == 1
 
 
+def test_sequence_aborts_past_the_first_level():
+    # Levels 2 and 4 converge within 5 evaluations of T; level 8 needs 6.
+    spec = spec_1d()
+    cfg = SolverConfig(tol_fp=1e-10, max_iters=5)
+    seq = solve_sequence(spec, (2, 4, 8, 16), cfg)
+    assert seq.aborted_level == 8
+    assert seq.n_schedule == (2, 4, 8)
+    assert [r.converged for r in seq.results] == [True, True, False]
+    # The aborted level gets no difference to its predecessor.
+    assert len(seq.l1_diffs) == len(seq.max_diffs) == len(seq.results) - 2
+    full = solve_sequence(spec, (2, 4), cfg)
+    assert seq.l1_diffs == full.l1_diffs
+    assert np.array_equal(seq.results[1].u.values, full.results[1].u.values)
+
+
 # -- auxiliary sequence and comparisons --------------------------------------
 
 
@@ -197,7 +211,8 @@ def test_monotone_check_on_computed_sequence():
 def test_monotone_check_constant_sequence():
     grid = build_grid(1, 8)
     u = GridFunction(grid, np.ones(grid.interior_count))
-    assert monotone_check([u, u.copy(), u.copy()]) == 0.0
+    same = GridFunction(u.grid, u.values.copy())
+    assert monotone_check([u, same, same]) == 0.0
 
 
 def test_monotone_check_detects_artificial_decrease():
@@ -289,7 +304,7 @@ def test_solve_clamped_stays_inside_sandwich():
     spec = spec_1d(f=constant(1.0), mu=DELTA_HALF, n=256)
     cfg = SolverConfig(tol_fp=1e-11)
     sw = sub_super(spec, cfg)
-    res = solve_clamped(spec, sw, cfg)
+    res = solve_regularized(spec, cfg, sw.sub, sw)
     assert res.converged
     assert sw.breach(res.u) <= 1e-8
 
@@ -298,9 +313,32 @@ def test_solve_clamped_degenerate_sandwich_returns_subsolution():
     spec = spec_1d(f=constant(1.0), mu=RadonMeasure())
     cfg = SolverConfig(tol_fp=1e-11)
     sw = sub_super(spec, cfg)
-    res = solve_clamped(spec, sw, cfg)
+    res = solve_regularized(spec, cfg, sw.sub, sw)
     assert res.converged
     assert np.max(np.abs(res.u.values - sw.sub.values)) <= 1e-9
+
+
+def test_clamped_solve_on_collapsed_pair_returns_the_supersolution():
+    # The true solution lies inside the pair, so there the clamp is idle.
+    # Collapsed onto v, the clamp freezes h at v: the clamped map is then
+    # constant, A^-1 (h_n(v + 1/n) f_n + mu_n) = v + w, the supersolution,
+    # which the plain solution lies strictly below.
+    spec = spec_1d(f=constant(1.0), mu=DELTA_HALF, n=256)
+    cfg = SolverConfig(tol_fp=1e-11)
+    sw = sub_super(spec, cfg)
+    collapsed = SandwichSpec(sub=sw.sub, sup=sw.sub)
+    res = solve_regularized(spec, cfg, sw.sub, collapsed)
+    assert res.converged
+    assert np.max(np.abs(res.u.values - sw.sup.values)) <= 1e-9
+    plain = solve_regularized(spec, cfg)
+    assert np.max(sw.sup.values - plain.u.values) > 1e-3
+
+
+def test_solve_regularized_rejects_sandwich_on_another_grid():
+    spec = spec_1d(f=constant(1.0), mu=DELTA_HALF)
+    sw = sub_super(spec_1d(cells=32, f=constant(1.0), mu=DELTA_HALF))
+    with pytest.raises(ValueError, match="grid mismatch"):
+        solve_regularized(spec, sandwich=sw)
 
 
 def test_sandwich_breach_is_largest_distance_outside_the_pair():
@@ -422,7 +460,7 @@ def test_clamped_and_plain_solves_respect_sandwich_and_comparison(gamma, c, posi
     )
     tol = 1e-8
     sw = sub_super(spec)
-    clamped = solve_clamped(spec, sw)
+    clamped = solve_regularized(spec, None, sw.sub, sw)
     assert clamped.converged
     assert sw.breach(clamped.u) <= tol
     assert np.all(sw.sub.values <= clamped.u.values + tol)
@@ -500,7 +538,7 @@ def test_clamped_newton_matches_picard_reference(dim, cells):
     spec = atom_spec(dim, cells, SingularNonlinearity.pure_power(1.5))
     tol_fp = SolverConfig().resolved_tol_fp(spec.grid)
     sw = sub_super(spec)
-    res = solve_clamped(spec, sw)
+    res = solve_regularized(spec, None, sw.sub, sw)
     assert res.converged
     reference = picard_reference(spec, tol_fp / 10, sw.sub.values, sw.clamp)
     assert np.max(np.abs(res.u.values - reference)) <= 10 * tol_fp
