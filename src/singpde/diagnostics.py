@@ -108,26 +108,22 @@ def tail_fit(values, cell_volume: float) -> ExponentFit:
 
     The thresholds run log-uniformly between two percentiles of the positive
     |values|, the lower one raised to at least _THRESHOLD_FLOOR and cut to a
-    tenth of the upper one if it then reaches it.  Only thresholds whose
-    superlevel set {|values| >= t} has positive mass enter the fit; fewer
-    than four such points yields an inconclusive fit, not a failure.
+    tenth of the upper one if it then reaches it.  No threshold exceeds the
+    upper percentile, so every superlevel set {|values| >= t} has positive
+    mass; only a field without a nonzero value yields an inconclusive fit,
+    not a failure.
     """
     absvals = np.abs(np.asarray(values, dtype=float)).ravel()
     positive = absvals[absvals > 0]
-    inconclusive = ExponentFit(float("nan"), float("nan"), conclusive=False)
     if positive.size == 0:
-        return inconclusive
+        return ExponentFit(float("nan"), float("nan"), conclusive=False)
     lo = max(float(np.percentile(positive, _LO_PERCENTILE)), _THRESHOLD_FLOOR)
     hi = float(np.percentile(positive, _HI_PERCENTILE))
     if lo >= hi:
         lo = hi / 10.0
     t = np.geomspace(lo, hi, _THRESHOLD_COUNT)
-    m = np.array([float(np.count_nonzero(absvals >= x) * cell_volume) for x in t])
-    mask = m > 0
-    if np.count_nonzero(mask) < 4:
-        return inconclusive
-    logt = np.log(t[mask])
-    logm = np.log(m[mask])
+    logt = np.log(t)
+    logm = np.log([float(np.count_nonzero(absvals >= x) * cell_volume) for x in t])
     slope, intercept = np.polyfit(logt, logm, 1)
     pred = slope * logt + intercept
     ss_res = float(np.sum((logm - pred) ** 2))

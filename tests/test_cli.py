@@ -16,7 +16,7 @@ import singpde.cli as cli
 import singpde.solver as solver
 from singpde.cli import _fmt, _solution_rows_template, main
 from singpde.config import RunConfig
-from singpde.measures import RadonMeasure
+from singpde.measures import RadonMeasure, scale_measure
 from singpde.mesh import GridFunction, _solve, build_grid, build_laplacian, l1_norm
 from singpde.singularity import SingularNonlinearity
 from singpde.solver import ProblemSpec, solve_sequence
@@ -445,31 +445,121 @@ def test_verify_hopf_ratio_stable_at_box_corners(tmp_path):
     assert abs(float(stability[1]) - 1.0) <= 0.01
 
 
-@pytest.mark.parametrize("dim", [1, 2])
-def test_verify_hopf_ratio_stability_fails_for_squared_subsolution(tmp_path, monkeypatch, dim):
-    # Fed v^2 for v, the ratio across the doubling read 0.70 on 1D/64 and
-    # 0.71 on 2D/64, inside the former 0.5..2 band.
+def centre_atom_cfg(tmp_path, dim, cells):
+    return write_cfg(tmp_path, "\n".join([
+        f"domain.dim = {dim}",
+        f"domain.cells = {cells}",
+        "h.gamma = 1.5",
+        "measure.atom = [0.5, 0.5, 0.5, 1.0]",
+    ]) + "\n")
+
+
+def squared_subsolution_stability(tmp_path, monkeypatch, dim, cells):
+    """The sandwich suite's stability row with v^2 fed to the Hopf ratio
+    for every v; the run must exit 3."""
     real = cli.hopf_ratio_check
     monkeypatch.setattr(
         cli, "hopf_ratio_check", lambda v: real(GridFunction(v.grid, v.values**2))
     )
-    text = "\n".join([
-        f"domain.dim = {dim}",
-        "domain.cells = 64",
-        "h.gamma = 1.5",
-        "measure.atom = [0.5, 0.5, 0.5, 1.0]",
-    ]) + "\n"
-    cfg = write_cfg(tmp_path, text)
+    cfg = centre_atom_cfg(tmp_path, dim, cells)
     out = tmp_path / "out"
     assert main(["verify", cfg, "--out", str(out), "--suite", "sandwich"]) == 3
     _, rows = read_rows(out / "verify_sandwich.csv")
+    return {row[0]: row for row in rows}["sandwich.hopf_ratio_stability"]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_verify_hopf_ratio_stability_fails_for_squared_subsolution(tmp_path, monkeypatch, dim):
+    # Fed v^2 for v, the ratio from 32 to 64 cells read 0.72 in 1D and 0.74
+    # in 2D, inside the former 0.5..2 band.
+    row = squared_subsolution_stability(tmp_path, monkeypatch, dim, 64)
+    assert row[3] == "fail"
+    assert float(row[1]) < 0.9
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_verify_hopf_ratio_stability_fails_for_squared_subsolution_at_16_cells(
+    tmp_path, monkeypatch, dim
+):
+    # The smallest grid that judges the ratio compares 8 with 16 cells; v^2
+    # read 0.80, 0.85 and 0.88 there, against 1.018 to 1.031 for v.
+    row = squared_subsolution_stability(tmp_path, monkeypatch, dim, 16)
+    assert row[3] == "fail"
+    assert float(row[1]) < 0.9
+
+
+def test_verify_hopf_ratio_stability_needs_16_cells(tmp_path):
+    # The coarse grid of an 8-cell run has 4 cells, where v^2 read 1.010 in
+    # 2D and passed the band.
+    out = tmp_path / "out"
+    cfg = centre_atom_cfg(tmp_path, 2, 8)
+    assert main(["verify", cfg, "--out", str(out), "--suite", "sandwich"]) == 0
+    _, rows = read_rows(out / "verify_sandwich.csv")
     rows = {row[0]: row for row in rows}
-    assert rows["sandwich.hopf_ratio_stability"][3] == "fail"
-    assert float(rows["sandwich.hopf_ratio_stability"][1]) < 0.9
+    assert rows["sandwich.hopf_ratio"][3] == "pass"
+    assert rows["sandwich.hopf_ratio_stability"] == [
+        "sandwich.hopf_ratio_stability", "needs cells >= 16", "", "na"
+    ]
+
+
+def test_verify_builds_no_grid_finer_than_the_config(tmp_path, monkeypatch):
+    # The finest grid sets verify's peak memory.  The manufactured suite
+    # builds its own 1D grids and reports na outside 1D, so a 2D run shows
+    # every other suite's grids: the config's and the Hopf check's half.
+    cells = []
+    build_grid_ = cli.build_grid
+
+    def recording_build_grid(dim, cells_per_side, *args):
+        cells.append(cells_per_side)
+        return build_grid_(dim, cells_per_side, *args)
+
+    monkeypatch.setattr(cli, "build_grid", recording_build_grid)
+    cfg = centre_atom_cfg(tmp_path, 2, 16)
+    assert main(["verify", cfg, "--out", str(tmp_path / "out"), "--suite", "all"]) == 0
+    assert sorted(set(cells)) == [8, 16]
+
+
+def test_verify_tight_solves_start_warm_when_the_schedule_is_solved(tmp_path, monkeypatch):
+    # Under --suite all the tight mu solve starts from the full schedule's
+    # last level and the tight 2 mu solve from the tight mu one; the
+    # uniqueness solve starts 1 above the tight mu one.  A lone kato suite
+    # solves no schedule, so its mu solve starts cold.
+    finals, tight = [], []
+    solve_sequence_, solve_regularized_ = cli.solve_sequence, cli.solve_regularized
+
+    def recording_solve_sequence(spec, n_schedule=None, cfg=None):
+        seq = solve_sequence_(spec, n_schedule, cfg)
+        finals.append((spec.mu, seq.final.u.values))
+        return seq
+
+    def recording_solve_regularized(spec, cfg=None, initial=None, sandwich=None):
+        res = solve_regularized_(spec, cfg, initial, sandwich)
+        if cfg.tol_fp == 1e-12:
+            tight.append((spec.mu, None if initial is None else initial.values, res.u.values))
+        return res
+
+    monkeypatch.setattr(cli, "solve_sequence", recording_solve_sequence)
+    monkeypatch.setattr(cli, "solve_regularized", recording_solve_regularized)
+    text = DIRAC_1D.replace("h.gamma = 0.5", "h.gamma = 1.5")
+    cfg = write_cfg(tmp_path, text)
+    mu = RunConfig.from_file(cfg).mu
+    assert main(["verify", cfg, "--out", str(tmp_path / "all"), "--suite", "all"]) == 0
+    full = next(u for m, u in finals if m == mu)
+    (mu1, start1, u1), (mu2, start2, _), (mu3, start3, _) = tight
+    assert mu1 == mu and np.array_equal(start1, full)
+    assert mu2 == scale_measure(mu, 2.0) and np.array_equal(start2, u1)
+    assert mu3 == mu and np.array_equal(start3, u1 + 1.0)
+
+    tight.clear()
+    assert main(["verify", cfg, "--out", str(tmp_path / "kato"), "--suite", "kato"]) == 0
+    (mu1, start1, u1), (mu2, start2, _) = tight
+    assert mu1 == mu and start1 is None
+    assert np.array_equal(start2, u1)
 
 
 @pytest.mark.parametrize(
-    "suite, expected_calls", [("all", 2), ("monotone", 1), ("uniqueness", 0)]
+    "suite, expected_calls",
+    [("all", 2), ("monotone", 1), ("uniqueness", 0), ("kato", 0)],
 )
 def test_verify_solves_each_schedule_once(tmp_path, monkeypatch, suite, expected_calls):
     calls = []
@@ -483,7 +573,7 @@ def test_verify_solves_each_schedule_once(tmp_path, monkeypatch, suite, expected
     cfg = write_cfg(tmp_path, text)
     assert main(["verify", cfg, "--out", str(tmp_path / "out"), "--suite", suite]) == 0
     # A lone suite solves only the schedules it reads itself: uniqueness
-    # reads none.
+    # and kato read none.
     assert len(calls) == expected_calls
     assert len(set(calls)) == expected_calls
 

@@ -158,7 +158,7 @@ def test_tail_fit_starts_at_the_floor():
 
 def test_marcinkiewicz_fit_inconclusive_with_few_points():
     # Every threshold lies at or below the upper percentile, so only a field
-    # without positive values has fewer than four positive-mass thresholds.
+    # without positive values has no threshold with positive mass.
     grid = build_grid(3, 4)
     for values in (np.zeros(grid.interior_count), np.array([])):
         fit = tail_fit(values, grid.cell_volume)
