@@ -1,8 +1,10 @@
 """Experiment runner: ``singpde solve|verify|sweep <config>``.
 
-``solve`` drives the regularization schedule and writes per-level solution
-files plus a sequence summary.  ``verify`` runs one of the named check
-suites and writes one row per check.  The suites of one run share only the
+``solve`` drives the regularization schedule and writes each level's
+solution file and sequence row as soon as the level is solved, so its memory
+does not grow with the schedule and a level that raises leaves the output of
+the levels before it.  ``verify`` runs one of the named check suites and
+writes one row per check.  The suites of one run share only the
 solves that two or more of them need (the full and the measure-free
 schedule and the tight-tolerance level solves), each solved at most once;
 a suite makes every other solve it needs itself.  A tight solve starts from
@@ -16,14 +18,16 @@ observed numbers, and each suite holds the bounds that judge its rows; a
 solve that a suite needs and that does not converge ends the run with
 exit 2.  ``sweep`` runs the Cartesian product of the configured parameter
 grids and aggregates one row per run; the rows run in forked worker
-processes (the config key ``threads`` sets how many), so ``sweep`` needs a
-POSIX system.  Only the output directory (``--out``, default ``out``) and
-verify's suite (``--suite``, default ``all``) are not config keys.
+processes (the config key ``threads`` sets how many, capped at the jobs and
+at the CPUs the process may run on), so ``sweep`` needs a POSIX system.
+Only the output directory (``--out``, default ``out``) and verify's suite
+(``--suite``, default ``all``) are not config keys.
 All CSV output uses 17 significant digits so identical configurations
 reproduce byte-identical files.  Solution files are written column-wise:
 each axis coordinate is formatted once per run, the node rows are joined
-from those texts, and each level's values fill them in with one formatting
-call, giving the same bytes as formatting every value on its own.
+from those texts into byte templates of ``_CHUNK_ROWS`` rows, and each
+level's values fill in one template per formatting call, giving the same
+bytes as formatting every value on its own.
 
 Exit codes: 0 ok, 1 configuration or usage error, 2 nonconvergence, a
 linear solve that failed its backward-error check, floating-point overflow
@@ -57,6 +61,7 @@ from .solver import (
     build_sub_super,
     comparison_check,
     hopf_ratio_check,
+    iter_sequence,
     level_source,
     monotone_check,
     solve_regularized,
@@ -90,19 +95,38 @@ def _write_csv(path: Path, header, rows) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _solution_rows_template(axis: np.ndarray, dim: int) -> str:
+# Rows of a solution file per formatting call: the transient text of a write
+# is one chunk of rows, whatever the size of the grid.
+_CHUNK_ROWS = 4096
+
+
+def _solution_rows_templates(axis: np.ndarray, dim: int) -> list[bytes]:
     """CSV rows of the lattice nodes whose coordinates run over ``axis`` along
     each of ``dim`` axes, in C order (the order of ``Grid.node_coords``), with
-    the coordinates formatted and a ``%.17g`` placeholder for each node's value.
+    the coordinates formatted and a ``%.17g`` placeholder for each node's
+    value, split into byte templates of ``_CHUNK_ROWS`` rows (the last one
+    holds the rest).
 
     Each axis value is formatted once, and the rows join the texts in
-    ``itertools.product`` order.  ``"%.17g" % x`` is the text ``_fmt`` gives
-    a float, and formatted numbers contain no ``%``, so
-    ``template % tuple(values)`` writes a whole solution file in one call.
+    ``itertools.product`` order.  ``b"%.17g" % x`` is the UTF-8 text ``_fmt``
+    gives a float, and formatted numbers contain no ``%``, so
+    ``template % tuple(values)`` writes the rows of one chunk in one call.
     """
-    texts = ["%.17g," % x for x in axis.tolist()]
-    rows = map("".join, itertools.product(texts, repeat=dim))
-    return "%.17g\n".join(rows) + "%.17g\n"
+    texts = [b"%.17g," % x for x in axis.tolist()]
+    rows = map(b"".join, itertools.product(texts, repeat=dim))
+    templates = []
+    while chunk := list(itertools.islice(rows, _CHUNK_ROWS)):
+        templates.append(b"%.17g\n".join(chunk) + b"%.17g\n")
+    return templates
+
+
+def _write_solution(path: Path, header: bytes, templates: list, values: np.ndarray) -> None:
+    """Write ``header``, then each template filled with its slice of ``values``."""
+    with open(path, "wb") as fh:
+        fh.write(header)
+        for k, template in enumerate(templates):
+            chunk = values[k * _CHUNK_ROWS : (k + 1) * _CHUNK_ROWS]
+            fh.write(template % tuple(chunk.tolist()))
 
 
 def _reason(out_dir: Path | None, code: int, category: str, detail: str) -> int:
@@ -128,43 +152,44 @@ def _spec_from_config(cfg: RunConfig) -> ProblemSpec:
 
 def _cmd_solve(cfg: RunConfig, out_dir: Path) -> int:
     spec = _spec_from_config(cfg)
-    seq = solve_sequence(spec, cfg.n_schedule, cfg.solver)
-
-    names = ("x", "y", "z")[: cfg.dim] + ("u",)
     grid = spec.grid
     axis = grid.node_coords[: grid.cells_per_side - 1, -1]  # the last axis runs fastest
-    template = ",".join(names) + "\n" + _solution_rows_template(axis, grid.dim)
-    for n, res in zip(seq.n_schedule, seq.results):
-        text = template % tuple(res.u.values.tolist())
-        (out_dir / f"solution_n{n}.csv").write_text(text, encoding="utf-8")
+    templates = _solution_rows_templates(axis, grid.dim)
+    columns = (",".join(("x", "y", "z")[: cfg.dim] + ("u",)) + "\n").encode()
 
     header = ["level", "iterations", "residual", "l1_diff", "max_diff", "linear_solves"]
     header += [f"min_K_{m:g}" for m in cfg.margins]
-    rows = []
-    for j, (n, res) in enumerate(zip(seq.n_schedule, seq.results)):
-        l1 = seq.l1_diffs[j - 1] if j > 0 and j - 1 < len(seq.l1_diffs) else float("nan")
-        mx = seq.max_diffs[j - 1] if j > 0 and j - 1 < len(seq.max_diffs) else float("nan")
-        minima = [min_on_compact(res.u, m) for m in cfg.margins]
-        rows.append([n, res.iterations, res.residual, l1, mx, res.linear_solves] + minima)
-    _write_csv(out_dir / "sequence.csv", header, rows)
+    aborted = negative = None
+    with open(out_dir / "sequence.csv", "w", encoding="utf-8") as seq_file:
+        seq_file.write(",".join(header) + "\n")
+        for n, res, l1, mx in iter_sequence(spec, cfg.n_schedule, cfg.solver):
+            values = res.u.values
+            _write_solution(out_dir / f"solution_n{n}.csv", columns, templates, values)
+            minima = [min_on_compact(res.u, m) for m in cfg.margins]
+            row = [n, res.iterations, res.residual, l1, mx, res.linear_solves] + minima
+            seq_file.write(",".join(_fmt(x) for x in row) + "\n")
+            seq_file.flush()
+            if not res.converged:
+                aborted = n
+            floor = -1e-12 * max(1.0, float(np.max(np.abs(values))))
+            if negative is None and float(values.min()) < floor:
+                negative = n
 
-    if seq.aborted_level is not None:
+    if aborted is not None:
         return _reason(
             out_dir,
             EXIT_NONCONVERGENCE,
             "nonconvergence",
-            f"level {seq.aborted_level} did not converge within "
+            f"level {aborted} did not converge within "
             f"{cfg.solver.max_iters} iterations",
         )
-    for n, res in zip(seq.n_schedule, seq.results):
-        floor = -1e-12 * max(1.0, float(np.max(np.abs(res.u.values))))
-        if float(res.u.values.min()) < floor:
-            return _reason(
-                out_dir,
-                EXIT_INVARIANT,
-                "invariant",
-                f"negative nodal value at level {n}",
-            )
+    if negative is not None:
+        return _reason(
+            out_dir,
+            EXIT_INVARIANT,
+            "invariant",
+            f"negative nodal value at level {negative}",
+        )
     return EXIT_OK
 
 
@@ -495,7 +520,8 @@ def _sweep_job(job: tuple) -> list:
 
 def _cmd_sweep(cfg: RunConfig, out_dir: Path) -> int:
     """Run the sweep's rows in ``cfg.threads`` forked worker processes (POSIX
-    only) and write them to sweep.csv in sorted job order."""
+    only), at most one per job and per CPU this process may run on, and
+    write them to sweep.csv in sorted job order."""
     gammas = cfg.sweep_gammas
     cells_list = cfg.sweep_cells or (cfg.cells,)
     measures = cfg.sweep_measures or ("none",)
@@ -506,13 +532,19 @@ def _cmd_sweep(cfg: RunConfig, out_dir: Path) -> int:
     )
     # Imported here so that solve and verify do not pay for them.
     import multiprocessing
+    import os
     from concurrent.futures import ProcessPoolExecutor
+
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
 
     # The workers are forked: the config holds lambdas and cannot be pickled,
     # so it reaches them through ``initargs``, which fork passes unpickled.
     # Only the job tuples and the finished rows cross the pipe.
     with ProcessPoolExecutor(
-        max_workers=min(cfg.threads, len(jobs)),
+        max_workers=min(cfg.threads, len(jobs), cpus),
         mp_context=multiprocessing.get_context("fork"),
         initializer=_init_sweep_worker,
         initargs=(cfg,),

@@ -23,9 +23,11 @@ returned, once max|T(u) - u| <= tol_fp.
 
 Two drivers run levels, both through ``_prepare`` and ``_iterate``:
 ``solve_regularized`` solves one level, plain or clamped by a sandwich pair,
-and ``solve_sequence`` drives the geometric schedule n = 2, 4, ..., 1024
-with warm starts and one Laplacian, tracking successive differences in the
-discrete L1 norm, the natural norm for the limit passage.
+and the generator ``iter_sequence`` drives the geometric schedule n = 2, 4,
+..., 1024 with warm starts and one Laplacian, yielding each level as it
+finishes with its successive difference in the discrete L1 norm, the
+natural norm for the limit passage.  It keeps only the previous level;
+``solve_sequence`` collects every level for the callers that need them all.
 
 A level runs on plain arrays and solves with the kernel ``mesh._solve``; a
 GridFunction is built only where a value leaves: ``SolveResult.u``,
@@ -74,6 +76,7 @@ __all__ = [
     "DEFAULT_SCHEDULE",
     "level_source",
     "solve_regularized",
+    "iter_sequence",
     "solve_sequence",
     "monotone_check",
     "comparison_check",
@@ -389,16 +392,14 @@ def solve_regularized(
     )
 
 
-def solve_sequence(
-    spec: ProblemSpec,
-    n_schedule=None,
-    cfg: SolverConfig | None = None,
-) -> SequenceResult:
-    """Drive the regularization schedule with warm starts.
+def iter_sequence(spec: ProblemSpec, n_schedule=None, cfg: SolverConfig | None = None):
+    """Yield ``(n, result, l1_diff, max_diff)`` as each level of the schedule
+    finishes, solved with warm starts and one Laplacian.
 
-    ``spec.n`` is ignored; each level uses its schedule value.  The first
-    nonconvergent level aborts the sweep: the result holds the levels solved
-    so far, that one included, and names it ``aborted_level``.
+    ``spec.n`` is ignored; each level uses its schedule value.  The
+    differences from the previous level, in the discrete L1 and the max
+    norm, are NaN at the first level and at the first nonconvergent one,
+    which is the last level yielded.
     """
     cfg = cfg or SolverConfig()
     schedule = tuple(
@@ -410,26 +411,46 @@ def solve_sequence(
         raise ValueError("n_schedule must be strictly increasing")
     lap = build_laplacian(spec.grid)
     tol_fp = cfg.resolved_tol_fp(spec.grid)
-
-    results: list[SolveResult] = []
-    l1_diffs: list[float] = []
-    max_diffs: list[float] = []
     prev: np.ndarray | None = None
-    aborted = None
     for n in schedule:
         res = _iterate(_prepare(spec.with_level(n)), lap, cfg, tol_fp, prev)
-        results.append(res)
+        l1 = mx = math.nan
+        if res.converged and prev is not None:
+            diff = np.abs(res.u.values - prev)
+            l1 = float(np.sum(diff) * spec.grid.cell_volume)
+            mx = float(np.max(diff))
+        prev = res.u.values
+        yield n, res, l1, mx
+        if not res.converged:
+            return
+
+
+def solve_sequence(
+    spec: ProblemSpec,
+    n_schedule=None,
+    cfg: SolverConfig | None = None,
+) -> SequenceResult:
+    """Every level of ``iter_sequence`` in one result.
+
+    The first nonconvergent level aborts the sweep: the result holds the
+    levels solved so far, that one included, and names it ``aborted_level``.
+    """
+    results: list[SolveResult] = []
+    schedule: list[int] = []
+    l1_diffs: list[float] = []
+    max_diffs: list[float] = []
+    aborted = None
+    for n, res, l1, mx in iter_sequence(spec, n_schedule, cfg):
         if not res.converged:
             aborted = n
-            break
-        if prev is not None:
-            diff = res.u.values - prev
-            l1_diffs.append(float(np.sum(np.abs(diff)) * spec.grid.cell_volume))
-            max_diffs.append(float(np.max(np.abs(diff))))
-        prev = res.u.values
+        elif results:
+            l1_diffs.append(l1)
+            max_diffs.append(mx)
+        results.append(res)
+        schedule.append(n)
     return SequenceResult(
         results=tuple(results),
-        n_schedule=schedule[: len(results)],
+        n_schedule=tuple(schedule),
         l1_diffs=tuple(l1_diffs),
         max_diffs=tuple(max_diffs),
         aborted_level=aborted,

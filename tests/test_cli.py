@@ -5,6 +5,7 @@ import subprocess
 import sys
 import textwrap
 import warnings
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -14,7 +15,7 @@ import pytest
 import singpde
 import singpde.cli as cli
 import singpde.solver as solver
-from singpde.cli import _fmt, _solution_rows_template, main
+from singpde.cli import _fmt, _solution_rows_templates, _write_solution, main
 from singpde.config import RunConfig
 from singpde.measures import RadonMeasure, scale_measure
 from singpde.mesh import GridFunction, _solve, build_grid, build_laplacian, l1_norm
@@ -147,6 +148,74 @@ def test_solve_overflow_exits_two_as_overflow_without_warning(tmp_path):
     assert code == 2
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert (out / "reason.csv").read_text().splitlines()[1].startswith("2,overflow,")
+    # Each level is written as it finishes: level 2's file and row stay, and
+    # the level that raised leaves neither.
+    _, rows = read_rows(out / "sequence.csv")
+    assert [r[0] for r in rows] == ["2"]
+    assert [p.name for p in out.glob("solution_n*.csv")] == ["solution_n2.csv"]
+    _, rows = read_rows(out / "solution_n2.csv")
+    assert len(rows) == 15
+
+
+@pytest.mark.parametrize("nonconverged", [False, True])
+def test_solve_reports_nonconvergence_before_a_negative_value(
+    tmp_path, monkeypatch, capsys, nonconverged
+):
+    # Level 16 is made negative and, in the second case, level 64 is flagged
+    # nonconvergent.  Either exit comes after every level is written, and
+    # nonconvergence (2) wins over the negative value (3).
+    real = cli.iter_sequence
+
+    def tampered(spec, n_schedule, cfg):
+        for n, res, l1, mx in real(spec, n_schedule, cfg):
+            if n == 16:
+                res = replace(res, u=GridFunction(res.u.grid, -res.u.values))
+            if n == 64 and nonconverged:
+                res = replace(res, converged=False)
+            yield n, res, l1, mx
+
+    monkeypatch.setattr(cli, "iter_sequence", tampered)
+    out = tmp_path / "out"
+    code = main(["solve", write_cfg(tmp_path, DIRAC_1D), "--out", str(out)])
+    reason = capsys.readouterr().out.splitlines()[-1]
+    if nonconverged:
+        assert code == 2 and reason.startswith("reason,2,nonconvergence,level 64 ")
+    else:
+        assert code == 3 and reason == "reason,3,invariant,negative nodal value at level 16"
+    _, rows = read_rows(out / "sequence.csv")
+    assert [r[0] for r in rows] == ["2", "4", "8", "16", "32", "64"]
+    assert len(list(out.glob("solution_n*.csv"))) == 6
+
+
+def test_solve_streams_each_level_before_the_next_starts(tmp_path, monkeypatch):
+    # When a level starts, every level before it has its solution file and
+    # its sequence row on disk, complete, and at most the previous level's
+    # result is still alive: no more than two levels at a time.
+    out = tmp_path / "out"
+    real = solver._iterate
+    finished = []  # weak references to the results of the levels solved so far
+    starts = []  # per level start: (finished results alive, files, sequence rows)
+
+    def watched(*args, **kwargs):
+        alive = sum(ref() is not None for ref in finished)
+        files = {p.name: p.read_bytes() for p in out.glob("solution_n*.csv")}
+        rows = (out / "sequence.csv").read_text().splitlines()[1:]
+        starts.append((alive, files, rows))
+        res = real(*args, **kwargs)
+        finished.append(weakref.ref(res))
+        return res
+
+    monkeypatch.setattr(solver, "_iterate", watched)
+    assert main(["solve", write_cfg(tmp_path, DIRAC_1D), "--out", str(out)]) == 0
+    schedule = [2, 4, 8, 16, 32, 64]
+    _, final_rows = read_rows(out / "sequence.csv")
+    assert len(starts) == len(schedule)
+    for k, (alive, files, rows) in enumerate(starts):
+        assert alive <= 1
+        assert sorted(files) == sorted(f"solution_n{n}.csv" for n in schedule[:k])
+        for name, data in files.items():
+            assert data == (out / name).read_bytes()
+        assert [r.split(",") for r in rows] == final_rows[:k]
 
 
 def test_solve_linear_solves_column_counts_every_solve(tmp_path, monkeypatch):
@@ -193,33 +262,56 @@ def test_solve_deterministic_outputs(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
-def test_solution_rows_template_matches_fmt_on_edge_values():
-    edge = [0.0, -0.0, 5e-324, 1e-300, 0.1, 1 / 3, 1.2345678901234567e17]
+def _per_value_rows(coords, values) -> bytes:
+    """Solution rows with one ``_fmt`` call per value, as for the small tables."""
+    return "".join(
+        ",".join(_fmt(x) for x in tuple(coord) + (value,)) + "\n"
+        for coord, value in zip(coords, values)
+    ).encode("utf-8")
+
+
+def _filled(tmp_path, templates, values) -> bytes:
+    path = tmp_path / "solution.csv"
+    _write_solution(path, b"", templates, np.array(values))
+    return path.read_bytes()
+
+
+def test_solution_rows_template_matches_fmt_on_edge_values(tmp_path, monkeypatch):
+    edge = [0.0, -0.0, 5e-324, 1e-300, 0.1, 1 / 3, 1.2345678901234567e17, float("nan")]
+    # At the real chunk size, along one axis: the edge values end the axis,
+    # four on each side of the first chunk boundary, as coordinates and,
+    # shifted by one row, as values.
+    axis = [0.25 + k / cli._CHUNK_ROWS for k in range(cli._CHUNK_ROWS - 4)] + edge
+    values = axis[1:] + axis[:1]
+    templates = _solution_rows_templates(np.array(axis), 1)
+    assert [t.count(b"\n") for t in templates] == [cli._CHUNK_ROWS, 4]
+    expected = _per_value_rows([(x,) for x in axis], values)
+    assert _filled(tmp_path, templates, values) == expected
+    # Along two axes, with chunks of 5 rows: 64 rows end in a partial chunk.
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", 5)
     coords = list(itertools.product(edge, repeat=2))
     values = [edge[k % len(edge)] for k in range(3, 3 + len(coords))]
-    expected = "".join(
-        ",".join(_fmt(x) for x in coord + (value,)) + "\n"
-        for coord, value in zip(coords, values)
-    )
-    assert _solution_rows_template(np.array(edge), 2) % tuple(values) == expected
+    templates = _solution_rows_templates(np.array(edge), 2)
+    assert len(templates) == 13
+    assert _filled(tmp_path, templates, values) == _per_value_rows(coords, values)
 
 
 @pytest.mark.parametrize("dim, cells", [(1, 7), (2, 5), (3, 4)])
-def test_solution_rows_template_matches_fmt_per_node(dim, cells):
+def test_solution_rows_template_matches_fmt_per_node(tmp_path, monkeypatch, dim, cells):
+    # Chunks of 5 rows: 6, 16 and 27 nodes each end in a partial chunk.
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", 5)
     grid = build_grid(dim, cells)
     values = np.random.default_rng(dim).uniform(0.0, 1.0, grid.interior_count)
-    expected = "".join(
-        ",".join(_fmt(x) for x in tuple(coord.tolist()) + (value,)) + "\n"
-        for coord, value in zip(grid.node_coords, values.tolist())
-    )
-    axis = grid.node_coords[: cells - 1, -1]
-    assert _solution_rows_template(axis, dim) % tuple(values.tolist()) == expected
+    expected = _per_value_rows(grid.node_coords.tolist(), values.tolist())
+    templates = _solution_rows_templates(grid.node_coords[: cells - 1, -1], dim)
+    assert len(templates) == -(-grid.interior_count // 5)
+    assert _filled(tmp_path, templates, values) == expected
 
 
-def test_solve_solution_files_match_per_value_formatting(tmp_path):
+def _check_solution_files_per_value(tmp_path, cells):
     text = "\n".join([
         "domain.dim = 2",
-        "domain.cells = 8",
+        f"domain.cells = {cells}",
         "h.kind = pure_power",
         "h.gamma = 1.5",
         "f.kind = constant",
@@ -231,18 +323,23 @@ def test_solve_solution_files_match_per_value_formatting(tmp_path):
     out = tmp_path / "out"
     assert main(["solve", cfg_path, "--out", str(out)]) == 0
 
-    # reference: one _fmt call per value, as for the small tables
     cfg = RunConfig.from_file(cfg_path)
     grid = build_grid(cfg.dim, cfg.cells, cfg.grid_margin)
     spec = ProblemSpec(grid=grid, h=cfg.h, f=cfg.f, mu=cfg.mu, n=cfg.n_schedule[-1])
     seq = solve_sequence(spec, cfg.n_schedule, cfg.solver)
     for n, res in zip(seq.n_schedule, seq.results):
-        lines = ["x,y,u"] + [
-            ",".join(_fmt(x) for x in tuple(coord) + (value,))
-            for coord, value in zip(grid.node_coords, res.u.values)
-        ]
-        expected = ("\n".join(lines) + "\n").encode("utf-8")
+        expected = b"x,y,u\n" + _per_value_rows(grid.node_coords.tolist(), res.u.values.tolist())
         assert (out / f"solution_n{n}.csv").read_bytes() == expected
+
+
+def test_solve_solution_files_match_per_value_formatting(tmp_path):
+    _check_solution_files_per_value(tmp_path, 8)
+
+
+def test_solve_solution_files_match_per_value_formatting_across_chunks(tmp_path):
+    # 99^2 = 9,801 rows: two full chunks of 4,096 and a partial one.
+    assert 2 * cli._CHUNK_ROWS < 99**2 < 3 * cli._CHUNK_ROWS
+    _check_solution_files_per_value(tmp_path, 100)
 
 
 def test_solve_fine_1d_grid_with_defaults(tmp_path):
@@ -825,6 +922,49 @@ def test_sweep_threads_below_one_is_config_error(tmp_path, capsys):
     assert main(["sweep", cfg, "--out", str(out)]) == 1
     assert "reason,1,config,threads: must be at least 1, got 0" in capsys.readouterr().out
     assert not (out / "sweep.csv").exists()
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its worker count and runs
+    the jobs in this process, so no process starts."""
+
+    max_workers = []
+
+    def __init__(self, max_workers, mp_context, initializer, initargs):
+        self.max_workers.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+
+@pytest.mark.parametrize("affinity", [True, False])
+def test_sweep_workers_capped_at_usable_cpus(tmp_path, monkeypatch, affinity):
+    # threads = 10**6 would fork a worker per job: the 8 jobs run on the 3
+    # CPUs the process may use, read from the affinity mask or, where the
+    # platform has none, from the CPU count.
+    import concurrent.futures
+
+    monkeypatch.setattr(_RecordingPool, "max_workers", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    if affinity:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    else:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    cfg = write_cfg(tmp_path, SWEEP.replace("threads = 2", f"threads = {10**6}"))
+    out = tmp_path / "out"
+    assert main(["sweep", cfg, "--out", str(out)]) == 0
+    assert _RecordingPool.max_workers == [3]
+    _, rows = read_rows(out / "sweep.csv")
+    assert [r[3] for r in rows] == ["ok"] * 8
 
 
 @pytest.mark.parametrize("command", ["solve", "verify", "sweep"])
