@@ -39,16 +39,15 @@ from .solver import (
     DEFAULT_SCHEDULE,
     ProblemSpec,
     SandwichSpec,
-    SequenceResult,
     SolveResult,
     SolverConfig,
     build_sub_super,
     comparison_check,
     hopf_ratio_check,
+    iter_sequence,
     level_source,
     monotone_check,
     solve_regularized,
-    solve_sequence,
 )
 from .diagnostics import (
     ExponentFit,

@@ -56,7 +56,6 @@ from .measures import RadonMeasure, scale_measure
 from .mesh import GridFunction, LinearSolveError, build_grid, l1_norm, min_on_compact
 from .solver import (
     ProblemSpec,
-    SequenceResult,
     SolveResult,
     build_sub_super,
     comparison_check,
@@ -65,7 +64,6 @@ from .solver import (
     level_source,
     monotone_check,
     solve_regularized,
-    solve_sequence,
 )
 
 __all__ = ["main", "main_entry"]
@@ -217,9 +215,9 @@ class _Run:
     """The solves that two or more verify suites share, each made at most
     once per run.
 
-    ``sequence(with_measure)`` is the full or the measure-free schedule of
-    the config; ``tight_level(mu, start)`` the level-n_max solve with measure
-    ``mu`` under ``tight``, the solver settings of the near-exact
+    ``sequence(with_measure)`` lists the levels of the config's full or
+    measure-free schedule; ``tight_level(mu, start)`` is the level-n_max
+    solve with measure ``mu`` under ``tight``, the solver settings of the near-exact
     identities.  It starts from ``start`` when given, else from the full
     schedule's last level if this run has solved it, else cold.  Each is
     solved on first use, and a nonconvergent solve raises
@@ -238,19 +236,21 @@ class _Run:
         self._sequences = {}
         self._levels = {}
 
-    def sequence(self, with_measure: bool) -> SequenceResult:
+    def sequence(self, with_measure: bool) -> list[SolveResult]:
         if with_measure not in self._sequences:
             spec = self.spec if with_measure else self.spec.without_measure()
-            seq = solve_sequence(spec, self.cfg.n_schedule, self.cfg.solver)
-            if seq.aborted_level is not None:
-                raise _ConvergenceFailure(f"level {seq.aborted_level} did not converge")
-            self._sequences[with_measure] = seq
+            levels = []
+            for n, res, _, _ in iter_sequence(spec, self.cfg.n_schedule, self.cfg.solver):
+                if not res.converged:
+                    raise _ConvergenceFailure(f"level {n} did not converge")
+                levels.append(res)
+            self._sequences[with_measure] = levels
         return self._sequences[with_measure]
 
     def tight_level(self, mu: RadonMeasure, start: GridFunction | None = None) -> SolveResult:
         if mu not in self._levels:
             if start is None and True in self._sequences:
-                start = self._sequences[True].final.u
+                start = self._sequences[True][-1].u
             res = solve_regularized(replace(self.spec, mu=mu), self.tight, start)
             if not res.converged:
                 raise _ConvergenceFailure("tight-tolerance level solve")
@@ -303,7 +303,7 @@ def _suite_manufactured(cfg: RunConfig, run: _Run):
 
 def _suite_monotone(cfg: RunConfig, run: _Run):
     seq = run.sequence(with_measure=False)
-    worst = monotone_check([r.u for r in seq.results])
+    worst = monotone_check([r.u for r in seq])
     return [_check("monotone.max_violation", worst, _TOL_MONO, worst <= _TOL_MONO)]
 
 
@@ -311,12 +311,12 @@ def _suite_lower_bound(cfg: RunConfig, run: _Run):
     seq = run.sequence(with_measure=True)
     vseq = run.sequence(with_measure=False)
     domination = max(
-        comparison_check(u.u, v.u) for u, v in zip(seq.results, vseq.results)
+        comparison_check(u.u, v.u) for u, v in zip(seq, vseq)
     )
     rows = [_check("lower_bound.domination", domination, _TOL_MONO, domination <= _TOL_MONO)]
-    top = len(seq.results) // 2
+    top = len(seq) // 2
     for margin in cfg.margins:
-        minima = [min_on_compact(r.u, margin) for r in seq.results[top:]]
+        minima = [min_on_compact(r.u, margin) for r in seq[top:]]
         c = min(minima)
         spread = (max(minima) - min(minima)) / max(minima) if max(minima) > 0 else 1.0
         rows.append(_check(f"lower_bound.c_K_margin{margin:g}", c, ">0", c > 0))
@@ -333,9 +333,9 @@ def _suite_energy_law(cfg: RunConfig, run: _Run):
     if cfg.h.gamma < 1.0:
         return [_na("energy_law.slope", "needs gamma>=1")]
     seq = run.sequence(with_measure=True)
-    top = len(seq.results) // 2
+    top = len(seq) // 2
     worst_slope = -np.inf
-    for res in seq.results[top:]:
+    for res in seq[top:]:
         # T_k(u) = u once k >= max u: such k repeat one energy and flatten the
         # fitted slope, so only the truncations that cut u test the law.
         u_max = float(res.u.values.max())
@@ -355,7 +355,7 @@ def _suite_tails(cfg: RunConfig, run: _Run):
             _na("tails.gradient_slope", "needs dim=3"),
             _na("tails.u_slope", "needs dim=3"),
         ]
-    u = run.sequence(with_measure=True).final.u
+    u = run.sequence(with_measure=True)[-1].u
     rows = []
     for name, values, bound in (
         ("gradient", diag.discrete_gradient_magnitude(u), -1.3),
@@ -409,7 +409,7 @@ def _suite_sandwich(cfg: RunConfig, run: _Run):
     spec = run.spec
     if not np.all(cfg.f(spec.grid.node_coords) > 0):
         return [_na("sandwich.breach", "needs f>0 at every node")]
-    sandwich = build_sub_super(spec, run.sequence(with_measure=False).final.u)
+    sandwich = build_sub_super(spec, run.sequence(with_measure=False)[-1].u)
     res = solve_regularized(spec, cfg.solver, sandwich.sub, sandwich)
     if not res.converged:
         raise _ConvergenceFailure("clamped solve")
@@ -487,14 +487,17 @@ def _sweep_row(cfg: RunConfig, gamma: float, cells: int, measure_name: str):
         spec = _spec_from_config(replace(
             cfg, cells=cells, h=replace(cfg.h, gamma=gamma), mu=SWEEP_MEASURES[measure_name]
         ))
-        seq = solve_sequence(spec, cfg.n_schedule, cfg.solver)
-        final = seq.final
+        # Only the first level and an aborted one have NaN differences.
+        levels, l1_diff = 0, math.nan
+        for _, final, l1, _ in iter_sequence(spec, cfg.n_schedule, cfg.solver):
+            levels += 1
+            if not math.isnan(l1):
+                l1_diff = l1
         minima = [min_on_compact(final.u, m) for m in cfg.margins]
-        status = "ok" if seq.aborted_level is None else "nonconverged"
         return base + [
-            status,
-            len(seq.results),
-            seq.l1_diffs[-1] if seq.l1_diffs else float("nan"),
+            "ok" if final.converged else "nonconverged",
+            levels,
+            l1_diff,
             final.residual,
             l1_norm(final.u),
             *minima,

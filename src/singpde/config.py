@@ -11,18 +11,19 @@ that holds them.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 from . import fields
 from .measures import RadonMeasure
-from .singularity import SingularNonlinearity
+from .mesh import max_margin
+from .singularity import _KINDS as _H_KINDS, SingularNonlinearity
 from .solver import DEFAULT_SCHEDULE, SolverConfig
 
 __all__ = ["ConfigError", "RunConfig", "load_raw_config", "SWEEP_MEASURES"]
 
 _F_KINDS = ("zero", "constant", "gaussian_bump", "sin_pi", "manufactured_singular")
-_H_KINDS = ("pure_power", "shifted_power", "bounded_plateau")
 # The measures a sweep row can use, by the name sweep.measure gives them.
 SWEEP_MEASURES = {
     "none": RadonMeasure(),
@@ -312,6 +313,11 @@ class RunConfig:
         for c in sweep_cells:
             if c < 2:
                 raise ConfigError("sweep.cells", f"cells must be at least 2, got {c}")
+        # Every grid a run builds must hold a node in each band.
+        for c, m in itertools.product((cells, *sweep_cells), margins):
+            if m > max_margin(c):
+                raise ConfigError("domain.margins", f"margin {m} leaves no node at {c} cells, "
+                                  f"whose deepest node lies {max_margin(c)} from the boundary")
         sweep_gammas = _get_list(raw, "sweep.gamma", float, ())
         for g in sweep_gammas:
             if g <= 0:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -35,15 +35,12 @@ __all__ = [
     "build_grid",
     "build_laplacian",
     "solve_spd",
+    "max_margin",
     "min_on_compact",
     "sample_field",
     "l1_norm",
     "require_same_grid",
 ]
-
-# Slack for margin comparisons so nodes sitting exactly on a band edge are
-# kept even when the coordinate is not exactly representable (e.g. h = 1/3).
-_MARGIN_EPS = 1e-12
 
 # Backward-error bound for solve_spd, in units of machine epsilon:
 #   max|A x - b| <= _BACKWARD_ERROR_FACTOR * eps * (||A||_inf (max|x| + tiny) + max|b|)
@@ -80,9 +77,9 @@ class LinearSolveError(RuntimeError):
 class Grid:
     """Uniform grid on the unit box with zero Dirichlet boundary.
 
-    Only interior nodes carry unknowns.  ``boundary_distance`` holds the exact
-    distance of each interior node to the box boundary (minimum over the face
-    distances), which is what defines the compact bands {d(x) >= margin}.
+    Only interior nodes carry unknowns.  ``boundary_distance`` holds each
+    one's distance to the box boundary, min(k, cells - k) / cells over its
+    lattice indices k, which defines the compact bands {d(x) >= margin}.
     """
 
     dim: int
@@ -204,12 +201,14 @@ def build_grid(dim: int, cells_per_side: int, boundary_margin: float = 0.0) -> G
             f"boundary_margin must lie in [0, 0.5), got {boundary_margin}"
         )
     spacing = 1.0 / cells_per_side
-    axis = spacing * np.arange(1, cells_per_side)
-    mesh = np.meshgrid(*(axis,) * dim, indexing="ij")
+    index = np.arange(1, cells_per_side)
+    mesh = np.meshgrid(*(spacing * index,) * dim, indexing="ij")
     node_coords = np.stack([c.ravel() for c in mesh], axis=1)
-    boundary_distance = np.min(
-        np.minimum(node_coords, 1.0 - node_coords), axis=1
-    )
+    # Counted in cells and divided once, the distance is the same for x and
+    # 1 - x and is max_margin(cells_per_side) at the deepest node.
+    steps = np.minimum(index, cells_per_side - index)
+    steps = reduce(np.minimum, np.ix_(*(steps,) * dim)).ravel()
+    boundary_distance = steps / cells_per_side
     return Grid(
         dim=dim,
         cells_per_side=cells_per_side,
@@ -334,14 +333,20 @@ def solve_spd(op: DiscreteOperator, rhs: GridFunction) -> GridFunction:
     return GridFunction(rhs.grid, x)
 
 
+def max_margin(cells_per_side: int) -> float:
+    """The largest margin whose compact band {d(x) >= margin} holds a node of
+    a grid with ``cells_per_side`` cells: (cells // 2) / cells, the boundary
+    distance of its deepest node."""
+    return (cells_per_side // 2) / cells_per_side
+
+
 def min_on_compact(u: GridFunction, margin: float) -> float:
     """Minimum of u over the compact band of nodes with d(x) >= margin."""
     if not 0.0 <= margin < 0.5:
         raise ValueError(f"margin must lie in [0, 0.5), got {margin}")
-    mask = u.grid.boundary_distance >= margin - _MARGIN_EPS
-    if not mask.any():
+    if margin > max_margin(u.grid.cells_per_side):
         raise ValueError(f"no interior nodes at distance >= {margin} from the boundary")
-    return float(u.values[mask].min())
+    return float(u.values[u.grid.boundary_distance >= margin].min())
 
 
 def sample_field(grid: Grid, fn) -> GridFunction:

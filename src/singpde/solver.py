@@ -23,11 +23,11 @@ returned, once max|T(u) - u| <= tol_fp.
 
 Two drivers run levels, both through ``_prepare`` and ``_iterate``:
 ``solve_regularized`` solves one level, plain or clamped by a sandwich pair,
-and the generator ``iter_sequence`` drives the geometric schedule n = 2, 4,
-..., 1024 with warm starts and one Laplacian, yielding each level as it
-finishes with its successive difference in the discrete L1 norm, the
-natural norm for the limit passage.  It keeps only the previous level;
-``solve_sequence`` collects every level for the callers that need them all.
+and the generator ``iter_sequence``, the one schedule driver, runs the
+geometric schedule n = 2, 4, ..., 1024 with warm starts and one Laplacian,
+yielding each level as it finishes with its successive difference in the
+discrete L1 norm, the natural norm for the limit passage.  It keeps only the
+previous level; a caller that needs more keeps what it reads.
 
 A level runs on plain arrays and solves with the kernel ``mesh._solve``; a
 GridFunction is built only where a value leaves: ``SolveResult.u``,
@@ -71,13 +71,11 @@ __all__ = [
     "ProblemSpec",
     "SolverConfig",
     "SolveResult",
-    "SequenceResult",
     "SandwichSpec",
     "DEFAULT_SCHEDULE",
     "level_source",
     "solve_regularized",
     "iter_sequence",
-    "solve_sequence",
     "monotone_check",
     "comparison_check",
     "build_sub_super",
@@ -100,9 +98,6 @@ class ProblemSpec:
     def __post_init__(self):
         if int(self.n) != self.n or self.n < 1:
             raise ValueError(f"regularization level must be an integer >= 1, got {self.n}")
-
-    def with_level(self, n: int) -> "ProblemSpec":
-        return replace(self, n=n)
 
     def without_measure(self) -> "ProblemSpec":
         return replace(self, mu=RadonMeasure())
@@ -148,21 +143,6 @@ class SolveResult:
     residual: float
     converged: bool
     linear_solves: int
-
-
-@dataclass(frozen=True, eq=False)
-class SequenceResult:
-    """Per-level solutions along an n-schedule plus successive differences."""
-
-    results: tuple[SolveResult, ...]
-    n_schedule: tuple[int, ...]
-    l1_diffs: tuple[float, ...]
-    max_diffs: tuple[float, ...]
-    aborted_level: int | None = None
-
-    @property
-    def final(self) -> SolveResult:
-        return self.results[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +379,8 @@ def iter_sequence(spec: ProblemSpec, n_schedule=None, cfg: SolverConfig | None =
     ``spec.n`` is ignored; each level uses its schedule value.  The
     differences from the previous level, in the discrete L1 and the max
     norm, are NaN at the first level and at the first nonconvergent one,
-    which is the last level yielded.
+    which is the last level yielded.  An empty or non-increasing schedule
+    raises ValueError when the first level is asked for.
     """
     cfg = cfg or SolverConfig()
     schedule = tuple(
@@ -413,7 +394,7 @@ def iter_sequence(spec: ProblemSpec, n_schedule=None, cfg: SolverConfig | None =
     tol_fp = cfg.resolved_tol_fp(spec.grid)
     prev: np.ndarray | None = None
     for n in schedule:
-        res = _iterate(_prepare(spec.with_level(n)), lap, cfg, tol_fp, prev)
+        res = _iterate(_prepare(replace(spec, n=n)), lap, cfg, tol_fp, prev)
         l1 = mx = math.nan
         if res.converged and prev is not None:
             diff = np.abs(res.u.values - prev)
@@ -423,38 +404,6 @@ def iter_sequence(spec: ProblemSpec, n_schedule=None, cfg: SolverConfig | None =
         yield n, res, l1, mx
         if not res.converged:
             return
-
-
-def solve_sequence(
-    spec: ProblemSpec,
-    n_schedule=None,
-    cfg: SolverConfig | None = None,
-) -> SequenceResult:
-    """Every level of ``iter_sequence`` in one result.
-
-    The first nonconvergent level aborts the sweep: the result holds the
-    levels solved so far, that one included, and names it ``aborted_level``.
-    """
-    results: list[SolveResult] = []
-    schedule: list[int] = []
-    l1_diffs: list[float] = []
-    max_diffs: list[float] = []
-    aborted = None
-    for n, res, l1, mx in iter_sequence(spec, n_schedule, cfg):
-        if not res.converged:
-            aborted = n
-        elif results:
-            l1_diffs.append(l1)
-            max_diffs.append(mx)
-        results.append(res)
-        schedule.append(n)
-    return SequenceResult(
-        results=tuple(results),
-        n_schedule=tuple(schedule),
-        l1_diffs=tuple(l1_diffs),
-        max_diffs=tuple(max_diffs),
-        aborted_level=aborted,
-    )
 
 
 # ---------------------------------------------------------------------------

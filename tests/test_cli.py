@@ -20,7 +20,7 @@ from singpde.config import RunConfig
 from singpde.measures import RadonMeasure, scale_measure
 from singpde.mesh import GridFunction, _solve, build_grid, build_laplacian, l1_norm
 from singpde.singularity import SingularNonlinearity
-from singpde.solver import ProblemSpec, solve_sequence
+from singpde.solver import ProblemSpec, iter_sequence
 
 DIRAC_1D = """
 domain.dim = 1
@@ -33,6 +33,12 @@ measure.atom = [0.5, 0.5, 0.5, 1.0]
 sequence.n_schedule = 2, 4, 8, 16, 32, 64
 solver.tol_fp = 1e-10
 """
+
+
+def final_level(spec, n_schedule, cfg):
+    """The last level result that ``iter_sequence`` yields."""
+    *_, (_, res, _, _) = iter_sequence(spec, n_schedule, cfg)
+    return res
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -75,6 +81,20 @@ def test_solve_config_error_names_key(tmp_path, capsys):
     assert "h.gamma" in captured
 
 
+@pytest.mark.parametrize(
+    "args", [["solve"], ["verify"], ["verify", "--suite", "lower_bound"], ["sweep"]]
+)
+def test_margin_deeper_than_the_grid_is_config_error_before_any_solve(
+    tmp_path, capsys, args
+):
+    # At 5 cells the deepest node lies at 0.4 from the boundary.
+    cfg = write_cfg(tmp_path, "domain.cells = 5\ndomain.margins = 0.45\nsweep.gamma = 1\n")
+    out = tmp_path / "out"
+    assert main([args[0], cfg, *args[1:], "--out", str(out)]) == 1
+    assert capsys.readouterr().out.startswith("reason,1,config,domain.margins: margin 0.45 ")
+    assert not out.exists()
+
+
 def test_solve_missing_config_is_config_error(tmp_path):
     assert main(["solve", str(tmp_path / "nope.cfg")]) == 1
 
@@ -89,9 +109,8 @@ def test_solve_nonconvergence_exits_two(tmp_path, capsys):
     assert (out / "sequence.csv").exists()  # partial results still written
 
 
-def test_solve_abort_past_the_first_level_writes_levels_solved(tmp_path, capsys):
-    # Levels 2 and 4 converge within 5 evaluations of T; level 8 needs 6.
-    text = """
+# Levels 2 and 4 converge within 5 evaluations of T; level 8 needs 6.
+ABORT_AT_8 = """
 domain.dim = 1
 domain.cells = 64
 h.kind = pure_power
@@ -102,8 +121,11 @@ sequence.n_schedule = 2, 4, 8, 16
 solver.tol_fp = 1e-10
 solver.max_iters = 5
 """
+
+
+def test_solve_abort_past_the_first_level_writes_levels_solved(tmp_path, capsys):
     out = tmp_path / "out"
-    assert main(["solve", write_cfg(tmp_path, text), "--out", str(out)]) == 2
+    assert main(["solve", write_cfg(tmp_path, ABORT_AT_8), "--out", str(out)]) == 2
     assert "reason,2,nonconvergence,level 8 did not converge" in capsys.readouterr().out
     header, rows = read_rows(out / "sequence.csv")
     assert [r[0] for r in rows] == ["2", "4", "8"]
@@ -326,8 +348,7 @@ def _check_solution_files_per_value(tmp_path, cells):
     cfg = RunConfig.from_file(cfg_path)
     grid = build_grid(cfg.dim, cfg.cells, cfg.grid_margin)
     spec = ProblemSpec(grid=grid, h=cfg.h, f=cfg.f, mu=cfg.mu, n=cfg.n_schedule[-1])
-    seq = solve_sequence(spec, cfg.n_schedule, cfg.solver)
-    for n, res in zip(seq.n_schedule, seq.results):
+    for n, res, _, _ in iter_sequence(spec, cfg.n_schedule, cfg.solver):
         expected = b"x,y,u\n" + _per_value_rows(grid.node_coords.tolist(), res.u.values.tolist())
         assert (out / f"solution_n{n}.csv").read_bytes() == expected
 
@@ -464,7 +485,7 @@ def test_verify_tails_rows_are_tail_fits_of_the_final_level(tmp_path):
     observed = {row[0]: float(row[1]) for row in rows}
     run_cfg = RunConfig.from_file(cfg)
     spec = cli._spec_from_config(run_cfg)
-    u = solve_sequence(spec, run_cfg.n_schedule, run_cfg.solver).final.u
+    u = final_level(spec, run_cfg.n_schedule, run_cfg.solver).u
     grad = singpde.tail_fit(singpde.discrete_gradient_magnitude(u), u.grid.cell_volume)
     fit_u = singpde.tail_fit(u.values, u.grid.cell_volume)
     assert observed == {
@@ -515,6 +536,17 @@ def test_verify_nonconvergent_sandwich_writes_partial_csv(tmp_path, capsys):
     header, rows = read_rows(out / "verify_sandwich.csv")
     assert header == ["name", "observed", "bound", "status"]
     assert rows == []
+
+
+def test_verify_abort_past_the_first_level_exits_two(tmp_path, capsys):
+    # The full schedule, the first one the suites ask for, aborts at level 8:
+    # the run ends there and leaves a table without rows.
+    out = tmp_path / "out"
+    assert main(["verify", write_cfg(tmp_path, ABORT_AT_8), "--out", str(out)]) == 2
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "reason,2,nonconvergence,level 8 did not converge"
+    )
+    assert (out / "verify_all.csv").read_text() == "name,observed,bound,status\n"
 
 
 def test_verify_hopf_ratio_stable_at_box_corners(tmp_path):
@@ -621,13 +653,13 @@ def test_verify_tight_solves_start_warm_when_the_schedule_is_solved(tmp_path, mo
     # last level and the tight 2 mu solve from the tight mu one; the
     # uniqueness solve starts 1 above the tight mu one.  A lone kato suite
     # solves no schedule, so its mu solve starts cold.
-    finals, tight = [], []
-    solve_sequence_, solve_regularized_ = cli.solve_sequence, cli.solve_regularized
+    finals, tight = {}, []
+    iter_sequence_, solve_regularized_ = cli.iter_sequence, cli.solve_regularized
 
-    def recording_solve_sequence(spec, n_schedule=None, cfg=None):
-        seq = solve_sequence_(spec, n_schedule, cfg)
-        finals.append((spec.mu, seq.final.u.values))
-        return seq
+    def recording_iter_sequence(spec, n_schedule=None, cfg=None):
+        for level in iter_sequence_(spec, n_schedule, cfg):
+            finals[spec.mu] = level[1].u.values
+            yield level
 
     def recording_solve_regularized(spec, cfg=None, initial=None, sandwich=None):
         res = solve_regularized_(spec, cfg, initial, sandwich)
@@ -635,13 +667,13 @@ def test_verify_tight_solves_start_warm_when_the_schedule_is_solved(tmp_path, mo
             tight.append((spec.mu, None if initial is None else initial.values, res.u.values))
         return res
 
-    monkeypatch.setattr(cli, "solve_sequence", recording_solve_sequence)
+    monkeypatch.setattr(cli, "iter_sequence", recording_iter_sequence)
     monkeypatch.setattr(cli, "solve_regularized", recording_solve_regularized)
     text = DIRAC_1D.replace("h.gamma = 0.5", "h.gamma = 1.5")
     cfg = write_cfg(tmp_path, text)
     mu = RunConfig.from_file(cfg).mu
     assert main(["verify", cfg, "--out", str(tmp_path / "all"), "--suite", "all"]) == 0
-    full = next(u for m, u in finals if m == mu)
+    full = finals[mu]
     (mu1, start1, u1), (mu2, start2, _), (mu3, start3, _) = tight
     assert mu1 == mu and np.array_equal(start1, full)
     assert mu2 == scale_measure(mu, 2.0) and np.array_equal(start2, u1)
@@ -661,11 +693,11 @@ def test_verify_tight_solves_start_warm_when_the_schedule_is_solved(tmp_path, mo
 def test_verify_solves_each_schedule_once(tmp_path, monkeypatch, suite, expected_calls):
     calls = []
 
-    def counting_solve_sequence(spec, n_schedule=None, cfg=None):
+    def counting_iter_sequence(spec, n_schedule=None, cfg=None):
         calls.append((spec.mu.atoms, spec.mu.density, tuple(n_schedule)))
-        return solve_sequence(spec, n_schedule, cfg)
+        yield from iter_sequence(spec, n_schedule, cfg)
 
-    monkeypatch.setattr(cli, "solve_sequence", counting_solve_sequence)
+    monkeypatch.setattr(cli, "iter_sequence", counting_iter_sequence)
     text = DIRAC_1D.replace("h.gamma = 0.5", "h.gamma = 1.5")
     cfg = write_cfg(tmp_path, text)
     assert main(["verify", cfg, "--out", str(tmp_path / "out"), "--suite", suite]) == 0
@@ -812,14 +844,14 @@ def test_sweep_rows_run_outside_the_calling_process(tmp_path, monkeypatch):
     # The forked workers inherit the patch; a row solved in this process
     # would read error:RuntimeError.
     caller = os.getpid()
-    real = cli.solve_sequence
+    real = cli.iter_sequence
 
     def solve_outside_caller(*args, **kwargs):
         if os.getpid() == caller:
             raise RuntimeError("sweep row solved in the calling process")
-        return real(*args, **kwargs)
+        yield from real(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "solve_sequence", solve_outside_caller)
+    monkeypatch.setattr(cli, "iter_sequence", solve_outside_caller)
     cfg = write_cfg(tmp_path, SWEEP)
     out = tmp_path / "out"
     assert main(["sweep", cfg, "--out", str(out)]) == 0
@@ -891,9 +923,9 @@ def test_sweep_rebuilds_h_of_the_configured_kind(tmp_path, kind_lines, build_h):
         spec = ProblemSpec(
             grid=build_grid(1, 16), h=h, f=singpde.constant(1.0), mu=RadonMeasure()
         )
-        seq = solve_sequence(spec, run.n_schedule, run.solver)
+        final = final_level(spec, run.n_schedule, run.solver)
         assert row[3] == "ok"
-        assert float(row[col]) == l1_norm(seq.final.u)
+        assert float(row[col]) == l1_norm(final.u)
 
 
 def test_sweep_empty_gamma_list_is_config_error(tmp_path):
@@ -914,6 +946,24 @@ def test_sweep_nonconvergent_row_flagged_others_intact(tmp_path):
     status = {float(r[0]): r[3] for r in rows}
     assert status[0.05] == "ok"
     assert status[2.0] == "nonconverged"
+
+
+def test_sweep_row_aborted_past_the_first_level(tmp_path):
+    # The row keeps the levels solved, the aborted one included, and its
+    # final difference is that of level 4, the last converged level after
+    # the first: the one solve writes to sequence.csv.
+    cfg = write_cfg(tmp_path, ABORT_AT_8 + "sweep.gamma = 0.5\n")
+    assert main(["sweep", cfg, "--out", str(tmp_path / "sweep")]) == 0
+    header, rows = read_rows(tmp_path / "sweep" / "sweep.csv")
+    assert len(rows) == 1
+    row = dict(zip(header, rows[0]))
+    assert (row["status"], row["levels"]) == ("nonconverged", "3")
+    assert main(["solve", cfg, "--out", str(tmp_path / "solve")]) == 2
+    seq_header, seq_rows = read_rows(tmp_path / "solve" / "sequence.csv")
+    level4 = dict(zip(seq_header, seq_rows[1]))
+    assert level4["level"] == "4"
+    assert row["final_l1_diff"] == level4["l1_diff"] != "nan"
+    assert row["final_residual"] == seq_rows[2][seq_header.index("residual")]
 
 
 def test_sweep_threads_below_one_is_config_error(tmp_path, capsys):

@@ -1,6 +1,10 @@
+import math
+
+import numpy as np
 import pytest
 
 from singpde.config import ConfigError, RunConfig, load_raw_config
+from singpde.mesh import GridFunction, build_grid, min_on_compact
 
 
 def write(tmp_path, text, name="run.cfg"):
@@ -192,3 +196,31 @@ def test_defaults_when_keys_absent(tmp_path):
     assert cfg.mu.atoms == () and cfg.mu.density is None
     assert cfg.n_schedule[-1] == 1024
     assert cfg.threads == 1
+
+
+def test_unknown_h_kind_lists_the_kinds(tmp_path):
+    with pytest.raises(ConfigError) as err:
+        RunConfig.from_file(write(tmp_path, BASIC.replace("pure_power", "cubic")))
+    assert str(err.value) == (
+        "h.kind: must be one of ('pure_power', 'shifted_power', 'bounded_plateau'), "
+        "got 'cubic'"
+    )
+
+
+@pytest.mark.parametrize("cells", range(2, 10))
+@pytest.mark.parametrize("key", ["domain.cells", "sweep.cells"])
+def test_margin_deeper_than_the_grid_rejected(tmp_path, cells, key):
+    # The deepest node lies at (cells // 2) / cells; with even cells that is
+    # 0.5, which no margin reaches, so the largest margin is the float below.
+    top = min((cells // 2) / cells, math.nextafter(0.5, 0.0))
+    text = f"domain.dim = 2\n{key} = {cells}\nsweep.gamma = 1\n"
+    cfg = RunConfig.from_file(write(tmp_path, text + f"domain.margins = {top!r}\n"))
+    assert cfg.margins == (top,)
+    grid = build_grid(2, cells)
+    assert min_on_compact(GridFunction(grid, np.ones(grid.interior_count)), top) == 1.0
+    above = math.nextafter(top, 1.0)
+    with pytest.raises(ConfigError) as err:
+        RunConfig.from_file(write(tmp_path, text + f"domain.margins = 0.125, {above!r}\n"))
+    assert err.value.key == "domain.margins"
+    with pytest.raises(ValueError):
+        min_on_compact(GridFunction(grid, np.ones(grid.interior_count)), above)

@@ -14,7 +14,7 @@ from singpde import (
     solve_spd,
 )
 import singpde.mesh as mesh
-from singpde.mesh import _DENSE_MAX, _apply, _dst1, _sine_transform, _solve
+from singpde.mesh import _DENSE_MAX, _apply, _dst1, _sine_transform, _solve, max_margin
 
 
 def test_build_grid_1d_nodes():
@@ -325,6 +325,16 @@ def test_min_on_compact_point_load_solution():
     load[31] = 1.0 / g.spacing  # unit mass at x = 0.5
     u = solve_spd(build_laplacian(g), GridFunction(g, load))
     assert min_on_compact(u, 0.25) == pytest.approx(0.125, abs=1e-10)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_boundary_distance_is_symmetric_and_deepest_at_max_margin(dim):
+    for cells in range(2, 10):
+        g = build_grid(dim, cells)
+        d = g.boundary_distance.reshape(g.shape)
+        for axis in range(dim):
+            assert np.array_equal(d, np.flip(d, axis))
+        assert d.max() == max_margin(cells) == (cells // 2) / cells
 
 
 def test_min_on_compact_empty_band_raises():

@@ -21,8 +21,8 @@ from singpde import (
     min_on_compact,
     monotone_check,
     sample_field,
+    iter_sequence,
     solve_regularized,
-    solve_sequence,
     zero,
 )
 
@@ -123,14 +123,19 @@ def test_solve_linear_problem_from_initial_guess_takes_the_picard_image():
     assert np.max(np.abs(res.u.values - green_exact(spec.grid))) <= 1e-10
 
 
-# -- solve_sequence ----------------------------------------------------------
+# -- iter_sequence -----------------------------------------------------------
+
+
+def level_results(spec, n_schedule, cfg):
+    """The level results that ``iter_sequence`` yields, in schedule order."""
+    return [res for _, res, _, _ in iter_sequence(spec, n_schedule, cfg)]
 
 
 def test_sequence_l1_differences_decrease_for_smooth_source():
     spec = spec_1d(f=constant(1.0))
-    seq = solve_sequence(spec, None, SolverConfig(tol_fp=1e-10))
-    assert seq.aborted_level is None
-    diffs = seq.l1_diffs
+    levels = list(iter_sequence(spec, None, SolverConfig(tol_fp=1e-10)))
+    assert all(res.converged for _, res, _, _ in levels)
+    diffs = [l1 for _, _, l1, _ in levels[1:]]
     assert all(b <= a for a, b in zip(diffs[1:], diffs[:-1])) or all(
         b <= a * 1.001 for a, b in zip(diffs, diffs[1:])
     )
@@ -140,48 +145,52 @@ def test_sequence_l1_differences_decrease_for_smooth_source():
 
 def test_sequence_f_zero_levels_stabilize_with_measure():
     spec = spec_1d(cells=16, f=zero(), mu=DELTA_HALF)
-    seq = solve_sequence(spec, (2, 4, 8, 16, 32, 64), SolverConfig(tol_fp=1e-12))
+    results = level_results(spec, (2, 4, 8, 16, 32, 64), SolverConfig(tol_fp=1e-12))
     # once 1/n drops below the spacing the mollified measure is frozen
-    tail = [r.u.values for r in seq.results[-3:]]
+    tail = [r.u.values for r in results[-3:]]
     for a, b in zip(tail, tail[1:]):
         assert np.max(np.abs(a - b)) <= 1e-12
 
 
 def test_sequence_single_level():
     spec = spec_1d()
-    seq = solve_sequence(spec, (1,), SolverConfig())
-    assert len(seq.results) == 1
-    assert seq.l1_diffs == ()
+    [(n, res, l1, mx)] = iter_sequence(spec, (1,), SolverConfig())
+    # The first level has no predecessor to differ from.
+    assert n == 1 and res.converged
+    assert np.isnan(l1) and np.isnan(mx)
 
 
 def test_sequence_rejects_bad_schedule():
+    # The generator checks the schedule when the first level is asked for.
     spec = spec_1d()
-    with pytest.raises(ValueError):
-        solve_sequence(spec, (4, 2), SolverConfig())
-    with pytest.raises(ValueError):
-        solve_sequence(spec, (), SolverConfig())
+    for schedule in ((4, 2), ()):
+        levels = iter_sequence(spec, schedule, SolverConfig())
+        with pytest.raises(ValueError):
+            next(levels)
 
 
 def test_sequence_aborts_with_partial_results():
     spec = spec_1d()
-    seq = solve_sequence(spec, (2, 4, 8), SolverConfig(tol_fp=1e-14, max_iters=1))
-    assert seq.aborted_level == 2
-    assert len(seq.results) == 1
+    [(n, res, l1, mx)] = iter_sequence(spec, (2, 4, 8), SolverConfig(tol_fp=1e-14, max_iters=1))
+    assert n == 2 and not res.converged
+    assert np.isnan(l1) and np.isnan(mx)
 
 
 def test_sequence_aborts_past_the_first_level():
     # Levels 2 and 4 converge within 5 evaluations of T; level 8 needs 6.
     spec = spec_1d()
     cfg = SolverConfig(tol_fp=1e-10, max_iters=5)
-    seq = solve_sequence(spec, (2, 4, 8, 16), cfg)
-    assert seq.aborted_level == 8
-    assert seq.n_schedule == (2, 4, 8)
-    assert [r.converged for r in seq.results] == [True, True, False]
-    # The aborted level gets no difference to its predecessor.
-    assert len(seq.l1_diffs) == len(seq.max_diffs) == len(seq.results) - 2
-    full = solve_sequence(spec, (2, 4), cfg)
-    assert seq.l1_diffs == full.l1_diffs
-    assert np.array_equal(seq.results[1].u.values, full.results[1].u.values)
+    levels = list(iter_sequence(spec, (2, 4, 8, 16), cfg))
+    assert [n for n, _, _, _ in levels] == [2, 4, 8]
+    assert [res.converged for _, res, _, _ in levels] == [True, True, False]
+    # Only level 4 has differences: the first level has no predecessor and
+    # the aborted one gets none.
+    diffs = [(l1, mx) for _, _, l1, mx in levels]
+    assert all(np.isnan(d) for d in diffs[0] + diffs[2])
+    assert min(diffs[1]) > 0
+    full = list(iter_sequence(spec, (2, 4), cfg))
+    assert diffs[1] == full[1][2:]
+    assert np.array_equal(levels[1][1].u.values, full[1][1].u.values)
 
 
 # -- auxiliary sequence and comparisons --------------------------------------
@@ -204,8 +213,8 @@ def test_auxiliary_matches_fine_grid_reference():
 
 def test_monotone_check_on_computed_sequence():
     spec = spec_1d(f=constant(1.0))
-    seq = solve_sequence(spec.without_measure(), None, SolverConfig(tol_fp=1e-10))
-    assert monotone_check([r.u for r in seq.results]) <= 1e-8
+    results = level_results(spec.without_measure(), None, SolverConfig(tol_fp=1e-10))
+    assert monotone_check([r.u for r in results]) <= 1e-8
 
 
 def test_monotone_check_constant_sequence():
@@ -244,10 +253,10 @@ def test_comparison_check_equal_problems():
 def test_comparison_check_measure_dominates():
     spec = spec_1d(f=constant(1.0), mu=DELTA_HALF)
     cfg = SolverConfig(tol_fp=1e-10)
-    useq = solve_sequence(spec, None, cfg)
-    vseq = solve_sequence(spec.without_measure(), None, cfg)
+    useq = level_results(spec, None, cfg)
+    vseq = level_results(spec.without_measure(), None, cfg)
     minima = []
-    for u, v in zip(useq.results, vseq.results):
+    for u, v in zip(useq, vseq):
         assert comparison_check(u.u, v.u) <= 1e-8
         minima.append(min_on_compact(u.u, 0.25))
     top = minima[len(minima) // 2 :]
@@ -434,9 +443,9 @@ def test_strong_singularity_sequence_converges_with_adaptive_damping():
         mu=RadonMeasure(),
         n=2,
     )
-    seq = solve_sequence(spec, None, SolverConfig(tol_fp=1e-10))
-    assert seq.aborted_level is None
-    assert monotone_check([r.u for r in seq.results]) <= 1e-8
+    results = level_results(spec, None, SolverConfig(tol_fp=1e-10))
+    assert all(r.converged for r in results)
+    assert monotone_check([r.u for r in results]) <= 1e-8
 
 
 # -- property: the shared Picard driver on random data -------------------------
