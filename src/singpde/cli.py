@@ -128,13 +128,15 @@ def _write_solution(path: Path, header: bytes, templates: list, values: np.ndarr
 
 
 def _reason(out_dir: Path | None, code: int, category: str, detail: str) -> int:
-    line = f"reason,{code},{category},{detail}"
-    print(line)
+    print(f"reason,{code},{category},{detail}")
     if out_dir is not None and out_dir.is_dir():
-        (out_dir / "reason.csv").write_text(
-            "code,category,detail\n" + f"{code},{category},{detail}\n",
-            encoding="utf-8",
-        )
+        import csv  # only a failed run pays for it
+
+        # Quoting keeps a detail with a comma, quote or newline in one column.
+        with open(out_dir / "reason.csv", "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(
+                [("code", "category", "detail"), (code, category, detail)]
+            )
     return code
 
 

@@ -14,9 +14,9 @@ transforms and a backward-error guard independent of them, which applies the
 stencil matrix-free on the lattice, so no solve needs ``scipy``;
 ``solve_spd`` is its GridFunction wrapper.  The operator's sparse CSR matrix
 is assembled, and ``scipy.sparse`` imported, only when
-``DiscreteOperator.matrix`` is first read.  Everything here is
-value-semantic: build and solve are pure functions, safe to call
-concurrently on distinct inputs.
+``DiscreteOperator.matrix`` is first read; scipy is no runtime dependency and
+comes with the ``test`` extra.  Everything here is value-semantic: build and
+solve are pure functions, safe to call concurrently on distinct inputs.
 """
 
 from __future__ import annotations
@@ -160,7 +160,7 @@ class DiscreteOperator:
 
         The 1D stencil (-1, 2, -1)/h^2 is extended to higher dimensions as a
         Kronecker sum, matching the C-ordering of GridFunction values.  No
-        solve reads it; it serves callers that want the assembled matrix.
+        solve reads it; it needs scipy, which comes with the ``test`` extra.
         """
         import scipy.sparse as sp
 

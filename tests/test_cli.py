@@ -1,3 +1,4 @@
+import csv
 import itertools
 import json
 import os
@@ -17,6 +18,8 @@ import singpde.cli as cli
 import singpde.solver as solver
 from singpde.cli import _fmt, _solution_rows_templates, _write_solution, main
 from singpde.config import RunConfig
+from singpde.diagnostics import discrete_gradient_magnitude, tail_fit
+from singpde.fields import constant
 from singpde.measures import RadonMeasure, scale_measure
 from singpde.mesh import GridFunction, _solve, build_grid, build_laplacian, l1_norm
 from singpde.singularity import SingularNonlinearity
@@ -150,6 +153,31 @@ def test_solve_failed_linear_solve_has_its_own_reason(tmp_path, monkeypatch, cap
     assert main(["solve", cfg, "--out", str(out)]) == 2
     assert "reason,2,linear_solve,sine-transform solve failed" in capsys.readouterr().out
     assert (out / "reason.csv").read_text().splitlines()[1].startswith("2,linear_solve,")
+
+
+def test_solve_infrastructure_reason_csv_keeps_three_columns(tmp_path, monkeypatch, capsys):
+    # numpy's broadcast error has commas in its message; the row used to be
+    # written unquoted and read back as five fields under a 3-field header.
+    detail = "operands could not be broadcast together with shapes (3,) (2,)"
+
+    def broken_sequence(*args):
+        raise ValueError(detail)
+
+    monkeypatch.setattr(cli, "iter_sequence", broken_sequence)
+    cfg = write_cfg(tmp_path, "domain.dim = 1\ndomain.cells = 16\n")
+    out = tmp_path / "out"
+    assert main(["solve", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().out == f"reason,2,infrastructure,ValueError: {detail}\n"
+    with open(out / "reason.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows == [["code", "category", "detail"], ["2", "infrastructure", f"ValueError: {detail}"]]
+
+
+def test_reason_csv_bytes_unchanged_without_special_characters(tmp_path):
+    assert cli._reason(tmp_path, 2, "nonconvergence", "level 8 did not converge") == 2
+    assert (tmp_path / "reason.csv").read_bytes() == (
+        b"code,category,detail\n2,nonconvergence,level 8 did not converge\n"
+    )
 
 
 def test_solve_overflow_exits_two_as_overflow_without_warning(tmp_path):
@@ -427,6 +455,41 @@ def test_commands_do_not_import_scipy(tmp_path):
     assert result["multiprocessing"] == []
 
 
+def test_commands_run_with_scipy_unimportable(tmp_path):
+    # scipy is not a runtime dependency: with it blocked, every command runs,
+    # and the forked sweep workers inherit the block.
+    cfg = write_cfg(tmp_path, "domain.dim = 2\ndomain.cells = 8\nh.gamma = 1.5\n"
+                    "measure.atom = [0.5, 0.5, 0.5, 1.0]\n")
+    sweep_cfg = write_cfg(tmp_path, SWEEP, name="sweep.cfg")
+    script = textwrap.dedent("""
+        import json, sys
+        sys.modules["scipy"] = None
+        from singpde.cli import main
+        cfg, sweep_cfg, out = sys.argv[1:]
+        codes = [
+            main(["solve", cfg, "--out", out + "/solve"]),
+            main(["verify", cfg, "--out", out + "/verify", "--suite", "all"]),
+            main(["sweep", sweep_cfg, "--out", out + "/sweep"]),
+        ]
+        print(json.dumps(codes))
+    """)
+    src = str(Path(singpde.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", script, cfg, sweep_cfg, str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    codes = json.loads(proc.stdout.splitlines()[-1])
+    assert codes[0] == 0 and codes[2] == 0
+    assert codes[1] in (0, 3)  # 3: a check failed, the run completed
+    _, rows = read_rows(tmp_path / "sweep" / "sweep.csv")
+    assert len(rows) == 8
+    assert [r[3] for r in rows] == ["ok"] * 8
+
+
 # -- verify ------------------------------------------------------------------
 
 
@@ -486,8 +549,8 @@ def test_verify_tails_rows_are_tail_fits_of_the_final_level(tmp_path):
     run_cfg = RunConfig.from_file(cfg)
     spec = cli._spec_from_config(run_cfg)
     u = final_level(spec, run_cfg.n_schedule, run_cfg.solver).u
-    grad = singpde.tail_fit(singpde.discrete_gradient_magnitude(u), u.grid.cell_volume)
-    fit_u = singpde.tail_fit(u.values, u.grid.cell_volume)
+    grad = tail_fit(discrete_gradient_magnitude(u), u.grid.cell_volume)
+    fit_u = tail_fit(u.values, u.grid.cell_volume)
     assert observed == {
         "tails.gradient_slope": grad.slope,
         "tails.gradient_r2": grad.r_squared,
@@ -921,7 +984,7 @@ def test_sweep_rebuilds_h_of_the_configured_kind(tmp_path, kind_lines, build_h):
     for row in rows:
         h = build_h(float(row[0]))
         spec = ProblemSpec(
-            grid=build_grid(1, 16), h=h, f=singpde.constant(1.0), mu=RadonMeasure()
+            grid=build_grid(1, 16), h=h, f=constant(1.0), mu=RadonMeasure()
         )
         final = final_level(spec, run.n_schedule, run.solver)
         assert row[3] == "ok"

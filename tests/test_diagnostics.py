@@ -1,30 +1,20 @@
 import numpy as np
 import pytest
 
-import singpde as sp
-from singpde import (
-    GridFunction,
-    ProblemSpec,
-    RadonMeasure,
-    SingularNonlinearity,
-    SolverConfig,
-    build_grid,
-    build_laplacian,
-    constant,
+from singpde.diagnostics import (
     discrete_gradient_magnitude,
+    gradient_energy,
     kato_residual,
-    level_source,
-    sample_field,
     sobolev_norm,
     tail_fit,
-    solve_regularized,
-    solve_spd,
     torsion_function,
     truncation_energy,
-    trunc_G,
-    trunc_T,
 )
-from singpde.diagnostics import gradient_energy
+from singpde.fields import constant
+from singpde.measures import RadonMeasure
+from singpde.mesh import GridFunction, build_grid, build_laplacian, sample_field, solve_spd
+from singpde.singularity import SingularNonlinearity, trunc_G, trunc_T
+from singpde.solver import ProblemSpec, SolverConfig, level_source, solve_regularized
 
 DELTA_HALF = RadonMeasure(atoms=(((0.5,), 1.0),))
 

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from singpde import RadonMeasure, build_grid, constant, mollify, scale_measure
+from singpde.fields import constant
+from singpde.measures import RadonMeasure, mollify, scale_measure
+from singpde.mesh import build_grid
 
 
 def delta(x, mass=1.0):

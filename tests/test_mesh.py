@@ -4,17 +4,22 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from singpde import (
+import singpde.mesh as mesh
+from singpde.mesh import (
+    _DENSE_MAX,
     GridFunction,
     LinearSolveError,
+    _apply,
+    _dst1,
+    _sine_transform,
+    _solve,
     build_grid,
     build_laplacian,
+    max_margin,
     min_on_compact,
     sample_field,
     solve_spd,
 )
-import singpde.mesh as mesh
-from singpde.mesh import _DENSE_MAX, _apply, _dst1, _sine_transform, _solve, max_margin
 
 
 def test_build_grid_1d_nodes():

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from singpde import (
+from singpde.singularity import (
     SingularNonlinearity,
     eval_h_n,
+    slope_h_n,
     trunc_G,
     trunc_T,
     trunc_power,
 )
-from singpde.singularity import slope_h_n
 
 
 def sample_instances():

@@ -3,27 +3,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import singpde as sp
-from singpde import (
+import singpde.solver as solver
+from singpde.fields import constant, manufactured_singular, zero
+from singpde.measures import RadonMeasure, mollify
+from singpde.mesh import (
     GridFunction,
-    ProblemSpec,
-    RadonMeasure,
-    SandwichSpec,
-    SingularNonlinearity,
-    SolverConfig,
     build_grid,
+    build_laplacian,
+    min_on_compact,
+    sample_field,
+    solve_spd,
+)
+from singpde.singularity import SingularNonlinearity, eval_h_n
+from singpde.solver import (
+    ProblemSpec,
+    SandwichSpec,
+    SolverConfig,
     build_sub_super,
     comparison_check,
-    constant,
     hopf_ratio_check,
-    level_source,
-    manufactured_singular,
-    min_on_compact,
-    monotone_check,
-    sample_field,
     iter_sequence,
+    level_source,
+    monotone_check,
     solve_regularized,
-    zero,
 )
 
 H_HALF = SingularNonlinearity.pure_power(0.5)
@@ -486,13 +488,13 @@ def test_clamped_and_plain_solves_respect_sandwich_and_comparison(gamma, c, posi
 
 def picard_map(spec, arg_map=np.abs):
     """The paper's map T(u) = A^-1 (min(n, h(arg_map(u) + 1/n)) min(n, f) + mu_n)."""
-    lap = sp.build_laplacian(spec.grid)
+    lap = build_laplacian(spec.grid)
     f_capped = np.minimum(sample_field(spec.grid, spec.f).values, spec.n)
-    mu_n = sp.mollify(spec.mu, spec.grid, spec.n).values.values
+    mu_n = mollify(spec.mu, spec.grid, spec.n).values.values
 
     def T(u):
-        hv = sp.eval_h_n(spec.h, spec.n, arg_map(u) + 1.0 / spec.n)
-        return sp.solve_spd(lap, GridFunction(spec.grid, hv * f_capped + mu_n)).values
+        hv = eval_h_n(spec.h, spec.n, arg_map(u) + 1.0 / spec.n)
+        return solve_spd(lap, GridFunction(spec.grid, hv * f_capped + mu_n)).values
 
     return T
 
@@ -559,7 +561,7 @@ def test_clamped_newton_matches_picard_reference(dim, cells):
 def test_level_source_is_the_picard_maps_source(dim, cells):
     spec = atom_spec(dim, cells, SingularNonlinearity.shifted_power(2.0, 0.05), n=64)
     u = solve_regularized(spec).u
-    image = sp.solve_spd(sp.build_laplacian(spec.grid), level_source(spec, u)).values
+    image = solve_spd(build_laplacian(spec.grid), level_source(spec, u)).values
     assert np.allclose(image, picard_map(spec)(u.values), rtol=1e-14, atol=0.0)
 
 
@@ -571,7 +573,7 @@ def test_level_source_builds_no_laplacian(monkeypatch):
     def no_laplacian(grid):
         raise AssertionError("level_source built a Laplacian")
 
-    monkeypatch.setattr(sp.solver, "build_laplacian", no_laplacian)
+    monkeypatch.setattr(solver, "build_laplacian", no_laplacian)
     source = level_source(spec, u)
     assert source.grid is spec.grid
     assert np.all(np.isfinite(source.values))
