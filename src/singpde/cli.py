@@ -24,17 +24,19 @@ Only the output directory (``--out``, default ``out``) and verify's suite
 (``--suite``, default ``all``) are not config keys.
 All CSV output uses 17 significant digits so identical configurations
 reproduce byte-identical files.  Solution files are written column-wise:
-each axis coordinate is formatted once per run, the node rows are joined
-from those texts into byte templates of ``_CHUNK_ROWS`` rows, and each
-level's values fill in one template per formatting call, giving the same
-bytes as formatting every value on its own.
+each axis coordinate is formatted once per run, and so are the rows of the
+trailing ``dim - 1`` coordinates.  Each write joins those texts into byte
+templates of at most ``_CHUNK_ROWS`` rows, one chunk at a time, and fills
+each template with its values in one formatting call, giving the same bytes
+as formatting every value on its own.
 
 Exit codes: 0 ok, 1 configuration or usage error, 2 nonconvergence, a
 linear solve that failed its backward-error check, floating-point overflow
 in a level solve or an infrastructure failure, 3 failed check or invariant
 violation.  Every nonzero exit is accompanied by a machine-readable
-``reason,<code>,<category>,<detail>`` line on stdout (and reason.csv when
-the output directory exists); exit 2 has the categories ``nonconvergence``,
+``reason,<code>,<category>,<detail>`` CSV line on stdout (and reason.csv
+when the output directory exists), quoted so that a detail with a comma
+stays one field; exit 2 has the categories ``nonconvergence``,
 ``linear_solve``, ``overflow`` and ``infrastructure``.
 """
 
@@ -93,46 +95,60 @@ def _write_csv(path: Path, header, rows) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-# Rows of a solution file per formatting call: the transient text of a write
-# is one chunk of rows, whatever the size of the grid.
+# Rows of a solution file per formatting call at most: the transient text of
+# a write is one chunk of rows, whatever the size of the grid.
 _CHUNK_ROWS = 4096
 
 
-def _solution_rows_templates(axis: np.ndarray, dim: int) -> list[bytes]:
-    """CSV rows of the lattice nodes whose coordinates run over ``axis`` along
-    each of ``dim`` axes, in C order (the order of ``Grid.node_coords``), with
-    the coordinates formatted and a ``%.17g`` placeholder for each node's
-    value, split into byte templates of ``_CHUNK_ROWS`` rows (the last one
-    holds the rest).
-
-    Each axis value is formatted once, and the rows join the texts in
-    ``itertools.product`` order.  ``b"%.17g" % x`` is the UTF-8 text ``_fmt``
-    gives a float, and formatted numbers contain no ``%``, so
-    ``template % tuple(values)`` writes the rows of one chunk in one call.
+def _solution_row_texts(axis: np.ndarray, dim: int) -> tuple[list[bytes], list[bytes]]:
+    """The coordinate texts of the solution rows over ``axis`` along each of
+    ``dim`` axes: the text of each leading coordinate, and the rows of the
+    trailing ``dim - 1`` coordinates in ``itertools.product`` order (one
+    empty row in 1D).  Each axis value is formatted once, with ``b"%.17g"``,
+    the UTF-8 text ``_fmt`` gives a float.  What is kept grows with
+    ``cells ** (dim - 1)``, not with the node count.
     """
     texts = [b"%.17g," % x for x in axis.tolist()]
-    rows = map(b"".join, itertools.product(texts, repeat=dim))
-    templates = []
-    while chunk := list(itertools.islice(rows, _CHUNK_ROWS)):
-        templates.append(b"%.17g\n".join(chunk) + b"%.17g\n")
-    return templates
+    return texts, list(map(b"".join, itertools.product(texts, repeat=dim - 1)))
 
 
-def _write_solution(path: Path, header: bytes, templates: list, values: np.ndarray) -> None:
-    """Write ``header``, then each template filled with its slice of ``values``."""
+def _write_solution(
+    path: Path, header: bytes, row_texts: tuple[list[bytes], list[bytes]], values: np.ndarray
+) -> None:
+    """Write ``header``, then one row per node of ``values``: each leading
+    coordinate of ``row_texts`` (from ``_solution_row_texts``) followed by
+    every trailing row, in C order, the order of ``Grid.node_coords``.
+
+    Each chunk's byte template is built as it is written, with a ``%.17g``
+    placeholder for each value.  A chunk holds as many whole lines of one
+    leading coordinate as fit in ``_CHUNK_ROWS`` rows; a longer line is split
+    into chunks of ``_CHUNK_ROWS`` rows.  Formatted numbers contain no ``%``,
+    so ``template % tuple(values)`` writes a chunk in one call.
+    """
+    leads, tails = row_texts
+    lines = max(1, _CHUNK_ROWS // len(tails))  # whole lines per chunk
+    piece = min(len(tails), _CHUNK_ROWS)  # rows of one line per chunk
+    start = 0
     with open(path, "wb") as fh:
         fh.write(header)
-        for k, template in enumerate(templates):
-            chunk = values[k * _CHUNK_ROWS : (k + 1) * _CHUNK_ROWS]
-            fh.write(template % tuple(chunk.tolist()))
+        for k in range(0, len(leads), lines):
+            chunk_leads = leads[k : k + lines]
+            for a in range(0, len(tails), piece):
+                rows = tails[a : a + piece]
+                template = b"".join(
+                    lead + (b"%.17g\n" + lead).join(rows) + b"%.17g\n" for lead in chunk_leads
+                )
+                stop = start + len(chunk_leads) * len(rows)
+                fh.write(template % tuple(values[start:stop].tolist()))
+                start = stop
 
 
 def _reason(out_dir: Path | None, code: int, category: str, detail: str) -> int:
-    print(f"reason,{code},{category},{detail}")
-    if out_dir is not None and out_dir.is_dir():
-        import csv  # only a failed run pays for it
+    import csv  # only a failed run pays for it
 
-        # Quoting keeps a detail with a comma, quote or newline in one column.
+    # Quoting keeps a detail with a comma, quote or newline in one field.
+    csv.writer(sys.stdout, lineterminator="\n").writerow(("reason", code, category, detail))
+    if out_dir is not None and out_dir.is_dir():
         with open(out_dir / "reason.csv", "w", encoding="utf-8", newline="") as fh:
             csv.writer(fh, lineterminator="\n").writerows(
                 [("code", "category", "detail"), (code, category, detail)]
@@ -154,7 +170,7 @@ def _cmd_solve(cfg: RunConfig, out_dir: Path) -> int:
     spec = _spec_from_config(cfg)
     grid = spec.grid
     axis = grid.node_coords[: grid.cells_per_side - 1, -1]  # the last axis runs fastest
-    templates = _solution_rows_templates(axis, grid.dim)
+    row_texts = _solution_row_texts(axis, grid.dim)
     columns = (",".join(("x", "y", "z")[: cfg.dim] + ("u",)) + "\n").encode()
 
     header = ["level", "iterations", "residual", "l1_diff", "max_diff", "linear_solves"]
@@ -164,7 +180,7 @@ def _cmd_solve(cfg: RunConfig, out_dir: Path) -> int:
         seq_file.write(",".join(header) + "\n")
         for n, res, l1, mx in iter_sequence(spec, cfg.n_schedule, cfg.solver):
             values = res.u.values
-            _write_solution(out_dir / f"solution_n{n}.csv", columns, templates, values)
+            _write_solution(out_dir / f"solution_n{n}.csv", columns, row_texts, values)
             minima = [min_on_compact(res.u, m) for m in cfg.margins]
             row = [n, res.iterations, res.residual, l1, mx, res.linear_solves] + minima
             seq_file.write(",".join(_fmt(x) for x in row) + "\n")

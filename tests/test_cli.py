@@ -1,4 +1,5 @@
 import csv
+import io
 import itertools
 import json
 import os
@@ -16,7 +17,7 @@ import pytest
 import singpde
 import singpde.cli as cli
 import singpde.solver as solver
-from singpde.cli import _fmt, _solution_rows_templates, _write_solution, main
+from singpde.cli import _fmt, _solution_row_texts, _write_solution, main
 from singpde.config import RunConfig
 from singpde.diagnostics import discrete_gradient_magnitude, tail_fit
 from singpde.fields import constant
@@ -54,6 +55,11 @@ def read_rows(path):
     lines = path.read_text().strip().splitlines()
     header = lines[0].split(",")
     return header, [line.split(",") for line in lines[1:]]
+
+
+def reason_fields(out: str) -> list[str]:
+    """The fields of the ``reason`` line that ends ``out``, read as CSV."""
+    return next(csv.reader([out.splitlines()[-1]]))
 
 
 # -- solve -------------------------------------------------------------------
@@ -94,7 +100,9 @@ def test_margin_deeper_than_the_grid_is_config_error_before_any_solve(
     cfg = write_cfg(tmp_path, "domain.cells = 5\ndomain.margins = 0.45\nsweep.gamma = 1\n")
     out = tmp_path / "out"
     assert main([args[0], cfg, *args[1:], "--out", str(out)]) == 1
-    assert capsys.readouterr().out.startswith("reason,1,config,domain.margins: margin 0.45 ")
+    code, category, detail = reason_fields(capsys.readouterr().out)[1:]
+    assert (code, category) == ("1", "config")
+    assert detail.startswith("domain.margins: margin 0.45 ")
     assert not out.exists()
 
 
@@ -167,7 +175,8 @@ def test_solve_infrastructure_reason_csv_keeps_three_columns(tmp_path, monkeypat
     cfg = write_cfg(tmp_path, "domain.dim = 1\ndomain.cells = 16\n")
     out = tmp_path / "out"
     assert main(["solve", cfg, "--out", str(out)]) == 2
-    assert capsys.readouterr().out == f"reason,2,infrastructure,ValueError: {detail}\n"
+    # Quoted as in reason.csv, so the detail's commas stay in one field.
+    assert capsys.readouterr().out == f'reason,2,infrastructure,"ValueError: {detail}"\n'
     with open(out / "reason.csv", newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
     assert rows == [["code", "category", "detail"], ["2", "infrastructure", f"ValueError: {detail}"]]
@@ -320,42 +329,83 @@ def _per_value_rows(coords, values) -> bytes:
     ).encode("utf-8")
 
 
-def _filled(tmp_path, templates, values) -> bytes:
-    path = tmp_path / "solution.csv"
-    _write_solution(path, b"", templates, np.array(values))
-    return path.read_bytes()
+class _ChunkFile(io.BytesIO):
+    """An in-memory file that keeps each byte string written to it."""
+
+    def __init__(self):
+        super().__init__()
+        self.chunks = []
+
+    def write(self, data):
+        self.chunks.append(bytes(data))
+        return super().write(data)
 
 
-def test_solution_rows_template_matches_fmt_on_edge_values(tmp_path, monkeypatch):
+def _written_chunks(monkeypatch, row_texts, values) -> list[bytes]:
+    """The chunks ``_write_solution`` writes after an empty header."""
+    fh = _ChunkFile()
+    monkeypatch.setattr(cli, "open", lambda path, mode: fh, raising=False)
+    _write_solution(Path("solution.csv"), b"", row_texts, np.array(values))
+    assert fh.chunks[0] == b""
+    return fh.chunks[1:]
+
+
+def test_solution_rows_template_matches_fmt_on_edge_values(monkeypatch):
     edge = [0.0, -0.0, 5e-324, 1e-300, 0.1, 1 / 3, 1.2345678901234567e17, float("nan")]
     # At the real chunk size, along one axis: the edge values end the axis,
     # four on each side of the first chunk boundary, as coordinates and,
     # shifted by one row, as values.
     axis = [0.25 + k / cli._CHUNK_ROWS for k in range(cli._CHUNK_ROWS - 4)] + edge
     values = axis[1:] + axis[:1]
-    templates = _solution_rows_templates(np.array(axis), 1)
-    assert [t.count(b"\n") for t in templates] == [cli._CHUNK_ROWS, 4]
-    expected = _per_value_rows([(x,) for x in axis], values)
-    assert _filled(tmp_path, templates, values) == expected
-    # Along two axes, with chunks of 5 rows: 64 rows end in a partial chunk.
+    chunks = _written_chunks(monkeypatch, _solution_row_texts(np.array(axis), 1), values)
+    assert [c.count(b"\n") for c in chunks] == [cli._CHUNK_ROWS, 4]
+    assert b"".join(chunks) == _per_value_rows([(x,) for x in axis], values)
+    # Along two and three axes, with chunks of 5 rows: the 8 rows of a 2D
+    # line split into 5 + 3, and the 64 trailing rows of a 3D line into
+    # twelve chunks of 5 and one of 4.
     monkeypatch.setattr(cli, "_CHUNK_ROWS", 5)
-    coords = list(itertools.product(edge, repeat=2))
-    values = [edge[k % len(edge)] for k in range(3, 3 + len(coords))]
-    templates = _solution_rows_templates(np.array(edge), 2)
-    assert len(templates) == 13
-    assert _filled(tmp_path, templates, values) == _per_value_rows(coords, values)
+    for dim, counts in ((2, [5, 3] * 8), (3, ([5] * 12 + [4]) * 8)):
+        coords = list(itertools.product(edge, repeat=dim))
+        values = [edge[k % len(edge)] for k in range(3, 3 + len(coords))]
+        chunks = _written_chunks(monkeypatch, _solution_row_texts(np.array(edge), dim), values)
+        assert [c.count(b"\n") for c in chunks] == counts
+        assert b"".join(chunks) == _per_value_rows(coords, values)
 
 
-@pytest.mark.parametrize("dim, cells", [(1, 7), (2, 5), (3, 4)])
-def test_solution_rows_template_matches_fmt_per_node(tmp_path, monkeypatch, dim, cells):
-    # Chunks of 5 rows: 6, 16 and 27 nodes each end in a partial chunk.
-    monkeypatch.setattr(cli, "_CHUNK_ROWS", 5)
+@pytest.mark.parametrize(
+    "dim, cells, chunk_rows, counts",
+    [
+        (1, 7, 5, [5, 1]),  # a 1D axis longer than one chunk
+        (2, 5, 5, [4] * 4),  # one whole line of 4 rows per chunk
+        (3, 4, 5, [5, 4] * 3),  # 9 trailing rows per line: each line split
+        (2, 5, 9, [8, 8]),  # two whole lines per chunk
+        (2, 6, 12, [10, 10, 5]),  # the last chunk holds the one line left
+        (3, 4, 20, [18, 9]),  # two whole lines of 9 trailing rows per chunk
+        (3, 5, 5, [5, 5, 5, 1] * 4),  # 16 trailing rows per line
+    ],
+    ids=["1-7", "2-5", "3-4", "2-5-9", "2-6-12", "3-4-20", "3-5-5"],
+)
+def test_solution_rows_template_matches_fmt_per_node(monkeypatch, dim, cells, chunk_rows, counts):
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", chunk_rows)
     grid = build_grid(dim, cells)
     values = np.random.default_rng(dim).uniform(0.0, 1.0, grid.interior_count)
     expected = _per_value_rows(grid.node_coords.tolist(), values.tolist())
-    templates = _solution_rows_templates(grid.node_coords[: cells - 1, -1], dim)
-    assert len(templates) == -(-grid.interior_count // 5)
-    assert _filled(tmp_path, templates, values) == expected
+    row_texts = _solution_row_texts(grid.node_coords[: cells - 1, -1], dim)
+    chunks = _written_chunks(monkeypatch, row_texts, values)
+    assert [c.count(b"\n") for c in chunks] == counts
+    assert b"".join(chunks) == expected
+
+
+def test_solution_row_texts_kept_are_small_against_one_file(monkeypatch):
+    # What solve keeps between levels grows with cells^(dim-1): on 3D/24 it
+    # is under a tenth of one solution file.  Templates of every row, kept
+    # for the whole run, came to about 80% of a file there.
+    grid = build_grid(3, 24)
+    row_texts = _solution_row_texts(grid.node_coords[:23, -1], 3)
+    kept = sum(sys.getsizeof(texts) + sum(map(sys.getsizeof, texts)) for texts in row_texts)
+    values = np.random.default_rng(0).uniform(0.0, 1.0, grid.interior_count)
+    file_bytes = sum(map(len, _written_chunks(monkeypatch, row_texts, values)))
+    assert kept < file_bytes / 10
 
 
 def _check_solution_files_per_value(tmp_path, cells):
@@ -1033,7 +1083,9 @@ def test_sweep_threads_below_one_is_config_error(tmp_path, capsys):
     cfg = write_cfg(tmp_path, SWEEP.replace("threads = 2", "threads = 0"))
     out = tmp_path / "out"
     assert main(["sweep", cfg, "--out", str(out)]) == 1
-    assert "reason,1,config,threads: must be at least 1, got 0" in capsys.readouterr().out
+    assert reason_fields(capsys.readouterr().out) == [
+        "reason", "1", "config", "threads: must be at least 1, got 0"
+    ]
     assert not (out / "sweep.csv").exists()
 
 
@@ -1100,8 +1152,9 @@ def test_threads_flag_is_unrecognized(tmp_path, capsys, command):
 def test_usage_error_exits_one_with_reason(tmp_path, capsys, args, detail):
     cfg = write_cfg(tmp_path, DIRAC_1D)
     assert main([a.format(cfg=cfg) for a in args]) == 1
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[-1].startswith("reason,1,config,usage: " + detail)
+    fields = reason_fields(capsys.readouterr().out)
+    assert fields[:3] == ["reason", "1", "config"] and len(fields) == 4
+    assert fields[3].startswith("usage: " + detail)
 
 
 def test_help_exits_zero(capsys):
