@@ -7,7 +7,11 @@ the levels before it.  ``verify`` runs one of the named check suites and
 writes one row per check.  The suites of one run share only the
 solves that two or more of them need (the full and the measure-free
 schedule and the tight-tolerance level solves), each solved at most once;
-a suite makes every other solve it needs itself.  A tight solve starts from
+a suite makes every other solve it needs itself.  The schedules that the
+run's suites read are solved in one lockstep pass, level by level, which
+keeps each schedule's last level and the few numbers per level that the
+suites judge, so verify's memory does not grow with the schedule either.
+A tight solve starts from
 the full schedule's last level once the run has solved that schedule, and
 from cold otherwise.  The sandwich suite builds its sub/super pair from the
 measure-free schedule's last level, so the pair costs one linear solve, and
@@ -64,7 +68,6 @@ from .solver import (
     hopf_ratio_check,
     iter_sequence,
     level_source,
-    monotone_check,
     solve_regularized,
 )
 
@@ -229,21 +232,87 @@ class _ConvergenceFailure(RuntimeError):
     """A solve that a verify suite needs did not converge."""
 
 
-class _Run:
-    """The solves that two or more verify suites share, each made at most
-    once per run.
+# The schedules each suite reads: True is the full schedule, False the
+# measure-free one.  A suite not listed reads neither.
+_SCHEDULES = {
+    "lower_bound": (True, False),
+    "monotone": (False,),
+    "sandwich": (False,),
+    "energy_law": (True,),
+    "tails": (True,),
+}
 
-    ``sequence(with_measure)`` lists the levels of the config's full or
-    measure-free schedule; ``tight_level(mu, start)`` is the level-n_max
-    solve with measure ``mu`` under ``tight``, the solver settings of the near-exact
+
+class _Schedules:
+    """The numbers the suites ``names`` read off the full schedule u_n and
+    the measure-free one v_n, from one lockstep pass over the levels.
+
+    Each schedule that one of the suites reads is solved once, by its own
+    ``iter_sequence``; at each level the full schedule runs first, then the
+    measure-free one, and the first nonconvergent level raises
+    _ConvergenceFailure.  No level outlives the next one: the pass keeps
+    ``last``, the last level of each schedule (keyed like ``_SCHEDULES``),
+    and per level these numbers:
+
+    - ``domination``: comparison_check(u_n, v_n), when both are solved;
+    - ``decrease``: comparison_check(v_n, v_{n-1}), from the second level;
+    - ``minima[margin]``: min_on_compact(u_n, margin) over the top half of
+      the levels, when ``lower_bound`` runs;
+    - ``energy_slopes``: the energy-law slope over the top half, when
+      ``energy_law`` runs and gamma >= 1, None once a level has fewer than
+      two k below max u.
+    """
+
+    def __init__(self, cfg: RunConfig, spec: ProblemSpec, names):
+        wanted = sorted({s for name in names for s in _SCHEDULES.get(name, ())}, reverse=True)
+        levels = {
+            s: iter_sequence(spec if s else spec.without_measure(), cfg.n_schedule, cfg.solver)
+            for s in wanted
+        }
+        energy = "energy_law" in names and cfg.h.gamma >= 1.0
+        self.last: dict[bool, SolveResult] = {}
+        self.domination: list[float] = []
+        self.decrease: list[float] = []
+        self.minima = {m: [] for m in cfg.margins} if "lower_bound" in names else {}
+        self.energy_slopes: list[float] | None = [] if energy else None
+        top = len(cfg.n_schedule) // 2
+        for i in range(len(cfg.n_schedule)):
+            for s, schedule in levels.items():
+                n, res, _, _ = next(schedule)
+                if not res.converged:
+                    raise _ConvergenceFailure(f"level {n} did not converge")
+                if not s and False in self.last:
+                    self.decrease.append(comparison_check(res.u, self.last[False].u))
+                self.last[s] = res
+            if len(self.last) == 2:
+                self.domination.append(comparison_check(self.last[True].u, self.last[False].u))
+            if i < top or True not in self.last:
+                continue
+            u = self.last[True].u
+            for margin, minima in self.minima.items():
+                minima.append(min_on_compact(u, margin))
+            if self.energy_slopes is not None:
+                slope = _energy_slope(u, cfg.h.gamma)
+                self.energy_slopes = None if slope is None else [*self.energy_slopes, slope]
+
+
+class _Run:
+    """The solves that two or more of the verify suites ``names`` share,
+    each made at most once per run.
+
+    ``schedules()`` is the lockstep pass over the full and the measure-free
+    schedule (``_Schedules``), solved on first call for the suites in
+    ``names``; ``tight_level(mu, start)`` is the level-n_max solve with
+    measure ``mu`` under ``tight``, the solver settings of the near-exact
     identities.  It starts from ``start`` when given, else from the full
     schedule's last level if this run has solved it, else cold.  Each is
     solved on first use, and a nonconvergent solve raises
     _ConvergenceFailure.
     """
 
-    def __init__(self, cfg: RunConfig):
+    def __init__(self, cfg: RunConfig, names):
         self.cfg = cfg
+        self.names = names
         self.spec = _spec_from_config(cfg)
         # Near-exact identities need tighter tolerances than ordinary runs.
         self.tight = replace(
@@ -251,24 +320,18 @@ class _Run:
             tol_fp=min(cfg.solver.resolved_tol_fp(self.spec.grid), 1e-12),
             max_iters=max(cfg.solver.max_iters, 800),
         )
-        self._sequences = {}
+        self._schedules: _Schedules | None = None
         self._levels = {}
 
-    def sequence(self, with_measure: bool) -> list[SolveResult]:
-        if with_measure not in self._sequences:
-            spec = self.spec if with_measure else self.spec.without_measure()
-            levels = []
-            for n, res, _, _ in iter_sequence(spec, self.cfg.n_schedule, self.cfg.solver):
-                if not res.converged:
-                    raise _ConvergenceFailure(f"level {n} did not converge")
-                levels.append(res)
-            self._sequences[with_measure] = levels
-        return self._sequences[with_measure]
+    def schedules(self) -> _Schedules:
+        if self._schedules is None:
+            self._schedules = _Schedules(self.cfg, self.spec, self.names)
+        return self._schedules
 
     def tight_level(self, mu: RadonMeasure, start: GridFunction | None = None) -> SolveResult:
         if mu not in self._levels:
-            if start is None and True in self._sequences:
-                start = self._sequences[True][-1].u
+            if start is None and self._schedules is not None and True in self._schedules.last:
+                start = self._schedules.last[True].u
             res = solve_regularized(replace(self.spec, mu=mu), self.tight, start)
             if not res.converged:
                 raise _ConvergenceFailure("tight-tolerance level solve")
@@ -320,24 +383,27 @@ def _suite_manufactured(cfg: RunConfig, run: _Run):
 
 
 def _suite_monotone(cfg: RunConfig, run: _Run):
-    seq = run.sequence(with_measure=False)
-    worst = monotone_check([r.u for r in seq])
+    decrease = run.schedules().decrease
+    if not decrease:
+        return [_na("monotone.max_violation", "needs two levels")]
+    worst = max(decrease)
     return [_check("monotone.max_violation", worst, _TOL_MONO, worst <= _TOL_MONO)]
 
 
 def _suite_lower_bound(cfg: RunConfig, run: _Run):
-    seq = run.sequence(with_measure=True)
-    vseq = run.sequence(with_measure=False)
-    domination = max(
-        comparison_check(u.u, v.u) for u, v in zip(seq, vseq)
-    )
+    schedules = run.schedules()
+    domination = max(schedules.domination)
     rows = [_check("lower_bound.domination", domination, _TOL_MONO, domination <= _TOL_MONO)]
-    top = len(seq) // 2
     for margin in cfg.margins:
-        minima = [min_on_compact(r.u, margin) for r in seq[top:]]
+        minima = schedules.minima[margin]
         c = min(minima)
-        spread = (max(minima) - min(minima)) / max(minima) if max(minima) > 0 else 1.0
         rows.append(_check(f"lower_bound.c_K_margin{margin:g}", c, ">0", c > 0))
+        if len(minima) < 2:
+            rows.append(
+                _na(f"lower_bound.spread_margin{margin:g}", "needs two levels in the top half")
+            )
+            continue
+        spread = (max(minima) - min(minima)) / max(minima) if max(minima) > 0 else 1.0
         rows.append(
             _check(f"lower_bound.spread_margin{margin:g}", spread, 0.10, spread <= 0.10)
         )
@@ -347,22 +413,26 @@ def _suite_lower_bound(cfg: RunConfig, run: _Run):
 _ENERGY_KS = (1.0, 2.0, 4.0, 8.0, 16.0)
 
 
+def _energy_slope(u: GridFunction, gamma: float) -> float | None:
+    """Slope of log E(T_k u) against log k over the k below max u; None
+    when fewer than two k are below it."""
+    # T_k(u) = u once k >= max u: such k repeat one energy and flatten the
+    # fitted slope, so only the truncations that cut u test the law.
+    u_max = float(u.values.max())
+    ks = [k for k in _ENERGY_KS if k < u_max]
+    if len(ks) < 2:
+        return None
+    energies = [diag.truncation_energy(u, k, gamma) for k in ks]
+    return float(np.polyfit(np.log(ks), np.log(energies), 1)[0])
+
+
 def _suite_energy_law(cfg: RunConfig, run: _Run):
     if cfg.h.gamma < 1.0:
         return [_na("energy_law.slope", "needs gamma>=1")]
-    seq = run.sequence(with_measure=True)
-    top = len(seq) // 2
-    worst_slope = -np.inf
-    for res in seq[top:]:
-        # T_k(u) = u once k >= max u: such k repeat one energy and flatten the
-        # fitted slope, so only the truncations that cut u test the law.
-        u_max = float(res.u.values.max())
-        ks = [k for k in _ENERGY_KS if k < u_max]
-        if len(ks) < 2:
-            return [_na("energy_law.slope", "fewer than two k below max u")]
-        energies = [diag.truncation_energy(res.u, k, cfg.h.gamma) for k in ks]
-        slope = float(np.polyfit(np.log(ks), np.log(energies), 1)[0])
-        worst_slope = max(worst_slope, slope)
+    slopes = run.schedules().energy_slopes
+    if slopes is None:
+        return [_na("energy_law.slope", "fewer than two k below max u")]
+    worst_slope = max(-np.inf, *slopes)
     bound = cfg.h.gamma + 0.15
     return [_check("energy_law.slope", worst_slope, bound, worst_slope <= bound)]
 
@@ -373,7 +443,7 @@ def _suite_tails(cfg: RunConfig, run: _Run):
             _na("tails.gradient_slope", "needs dim=3"),
             _na("tails.u_slope", "needs dim=3"),
         ]
-    u = run.sequence(with_measure=True)[-1].u
+    u = run.schedules().last[True].u
     rows = []
     for name, values, bound in (
         ("gradient", diag.discrete_gradient_magnitude(u), -1.3),
@@ -427,7 +497,7 @@ def _suite_sandwich(cfg: RunConfig, run: _Run):
     spec = run.spec
     if not np.all(cfg.f(spec.grid.node_coords) > 0):
         return [_na("sandwich.breach", "needs f>0 at every node")]
-    sandwich = build_sub_super(spec, run.sequence(with_measure=False)[-1].u)
+    sandwich = build_sub_super(spec, run.schedules().last[False].u)
     res = solve_regularized(spec, cfg.solver, sandwich.sub, sandwich)
     if not res.converged:
         raise _ConvergenceFailure("clamped solve")
@@ -470,7 +540,7 @@ _SUITE_RUNNERS = {
 
 def _cmd_verify(cfg: RunConfig, suite: str, out_dir: Path) -> int:
     names = list(_SUITE_RUNNERS) if suite == "all" else [suite]
-    run = _Run(cfg)
+    run = _Run(cfg, names)
     rows = []
     failure = None
     try:

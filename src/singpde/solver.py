@@ -76,7 +76,6 @@ __all__ = [
     "level_source",
     "solve_regularized",
     "iter_sequence",
-    "monotone_check",
     "comparison_check",
     "build_sub_super",
     "hopf_ratio_check",
@@ -409,13 +408,6 @@ def iter_sequence(spec: ProblemSpec, n_schedule=None, cfg: SolverConfig | None =
 # ---------------------------------------------------------------------------
 # Monotonicity and domination checks
 # ---------------------------------------------------------------------------
-
-
-def monotone_check(v_sequence) -> float:
-    """Worst nodewise decrease (v_n - v_{n+1})^+ over consecutive levels."""
-    if len(v_sequence) < 2:
-        raise ValueError("need at least two levels to check monotonicity")
-    return max(comparison_check(b, a) for a, b in zip(v_sequence, v_sequence[1:]))
 
 
 def comparison_check(u: GridFunction, v: GridFunction) -> float:

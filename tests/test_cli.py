@@ -865,6 +865,98 @@ def test_verify_solves_the_measure_free_top_level_once(tmp_path, monkeypatch):
     assert top_levels == [np.abs]
 
 
+def test_verify_keeps_one_level_per_schedule(tmp_path, monkeypatch):
+    # The suites read per-level numbers of the two schedules, not the
+    # levels: once the schedules are solved only the last level of each is
+    # alive, whatever the length of the schedule.
+    levels = []
+    iter_sequence_ = cli.iter_sequence
+
+    def recording_iter_sequence(spec, n_schedule=None, cfg=None):
+        for level in iter_sequence_(spec, n_schedule, cfg):
+            levels.append(weakref.ref(level[1].u.values))
+            yield level
+
+    alive = []
+    kato = cli._SUITE_RUNNERS["kato"]
+
+    def counting_kato(cfg, run):
+        alive.append(sum(ref() is not None for ref in levels))
+        return kato(cfg, run)
+
+    monkeypatch.setattr(cli, "iter_sequence", recording_iter_sequence)
+    monkeypatch.setitem(cli._SUITE_RUNNERS, "kato", counting_kato)
+    cfg = centre_atom_cfg(tmp_path, 1, 16)
+    assert main(["verify", cfg, "--out", str(tmp_path / "out"), "--suite", "all"]) == 0
+    assert len(levels) == 2 * len(solver.DEFAULT_SCHEDULE)
+    assert len(alive) == 1 and alive[0] <= 2
+
+
+def test_verify_solves_the_schedules_in_lockstep(tmp_path, monkeypatch, capsys):
+    # At each level the full schedule runs first, then the measure-free
+    # one, and the first level that fails in that order ends the run: here
+    # the measure-free level 4, before the full schedule's level 8.
+    order = []
+    iter_sequence_ = cli.iter_sequence
+
+    def failing_iter_sequence(spec, n_schedule=None, cfg=None):
+        full = bool(spec.mu.atoms)
+        for n, res, l1, mx in iter_sequence_(spec, n_schedule, cfg):
+            order.append((n, full))
+            if n == (8 if full else 4):
+                res = replace(res, converged=False)
+            yield n, res, l1, mx
+
+    monkeypatch.setattr(cli, "iter_sequence", failing_iter_sequence)
+    out = tmp_path / "out"
+    assert main(["verify", write_cfg(tmp_path, DIRAC_1D), "--out", str(out),
+                 "--suite", "lower_bound"]) == 2
+    assert order == [(2, True), (2, False), (4, True), (4, False)]
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "reason,2,nonconvergence,level 4 did not converge"
+    )
+    assert (out / "verify_lower_bound.csv").read_text() == "name,observed,bound,status\n"
+
+
+@pytest.mark.parametrize("schedule", ["1024", "512, 1024"])
+def test_verify_short_schedule_reports_vacuous_checks_na(tmp_path, schedule):
+    # One level has no consecutive pair to check for monotonicity, and a top
+    # half of one level has no spread; both rows report na, and the run
+    # still writes every other row.
+    cfg = centre_atom_cfg(tmp_path, 2, 8)
+    with open(cfg, "a", encoding="utf-8") as fh:
+        fh.write(f"sequence.n_schedule = {schedule}\n")
+    out = tmp_path / "out"
+    assert main(["verify", cfg, "--out", str(out), "--suite", "all"]) == 0
+    _, rows = read_rows(out / "verify_all.csv")
+    rows = {row[0]: row for row in rows}
+    for margin in ("0.125", "0.25"):
+        assert rows[f"lower_bound.spread_margin{margin}"] == [
+            f"lower_bound.spread_margin{margin}", "needs two levels in the top half", "", "na"
+        ]
+        assert rows[f"lower_bound.c_K_margin{margin}"][3] == "pass"
+    monotone = rows["monotone.max_violation"]
+    if schedule == "1024":
+        assert monotone == ["monotone.max_violation", "needs two levels", "", "na"]
+    else:
+        assert monotone[3] == "pass"
+    assert rows["lower_bound.domination"][3] == "pass"
+    assert rows["sandwich.breach"][3] == "pass"
+
+
+@pytest.mark.parametrize("suite", ["lower_bound", "monotone", "energy_law", "tails", "sandwich"])
+def test_verify_lone_suite_rows_match_the_full_run(tmp_path, suite):
+    # A suite reads the same schedule numbers alone as under --suite all.
+    # kato and uniqueness are left out: under all their tight solves start
+    # from the full schedule's last level, alone they start cold.
+    cfg = centre_atom_cfg(tmp_path, 2, 16)
+    assert main(["verify", cfg, "--out", str(tmp_path / "all"), "--suite", "all"]) == 0
+    assert main(["verify", cfg, "--out", str(tmp_path / "lone"), "--suite", suite]) == 0
+    lone = (tmp_path / "lone" / f"verify_{suite}.csv").read_text().split("\n", 1)[1]
+    assert lone.startswith(suite + ".")
+    assert lone in (tmp_path / "all" / "verify_all.csv").read_text()
+
+
 def test_verify_kato_unconverged_solve_exits_two(tmp_path, capsys):
     # No tight solve reaches 1e-300, so the Kato residual is never formed
     # from an unconverged solution.
