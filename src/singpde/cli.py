@@ -6,18 +6,18 @@ does not grow with the schedule and a level that raises leaves the output of
 the levels before it.  ``verify`` runs one of the named check suites and
 writes one row per check.  The suites of one run share only the
 solves that two or more of them need (the full and the measure-free
-schedule and the tight-tolerance level solves), each solved at most once;
-a suite makes every other solve it needs itself.  The schedules that the
-run's suites read are solved in one lockstep pass, level by level, which
-keeps each schedule's last level and the few numbers per level that the
-suites judge, so verify's memory does not grow with the schedule either.
-A tight solve starts from
-the full schedule's last level once the run has solved that schedule, and
-from cold otherwise.  The sandwich suite builds its sub/super pair from the
-measure-free schedule's last level, so the pair costs one linear solve, and
-judges Hopf stability against the same problem on half the cells, not on a
-grid finer than the config's.  The Kato check reads the solver's level-n
-source of its two tight solves.  The solver and the diagnostics return
+schedule and the tight-tolerance level-n_max solve), each solved at most
+once; a suite makes every other solve it needs itself.  The schedules that
+the run's suites read are solved in one lockstep pass, level by level,
+which keeps each schedule's last level and the few numbers per level that
+the suites judge, so verify's memory does not grow with the schedule
+either.  The tight solve always starts from the full schedule's last
+level, so a suite's rows are the same alone as under ``--suite all``.  The
+sandwich suite builds its sub/super pair from the measure-free schedule's
+last level, so the pair costs one linear solve, and judges Hopf stability
+against the same problem on half the cells, not on a grid finer than the
+config's.  The Kato check reads the solver's level-n source of its two
+tight solves.  The solver and the diagnostics return
 observed numbers, and each suite holds the bounds that judge its rows; a
 solve that a suite needs and that does not converge ends the run with
 exit 2.  ``sweep`` runs the Cartesian product of the configured parameter
@@ -51,6 +51,7 @@ import itertools
 import math
 import sys
 from dataclasses import replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -233,13 +234,16 @@ class _ConvergenceFailure(RuntimeError):
 
 
 # The schedules each suite reads: True is the full schedule, False the
-# measure-free one.  A suite not listed reads neither.
+# measure-free one.  A suite not listed reads neither.  Kato and uniqueness
+# read the full schedule's last level as the start of the tight solve.
 _SCHEDULES = {
     "lower_bound": (True, False),
     "monotone": (False,),
     "sandwich": (False,),
     "energy_law": (True,),
     "tails": (True,),
+    "kato": (True,),
+    "uniqueness": (True,),
 }
 
 
@@ -298,16 +302,13 @@ class _Schedules:
 
 class _Run:
     """The solves that two or more of the verify suites ``names`` share,
-    each made at most once per run.
+    each made once per run, on first use.
 
-    ``schedules()`` is the lockstep pass over the full and the measure-free
-    schedule (``_Schedules``), solved on first call for the suites in
-    ``names``; ``tight_level(mu, start)`` is the level-n_max solve with
-    measure ``mu`` under ``tight``, the solver settings of the near-exact
-    identities.  It starts from ``start`` when given, else from the full
-    schedule's last level if this run has solved it, else cold.  Each is
-    solved on first use, and a nonconvergent solve raises
-    _ConvergenceFailure.
+    ``schedules`` is the lockstep pass over the full and the measure-free
+    schedule (``_Schedules``) for the suites in ``names``; ``tight_level``
+    is the level-n_max solve under ``tight``, the solver settings of the
+    near-exact identities, started from the full schedule's last level.  A
+    nonconvergent solve raises _ConvergenceFailure.
     """
 
     def __init__(self, cfg: RunConfig, names):
@@ -320,23 +321,17 @@ class _Run:
             tol_fp=min(cfg.solver.resolved_tol_fp(self.spec.grid), 1e-12),
             max_iters=max(cfg.solver.max_iters, 800),
         )
-        self._schedules: _Schedules | None = None
-        self._levels = {}
 
+    @cached_property
     def schedules(self) -> _Schedules:
-        if self._schedules is None:
-            self._schedules = _Schedules(self.cfg, self.spec, self.names)
-        return self._schedules
+        return _Schedules(self.cfg, self.spec, self.names)
 
-    def tight_level(self, mu: RadonMeasure, start: GridFunction | None = None) -> SolveResult:
-        if mu not in self._levels:
-            if start is None and self._schedules is not None and True in self._schedules.last:
-                start = self._schedules.last[True].u
-            res = solve_regularized(replace(self.spec, mu=mu), self.tight, start)
-            if not res.converged:
-                raise _ConvergenceFailure("tight-tolerance level solve")
-            self._levels[mu] = res
-        return self._levels[mu]
+    @cached_property
+    def tight_level(self) -> SolveResult:
+        res = solve_regularized(self.spec, self.tight, self.schedules.last[True].u)
+        if not res.converged:
+            raise _ConvergenceFailure("tight-tolerance level solve")
+        return res
 
 
 def _check(name, observed, bound, ok) -> tuple:
@@ -383,7 +378,7 @@ def _suite_manufactured(cfg: RunConfig, run: _Run):
 
 
 def _suite_monotone(cfg: RunConfig, run: _Run):
-    decrease = run.schedules().decrease
+    decrease = run.schedules.decrease
     if not decrease:
         return [_na("monotone.max_violation", "needs two levels")]
     worst = max(decrease)
@@ -391,7 +386,7 @@ def _suite_monotone(cfg: RunConfig, run: _Run):
 
 
 def _suite_lower_bound(cfg: RunConfig, run: _Run):
-    schedules = run.schedules()
+    schedules = run.schedules
     domination = max(schedules.domination)
     rows = [_check("lower_bound.domination", domination, _TOL_MONO, domination <= _TOL_MONO)]
     for margin in cfg.margins:
@@ -429,7 +424,7 @@ def _energy_slope(u: GridFunction, gamma: float) -> float | None:
 def _suite_energy_law(cfg: RunConfig, run: _Run):
     if cfg.h.gamma < 1.0:
         return [_na("energy_law.slope", "needs gamma>=1")]
-    slopes = run.schedules().energy_slopes
+    slopes = run.schedules.energy_slopes
     if slopes is None:
         return [_na("energy_law.slope", "fewer than two k below max u")]
     worst_slope = max(-np.inf, *slopes)
@@ -443,7 +438,7 @@ def _suite_tails(cfg: RunConfig, run: _Run):
             _na("tails.gradient_slope", "needs dim=3"),
             _na("tails.u_slope", "needs dim=3"),
         ]
-    u = run.schedules().last[True].u
+    u = run.schedules.last[True].u
     rows = []
     for name, values, bound in (
         ("gradient", diag.discrete_gradient_magnitude(u), -1.3),
@@ -461,8 +456,11 @@ def _suite_tails(cfg: RunConfig, run: _Run):
 def _suite_kato(cfg: RunConfig, run: _Run):
     spec1 = replace(run.spec, mu=scale_measure(cfg.mu, 2.0))
     spec2 = run.spec
-    u2 = run.tight_level(spec2.mu).u
-    u1 = run.tight_level(spec1.mu, start=u2).u
+    u2 = run.tight_level.u
+    res1 = solve_regularized(spec1, run.tight, u2)
+    if not res1.converged:
+        raise _ConvergenceFailure("tight-tolerance level solve")
+    u1 = res1.u
     f1 = level_source(spec1, u1)
     f2 = level_source(spec2, u2)
     phi0 = diag.torsion_function(run.spec.grid)
@@ -479,12 +477,12 @@ def _suite_kato(cfg: RunConfig, run: _Run):
 def _suite_uniqueness(cfg: RunConfig, run: _Run):
     """Largest nodal gap between the tight level-n_max solution the Kato
     suite shares and the one reached from it + 1, a start above it at every
-    node.  The suite needs no schedule of its own."""
+    node."""
     if not cfg.h.strictly_decreasing:
         return [_na("uniqueness.gap", "needs strictly decreasing h")]
     # Both starts are solved at the tight tolerance: at tol_fp each lies about
     # tol_fp / (1 - Lip T) from the fixed point, which alone can exceed 1e-8.
-    tight = run.tight_level(cfg.mu)
+    tight = run.tight_level
     start = GridFunction(run.spec.grid, tight.u.values + 1.0)
     above = solve_regularized(run.spec, run.tight, initial=start)
     if not above.converged:
@@ -497,7 +495,7 @@ def _suite_sandwich(cfg: RunConfig, run: _Run):
     spec = run.spec
     if not np.all(cfg.f(spec.grid.node_coords) > 0):
         return [_na("sandwich.breach", "needs f>0 at every node")]
-    sandwich = build_sub_super(spec, run.schedules().last[False].u)
+    sandwich = build_sub_super(spec, run.schedules.last[False].u)
     res = solve_regularized(spec, cfg.solver, sandwich.sub, sandwich)
     if not res.converged:
         raise _ConvergenceFailure("clamped solve")

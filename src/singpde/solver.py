@@ -37,12 +37,13 @@ GridFunction is built only where a value leaves: ``SolveResult.u``,
 F(u) = h_n(u + 1/n) min(n, f) + mu_n, so T(u) = A^-1 F(u); the Picard map
 and every caller that needs the source (the Kato check) use it.
 
-The module also provides nodewise monotonicity and domination checks, the
-sub/supersolution pair that clamps the argument of h, and the construction
-of that pair from a measure-free solve v the caller already has: sub = v and
-super = v + w with -Lap w = mu_n, so building the pair costs one linear
-solve.  The checks return the observed numbers; the bounds that judge them
-belong to the caller.
+The module also provides ``comparison_check``, the one nodewise order
+check (verify's monotonicity in n and domination of the measure-free
+solution both use it), the sub/supersolution pair that clamps the argument
+of h, and the construction of that pair from a measure-free solve v the
+caller already has: sub = v and super = v + w with -Lap w = mu_n, so
+building the pair costs one linear solve.  The checks return the observed
+numbers; the bounds that judge them belong to the caller.
 """
 
 from __future__ import annotations
@@ -378,35 +379,34 @@ def iter_sequence(spec: ProblemSpec, n_schedule=None, cfg: SolverConfig | None =
     ``spec.n`` is ignored; each level uses its schedule value.  The
     differences from the previous level, in the discrete L1 and the max
     norm, are NaN at the first level and at the first nonconvergent one,
-    which is the last level yielded.  An empty or non-increasing schedule
-    raises ValueError when the first level is asked for.
+    which is the last level yielded.  An empty, non-increasing or
+    non-integer schedule raises ValueError at the first ``next``.
     """
     cfg = cfg or SolverConfig()
-    schedule = tuple(
-        int(n) for n in (DEFAULT_SCHEDULE if n_schedule is None else n_schedule)
-    )
+    schedule = tuple(DEFAULT_SCHEDULE if n_schedule is None else n_schedule)
     if not schedule:
         raise ValueError("n_schedule must not be empty")
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("n_schedule must be strictly increasing")
+    levels = [replace(spec, n=n) for n in schedule]  # ProblemSpec checks each n
     lap = build_laplacian(spec.grid)
     tol_fp = cfg.resolved_tol_fp(spec.grid)
     prev: np.ndarray | None = None
-    for n in schedule:
-        res = _iterate(_prepare(replace(spec, n=n)), lap, cfg, tol_fp, prev)
+    for level in levels:
+        res = _iterate(_prepare(level), lap, cfg, tol_fp, prev)
         l1 = mx = math.nan
         if res.converged and prev is not None:
             diff = np.abs(res.u.values - prev)
             l1 = float(np.sum(diff) * spec.grid.cell_volume)
             mx = float(np.max(diff))
         prev = res.u.values
-        yield n, res, l1, mx
+        yield level.n, res, l1, mx
         if not res.converged:
             return
 
 
 # ---------------------------------------------------------------------------
-# Monotonicity and domination checks
+# Order check
 # ---------------------------------------------------------------------------
 
 

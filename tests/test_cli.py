@@ -765,7 +765,7 @@ def test_verify_tight_solves_start_warm_when_the_schedule_is_solved(tmp_path, mo
     # Under --suite all the tight mu solve starts from the full schedule's
     # last level and the tight 2 mu solve from the tight mu one; the
     # uniqueness solve starts 1 above the tight mu one.  A lone kato suite
-    # solves no schedule, so its mu solve starts cold.
+    # solves the full schedule for the same start.
     finals, tight = {}, []
     iter_sequence_, solve_regularized_ = cli.iter_sequence, cli.solve_regularized
 
@@ -793,15 +793,17 @@ def test_verify_tight_solves_start_warm_when_the_schedule_is_solved(tmp_path, mo
     assert mu3 == mu and np.array_equal(start3, u1 + 1.0)
 
     tight.clear()
+    finals.clear()
     assert main(["verify", cfg, "--out", str(tmp_path / "kato"), "--suite", "kato"]) == 0
+    assert list(finals) == [mu] and np.array_equal(finals[mu], full)
     (mu1, start1, u1), (mu2, start2, _) = tight
-    assert mu1 == mu and start1 is None
-    assert np.array_equal(start2, u1)
+    assert mu1 == mu and np.array_equal(start1, full)
+    assert mu2 == scale_measure(mu, 2.0) and np.array_equal(start2, u1)
 
 
 @pytest.mark.parametrize(
     "suite, expected_calls",
-    [("all", 2), ("monotone", 1), ("uniqueness", 0), ("kato", 0)],
+    [("all", 2), ("monotone", 1), ("uniqueness", 1), ("kato", 1)],
 )
 def test_verify_solves_each_schedule_once(tmp_path, monkeypatch, suite, expected_calls):
     calls = []
@@ -815,7 +817,7 @@ def test_verify_solves_each_schedule_once(tmp_path, monkeypatch, suite, expected
     cfg = write_cfg(tmp_path, text)
     assert main(["verify", cfg, "--out", str(tmp_path / "out"), "--suite", suite]) == 0
     # A lone suite solves only the schedules it reads itself: uniqueness
-    # and kato read none.
+    # and kato read the full one, for the start of the tight solve.
     assert len(calls) == expected_calls
     assert len(set(calls)) == expected_calls
 
@@ -944,27 +946,55 @@ def test_verify_short_schedule_reports_vacuous_checks_na(tmp_path, schedule):
     assert rows["sandwich.breach"][3] == "pass"
 
 
-@pytest.mark.parametrize("suite", ["lower_bound", "monotone", "energy_law", "tails", "sandwich"])
-def test_verify_lone_suite_rows_match_the_full_run(tmp_path, suite):
-    # A suite reads the same schedule numbers alone as under --suite all.
-    # kato and uniqueness are left out: under all their tight solves start
-    # from the full schedule's last level, alone they start cold.
+@pytest.fixture(scope="module")
+def full_run(tmp_path_factory):
+    """The config of a 2D/16 centre-atom run and its --suite all rows."""
+    tmp_path = tmp_path_factory.mktemp("full_run")
     cfg = centre_atom_cfg(tmp_path, 2, 16)
     assert main(["verify", cfg, "--out", str(tmp_path / "all"), "--suite", "all"]) == 0
+    return cfg, (tmp_path / "all" / "verify_all.csv").read_text()
+
+
+@pytest.mark.parametrize("suite", list(cli._SUITE_RUNNERS))
+def test_verify_lone_suite_rows_match_the_full_run(tmp_path, full_run, suite):
+    # A suite writes the same rows alone as under --suite all.
+    cfg, rows_all = full_run
     assert main(["verify", cfg, "--out", str(tmp_path / "lone"), "--suite", suite]) == 0
     lone = (tmp_path / "lone" / f"verify_{suite}.csv").read_text().split("\n", 1)[1]
     assert lone.startswith(suite + ".")
-    assert lone in (tmp_path / "all" / "verify_all.csv").read_text()
+    assert lone in rows_all
 
 
-def test_verify_kato_unconverged_solve_exits_two(tmp_path, capsys):
-    # No tight solve reaches 1e-300, so the Kato residual is never formed
-    # from an unconverged solution.
+def test_verify_kato_unconverged_solve_exits_two(tmp_path, monkeypatch, capsys):
+    # Level 8 of the full schedule, which the tight solve starts from, does
+    # not reach tol_fp = 1e-300 and ends the run before any tight solve.
     cfg = write_cfg(tmp_path, DIRAC_1D.replace("tol_fp = 1e-10", "tol_fp = 1e-300"))
-    out = tmp_path / "out"
+    out = tmp_path / "schedule"
     assert main(["verify", cfg, "--out", str(out), "--suite", "kato"]) == 2
-    assert "reason,2,nonconvergence,tight-tolerance level solve" in capsys.readouterr().out
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "reason,2,nonconvergence,level 8 did not converge"
+    )
     assert read_rows(out / "verify_kato.csv")[1] == []
+
+    # Either tight solve, of mu or of 2 mu, that does not converge ends the
+    # run, so the Kato residual is never formed from an unconverged solution.
+    cfg = write_cfg(tmp_path, DIRAC_1D)
+    mu = RunConfig.from_file(cfg).mu
+    solve_regularized_ = cli.solve_regularized
+    for k, failing in enumerate((mu, scale_measure(mu, 2.0))):
+        def unconverged_tight(spec, cfg=None, initial=None, sandwich=None):
+            res = solve_regularized_(spec, cfg, initial, sandwich)
+            if cfg.tol_fp == 1e-12 and spec.mu == failing:
+                return replace(res, converged=False)
+            return res
+
+        monkeypatch.setattr(cli, "solve_regularized", unconverged_tight)
+        out = tmp_path / f"tight{k}"
+        assert main(["verify", cfg, "--out", str(out), "--suite", "kato"]) == 2
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "reason,2,nonconvergence,tight-tolerance level solve"
+        )
+        assert read_rows(out / "verify_kato.csv")[1] == []
 
 
 def test_verify_uniqueness_gap_not_limited_by_tol_fp(tmp_path):
