@@ -4,26 +4,28 @@
 solution file and sequence row as soon as the level is solved, so its memory
 does not grow with the schedule and a level that raises leaves the output of
 the levels before it.  ``verify`` runs one of the named check suites and
-writes one row per check.  The suites of one run share only the
-solves that two or more of them need (the full and the measure-free
-schedule and the tight-tolerance level-n_max solve), each solved at most
-once; a suite makes every other solve it needs itself.  The schedules that
-the run's suites read are solved in one lockstep pass, level by level,
-which keeps each schedule's last level and the few numbers per level that
-the suites judge, so verify's memory does not grow with the schedule
-either.  The tight solve always starts from the full schedule's last
-level, so a suite's rows are the same alone as under ``--suite all``.  The
-sandwich suite builds its sub/super pair from the measure-free schedule's
-last level, so the pair costs one linear solve, and judges Hopf stability
-against the same problem on half the cells, not on a grid finer than the
-config's.  The Kato check reads the solver's level-n source of its two
-tight solves.  The solver and the diagnostics return
-observed numbers, and each suite holds the bounds that judge its rows; a
-solve that a suite needs and that does not converge ends the run with
-exit 2.  ``sweep`` runs the Cartesian product of the configured parameter
-grids and aggregates one row per run; the rows run in forked worker
-processes (the config key ``threads`` sets how many, capped at the jobs and
-at the CPUs the process may run on), so ``sweep`` needs a POSIX system.
+writes one row per check.  Each suite is one entry of ``_SUITES``: the
+function that writes its rows, the schedules it reads (the full one and the
+measure-free one) and the number, if any, that it judges at each top-half
+level of the full schedule.  The schedules that the run's suites declare are
+solved once, in one lockstep pass, level by level, which keeps each
+schedule's last level and the declared per-level numbers, so verify's memory
+does not grow with the schedule either.  The only other solve that two
+suites share is the tight-tolerance level-n_max solve, made once; it starts
+from the full schedule's last level, so a suite's rows are the same alone as
+under ``--suite all``.  A suite makes every other solve it needs itself.
+The sandwich suite builds its sub/super pair from the measure-free
+schedule's last level, so the pair costs one linear solve, and judges Hopf
+stability against the same problem on half the cells, not on a grid finer
+than the config's.  The Kato check reads the solver's level-n source of its
+two tight solves.  The solver and the diagnostics return observed numbers,
+and each suite holds the bounds that judge its rows; a solve that a suite
+needs and that does not converge ends the run with exit 2, by one
+convergence rule.  ``sweep`` runs the Cartesian product of the configured
+parameter grids and aggregates one row per run; the rows run in forked
+worker processes (the config key ``threads`` sets how many, capped at the
+jobs and at the CPUs the process may run on), so ``sweep`` needs a POSIX
+system.
 Only the output directory (``--out``, default ``out``) and verify's suite
 (``--suite``, default ``all``) are not config keys.
 All CSV output uses 17 significant digits so identical configurations
@@ -50,6 +52,7 @@ import argparse
 import itertools
 import math
 import sys
+from collections import namedtuple
 from dataclasses import replace
 from functools import cached_property
 from pathlib import Path
@@ -233,53 +236,42 @@ class _ConvergenceFailure(RuntimeError):
     """A solve that a verify suite needs did not converge."""
 
 
-# The schedules each suite reads: True is the full schedule, False the
-# measure-free one.  A suite not listed reads neither.  Kato and uniqueness
-# read the full schedule's last level as the start of the tight solve.
-_SCHEDULES = {
-    "lower_bound": (True, False),
-    "monotone": (False,),
-    "sandwich": (False,),
-    "energy_law": (True,),
-    "tails": (True,),
-    "kato": (True,),
-    "uniqueness": (True,),
-}
+def _solve_converged(label: str, spec, cfg, initial=None, sandwich=None) -> SolveResult:
+    """The converged ``solve_regularized``; _ConvergenceFailure(label) if not."""
+    res = solve_regularized(spec, cfg, initial, sandwich)
+    if not res.converged:
+        raise _ConvergenceFailure(label)
+    return res
 
 
 class _Schedules:
     """The numbers the suites ``names`` read off the full schedule u_n and
     the measure-free one v_n, from one lockstep pass over the levels.
 
-    Each schedule that one of the suites reads is solved once, by its own
-    ``iter_sequence``; at each level the full schedule runs first, then the
-    measure-free one, and the first nonconvergent level raises
-    _ConvergenceFailure.  No level outlives the next one: the pass keeps
-    ``last``, the last level of each schedule (keyed like ``_SCHEDULES``),
-    and per level these numbers:
+    Each schedule that one of the suites declares in ``_SUITES`` is solved
+    once, by its own ``iter_sequence``; at each level the full schedule
+    runs first, then the measure-free one, and the first nonconvergent
+    level raises _ConvergenceFailure.  No level outlives the next one: the
+    pass keeps ``last``, the last level of each schedule (True the full
+    one, False the measure-free one), and per level these numbers:
 
     - ``domination``: comparison_check(u_n, v_n), when both are solved;
     - ``decrease``: comparison_check(v_n, v_{n-1}), from the second level;
-    - ``minima[margin]``: min_on_compact(u_n, margin) over the top half of
-      the levels, when ``lower_bound`` runs;
-    - ``energy_slopes``: the energy-law slope over the top half, when
-      ``energy_law`` runs and gamma >= 1, None once a level has fewer than
-      two k below max u.
+    - ``top[name]``: the per-level number that suite ``name`` declares,
+      taken of u_n at each level of the top half of the schedule.
     """
 
     def __init__(self, cfg: RunConfig, spec: ProblemSpec, names):
-        wanted = sorted({s for name in names for s in _SCHEDULES.get(name, ())}, reverse=True)
+        wanted = sorted({s for name in names for s in _SUITES[name].schedules}, reverse=True)
         levels = {
             s: iter_sequence(spec if s else spec.without_measure(), cfg.n_schedule, cfg.solver)
             for s in wanted
         }
-        energy = "energy_law" in names and cfg.h.gamma >= 1.0
         self.last: dict[bool, SolveResult] = {}
         self.domination: list[float] = []
         self.decrease: list[float] = []
-        self.minima = {m: [] for m in cfg.margins} if "lower_bound" in names else {}
-        self.energy_slopes: list[float] | None = [] if energy else None
-        top = len(cfg.n_schedule) // 2
+        self.top: dict[str, list] = {name: [] for name in names if _SUITES[name].top}
+        half = len(cfg.n_schedule) // 2
         for i in range(len(cfg.n_schedule)):
             for s, schedule in levels.items():
                 n, res, _, _ = next(schedule)
@@ -290,14 +282,9 @@ class _Schedules:
                 self.last[s] = res
             if len(self.last) == 2:
                 self.domination.append(comparison_check(self.last[True].u, self.last[False].u))
-            if i < top or True not in self.last:
-                continue
-            u = self.last[True].u
-            for margin, minima in self.minima.items():
-                minima.append(min_on_compact(u, margin))
-            if self.energy_slopes is not None:
-                slope = _energy_slope(u, cfg.h.gamma)
-                self.energy_slopes = None if slope is None else [*self.energy_slopes, slope]
+            if i >= half:
+                for name, numbers in self.top.items():
+                    numbers.append(_SUITES[name].top(cfg, self.last[True].u))
 
 
 class _Run:
@@ -328,10 +315,8 @@ class _Run:
 
     @cached_property
     def tight_level(self) -> SolveResult:
-        res = solve_regularized(self.spec, self.tight, self.schedules.last[True].u)
-        if not res.converged:
-            raise _ConvergenceFailure("tight-tolerance level solve")
-        return res
+        return _solve_converged("tight-tolerance level solve", self.spec, self.tight,
+                                self.schedules.last[True].u)
 
 
 def _check(name, observed, bound, ok) -> tuple:
@@ -362,9 +347,7 @@ def _suite_manufactured(cfg: RunConfig, run: _Run):
     for cells in _MANUFACTURED_CELLS:
         grid = build_grid(1, cells)
         spec = ProblemSpec(grid=grid, h=cfg.h, f=f, mu=RadonMeasure(), n=n)
-        res = solve_regularized(spec, cfg.solver)
-        if not res.converged:
-            raise _ConvergenceFailure(f"manufactured solve at cells={cells}")
+        res = _solve_converged(f"manufactured solve at cells={cells}", spec, cfg.solver)
         exact = np.sin(np.pi * grid.node_coords[:, 0])
         errors[cells] = float(np.max(np.abs(res.u.values - exact)))
     hs = np.log([1.0 / c for c in _MANUFACTURED_CELLS])
@@ -389,8 +372,7 @@ def _suite_lower_bound(cfg: RunConfig, run: _Run):
     schedules = run.schedules
     domination = max(schedules.domination)
     rows = [_check("lower_bound.domination", domination, _TOL_MONO, domination <= _TOL_MONO)]
-    for margin in cfg.margins:
-        minima = schedules.minima[margin]
+    for margin, minima in zip(cfg.margins, zip(*schedules.top["lower_bound"])):
         c = min(minima)
         rows.append(_check(f"lower_bound.c_K_margin{margin:g}", c, ">0", c > 0))
         if len(minima) < 2:
@@ -424,8 +406,8 @@ def _energy_slope(u: GridFunction, gamma: float) -> float | None:
 def _suite_energy_law(cfg: RunConfig, run: _Run):
     if cfg.h.gamma < 1.0:
         return [_na("energy_law.slope", "needs gamma>=1")]
-    slopes = run.schedules.energy_slopes
-    if slopes is None:
+    slopes = run.schedules.top["energy_law"]
+    if None in slopes:
         return [_na("energy_law.slope", "fewer than two k below max u")]
     worst_slope = max(-np.inf, *slopes)
     bound = cfg.h.gamma + 0.15
@@ -455,14 +437,10 @@ def _suite_tails(cfg: RunConfig, run: _Run):
 
 def _suite_kato(cfg: RunConfig, run: _Run):
     spec1 = replace(run.spec, mu=scale_measure(cfg.mu, 2.0))
-    spec2 = run.spec
     u2 = run.tight_level.u
-    res1 = solve_regularized(spec1, run.tight, u2)
-    if not res1.converged:
-        raise _ConvergenceFailure("tight-tolerance level solve")
-    u1 = res1.u
+    u1 = _solve_converged("tight-tolerance level solve", spec1, run.tight, u2).u
     f1 = level_source(spec1, u1)
-    f2 = level_source(spec2, u2)
+    f2 = level_source(run.spec, u2)
     phi0 = diag.torsion_function(run.spec.grid)
     forward = diag.kato_residual(u1, u2, f1, f2, phi0)
     mirrored = diag.kato_residual(u2, u1, f2, f1, phi0)
@@ -484,9 +462,7 @@ def _suite_uniqueness(cfg: RunConfig, run: _Run):
     # tol_fp / (1 - Lip T) from the fixed point, which alone can exceed 1e-8.
     tight = run.tight_level
     start = GridFunction(run.spec.grid, tight.u.values + 1.0)
-    above = solve_regularized(run.spec, run.tight, initial=start)
-    if not above.converged:
-        raise _ConvergenceFailure("uniqueness warm start")
+    above = _solve_converged("uniqueness warm start", run.spec, run.tight, start)
     gap = float(np.max(np.abs(tight.u.values - above.u.values)))
     return [_check("uniqueness.gap", gap, 1e-8, gap <= 1e-8)]
 
@@ -496,9 +472,7 @@ def _suite_sandwich(cfg: RunConfig, run: _Run):
     if not np.all(cfg.f(spec.grid.node_coords) > 0):
         return [_na("sandwich.breach", "needs f>0 at every node")]
     sandwich = build_sub_super(spec, run.schedules.last[False].u)
-    res = solve_regularized(spec, cfg.solver, sandwich.sub, sandwich)
-    if not res.converged:
-        raise _ConvergenceFailure("clamped solve")
+    res = _solve_converged("clamped solve", spec, cfg.solver, sandwich.sub, sandwich)
     breach = sandwich.breach(res.u)
     rows = [_check("sandwich.breach", breach, _TOL_MONO, breach <= _TOL_MONO)]
     ratio = hopf_ratio_check(sandwich.sub)
@@ -511,10 +485,8 @@ def _suite_sandwich(cfg: RunConfig, run: _Run):
     if cfg.cells < 16:
         rows.append(_na("sandwich.hopf_ratio_stability", "needs cells >= 16"))
         return rows
-    coarse = replace(spec, grid=build_grid(cfg.dim, cfg.cells // 2, cfg.grid_margin))
-    v = solve_regularized(coarse.without_measure(), cfg.solver)
-    if not v.converged:
-        raise _ConvergenceFailure(f"Hopf-ratio solve at cells={cfg.cells // 2}")
+    coarse = replace(spec.without_measure(), grid=build_grid(cfg.dim, cfg.cells // 2, cfg.grid_margin))
+    v = _solve_converged(f"Hopf-ratio solve at cells={cfg.cells // 2}", coarse, cfg.solver)
     coarse_ratio = hopf_ratio_check(v.u)
     stability = ratio / coarse_ratio if coarse_ratio > 0 else float("nan")
     rows.append(
@@ -524,26 +496,34 @@ def _suite_sandwich(cfg: RunConfig, run: _Run):
     return rows
 
 
-_SUITE_RUNNERS = {
-    "lower_bound": _suite_lower_bound,
-    "monotone": _suite_monotone,
-    "energy_law": _suite_energy_law,
-    "tails": _suite_tails,
-    "kato": _suite_kato,
-    "uniqueness": _suite_uniqueness,
-    "sandwich": _suite_sandwich,
-    "manufactured": _suite_manufactured,
+# Every verify suite, in --suite all row order: ``run(cfg, _Run)`` returns
+# its rows, ``schedules`` are those it reads (True the full one, False the
+# measure-free one) and ``top(cfg, u_n)``, if set, is the number it judges at
+# each top-half level of the full schedule.  Kato and uniqueness read the
+# full schedule's last level as the start of the tight solve.
+_Suite = namedtuple("_Suite", "run schedules top", defaults=((), None))
+_SUITES = {
+    "lower_bound": _Suite(_suite_lower_bound, (True, False),
+                          lambda cfg, u: [min_on_compact(u, m) for m in cfg.margins]),
+    "monotone": _Suite(_suite_monotone, (False,)),
+    "energy_law": _Suite(_suite_energy_law, (True,), lambda cfg, u: (
+        _energy_slope(u, cfg.h.gamma) if cfg.h.gamma >= 1.0 else None)),
+    "tails": _Suite(_suite_tails, (True,)),
+    "kato": _Suite(_suite_kato, (True,)),
+    "uniqueness": _Suite(_suite_uniqueness, (True,)),
+    "sandwich": _Suite(_suite_sandwich, (False,)),
+    "manufactured": _Suite(_suite_manufactured),
 }
 
 
 def _cmd_verify(cfg: RunConfig, suite: str, out_dir: Path) -> int:
-    names = list(_SUITE_RUNNERS) if suite == "all" else [suite]
+    names = list(_SUITES) if suite == "all" else [suite]
     run = _Run(cfg, names)
     rows = []
     failure = None
     try:
         for name in names:
-            rows.extend(_SUITE_RUNNERS[name](cfg, run))
+            rows.extend(_SUITES[name].run(cfg, run))
     except _ConvergenceFailure as exc:
         failure = str(exc)
     _write_csv(out_dir / f"verify_{suite}.csv", ("name", "observed", "bound", "status"), rows)
@@ -672,7 +652,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("config", help="path to a key-value config file")
         p.add_argument("--out", default="out", help="output directory (default: out)")
         if name == "verify":
-            p.add_argument("--suite", default="all", choices=(*_SUITE_RUNNERS, "all"))
+            p.add_argument("--suite", default="all", choices=(*_SUITES, "all"))
     return parser
 
 

@@ -1,9 +1,10 @@
 """Flat key-value run configuration.
 
 One ``section.key = value`` per line, ``#`` starts a comment line, repeated
-keys are rejected except ``measure.atom`` which accumulates.  The file is
-the only source of these settings; the verify suite and the output
-directory are command-line options of ``singpde`` and not keys.
+keys are rejected except ``measure.atom`` which accumulates, and so is a key
+of ``h`` or ``f`` that the configured kind does not read.  The file is the
+only source of these settings; the verify suite and the output directory
+are command-line options of ``singpde`` and not keys.
 
 Every number must be finite: ``nan`` and ``inf`` are rejected under the key
 that holds them.
@@ -128,10 +129,19 @@ def _get_list(raw, key, cast, default=()) -> tuple:
     return values
 
 
+def _reject_unread(raw, kind: str, readers: dict) -> None:
+    """Reject each key of ``readers`` that ``raw`` sets and ``kind``, not one
+    of the kinds that read it, would ignore."""
+    for key, kinds in readers.items():
+        if key in raw and kind not in kinds:
+            raise ConfigError(key, f"read only by kind {' or '.join(kinds)}, not {kind!r}")
+
+
 def _build_h(raw) -> SingularNonlinearity:
     kind = _single(raw, "h.kind") or "pure_power"
     if kind not in _H_KINDS:
         raise ConfigError("h.kind", f"must be one of {_H_KINDS}, got {kind!r}")
+    _reject_unread(raw, kind, {"h.shift": ("shifted_power",), "h.plateau": ("bounded_plateau",)})
     gamma = _get_float(raw, "h.gamma", 0.5)
     if gamma <= 0:
         raise ConfigError("h.gamma", f"must be positive, got {gamma}")
@@ -148,10 +158,13 @@ def _build_h(raw) -> SingularNonlinearity:
     return SingularNonlinearity.bounded_plateau(gamma, plateau)
 
 
-def _build_f(raw) -> fields.ScalarField:
+def _build_f(raw, dim: int) -> fields.ScalarField:
     kind = _single(raw, "f.kind") or "constant"
     if kind not in _F_KINDS:
         raise ConfigError("f.kind", f"must be one of {_F_KINDS}, got {kind!r}")
+    bump = ("gaussian_bump",)
+    _reject_unread(raw, kind, {"f.value": ("constant",), "f.center": bump, "f.width": bump,
+                               "f.scale": (*bump, "sin_pi")})
     if kind == "zero":
         return fields.zero()
     if kind == "constant":
@@ -161,6 +174,8 @@ def _build_f(raw) -> fields.ScalarField:
         return fields.constant(value)
     if kind == "gaussian_bump":
         center = _get_list(raw, "f.center", float, (0.5, 0.5, 0.5))
+        if len(center) < dim:
+            raise ConfigError("f.center", f"needs {dim} coordinates, got {center}")
         width = _get_float(raw, "f.width", 0.1)
         scale = _get_float(raw, "f.scale", 1.0)
         if width <= 0:
@@ -280,7 +295,7 @@ class RunConfig:
                 raise ConfigError("domain.margins", f"margins must lie in [0, 0.5), got {m}")
 
         h = _build_h(raw)
-        f = _build_f(raw)
+        f = _build_f(raw, dim)
         mu = _build_measure(raw, dim)
 
         schedule = _get_list(raw, "sequence.n_schedule", int, DEFAULT_SCHEDULE)

@@ -38,12 +38,13 @@ F(u) = h_n(u + 1/n) min(n, f) + mu_n, so T(u) = A^-1 F(u); the Picard map
 and every caller that needs the source (the Kato check) use it.
 
 The module also provides ``comparison_check``, the one nodewise order
-check (verify's monotonicity in n and domination of the measure-free
-solution both use it), the sub/supersolution pair that clamps the argument
-of h, and the construction of that pair from a measure-free solve v the
-caller already has: sub = v and super = v + w with -Lap w = mu_n, so
-building the pair costs one linear solve.  The checks return the observed
-numbers; the bounds that judge them belong to the caller.
+check (verify's monotonicity in n, domination of the measure-free
+solution and the sandwich pair's breach all use it), the sub/supersolution
+pair that clamps the argument of h, and the construction of that pair from
+a measure-free solve v the caller already has: sub = v and super = v + w
+with -Lap w = mu_n, so building the pair costs one linear solve.  The
+checks return the observed numbers; the bounds that judge them belong to
+the caller.
 """
 
 from __future__ import annotations
@@ -443,10 +444,7 @@ class SandwichSpec:
         return np.clip(values, self.sub.values, self.sup.values)
 
     def breach(self, u: GridFunction) -> float:
-        require_same_grid(self.sub.grid, u.grid)
-        below = self.sub.values - u.values
-        above = u.values - self.sup.values
-        return float(np.max(np.maximum(np.maximum(below, above), 0.0)))
+        return max(comparison_check(u, self.sub), comparison_check(self.sup, u))
 
 
 def build_sub_super(spec: ProblemSpec, sub: GridFunction) -> SandwichSpec:

@@ -91,6 +91,27 @@ def test_solve_config_error_names_key(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "text, key",
+    [
+        ("domain.dim = 3\ndomain.cells = 8\nf.kind = gaussian_bump\nf.center = 0.3, 0.7\n",
+         "f.center"),
+        ("domain.dim = 1\nh.kind = pure_power\nh.shift = 3\nf.width = -1\n", "h.shift"),
+        ("domain.dim = 1\nh.plateau = 3\nf.kind = sin_pi\nf.value = 7\n", "h.plateau"),
+    ],
+    ids=["short-center", "shift-of-pure-power", "plateau-of-pure-power"],
+)
+def test_solve_rejects_f_and_h_keys_the_kinds_cannot_use(tmp_path, capsys, text, key):
+    # A short Gaussian centre exited 2 in 3D; a key that the configured kind
+    # does not read was ignored and the run exited 0.
+    out = tmp_path / "o"
+    assert main(["solve", write_cfg(tmp_path, text), "--out", str(out)]) == 1
+    code, category, detail = reason_fields(capsys.readouterr().out)[1:]
+    assert (code, category) == ("1", "config")
+    assert detail.startswith(key + ": ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "args", [["solve"], ["verify"], ["verify", "--suite", "lower_bound"], ["sweep"]]
 )
 def test_margin_deeper_than_the_grid_is_config_error_before_any_solve(
@@ -880,18 +901,40 @@ def test_verify_keeps_one_level_per_schedule(tmp_path, monkeypatch):
             yield level
 
     alive = []
-    kato = cli._SUITE_RUNNERS["kato"]
+    kato = cli._SUITES["kato"]
 
     def counting_kato(cfg, run):
         alive.append(sum(ref() is not None for ref in levels))
-        return kato(cfg, run)
+        return kato.run(cfg, run)
 
     monkeypatch.setattr(cli, "iter_sequence", recording_iter_sequence)
-    monkeypatch.setitem(cli._SUITE_RUNNERS, "kato", counting_kato)
+    monkeypatch.setitem(cli._SUITES, "kato", kato._replace(run=counting_kato))
     cfg = centre_atom_cfg(tmp_path, 1, 16)
     assert main(["verify", cfg, "--out", str(tmp_path / "out"), "--suite", "all"]) == 0
     assert len(levels) == 2 * len(solver.DEFAULT_SCHEDULE)
     assert len(alive) == 1 and alive[0] <= 2
+
+
+@pytest.mark.parametrize(
+    "suite, minima, slopes",
+    [("kato", 0, 0), ("lower_bound", 2 * 5, 0), ("energy_law", 0, 5)],
+)
+def test_verify_takes_only_the_per_level_numbers_its_suites_declare(
+    tmp_path, monkeypatch, suite, minima, slopes
+):
+    # The pass takes a suite's per-level number only when that suite runs:
+    # here once per margin (two) at each of the 5 top-half levels of the
+    # 10-level default schedule, or once per top-half level.
+    calls = {"min_on_compact": 0, "_energy_slope": 0}
+    for name in calls:
+        def counting(*args, name=name, real=getattr(cli, name)):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(cli, name, counting)
+    cfg = centre_atom_cfg(tmp_path, 1, 16)
+    assert main(["verify", cfg, "--out", str(tmp_path / "out"), "--suite", suite]) == 0
+    assert calls == {"min_on_compact": minima, "_energy_slope": slopes}
 
 
 def test_verify_solves_the_schedules_in_lockstep(tmp_path, monkeypatch, capsys):
@@ -955,7 +998,7 @@ def full_run(tmp_path_factory):
     return cfg, (tmp_path / "all" / "verify_all.csv").read_text()
 
 
-@pytest.mark.parametrize("suite", list(cli._SUITE_RUNNERS))
+@pytest.mark.parametrize("suite", list(cli._SUITES))
 def test_verify_lone_suite_rows_match_the_full_run(tmp_path, full_run, suite):
     # A suite writes the same rows alone as under --suite all.
     cfg, rows_all = full_run

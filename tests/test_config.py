@@ -224,3 +224,55 @@ def test_margin_deeper_than_the_grid_rejected(tmp_path, cells, key):
     assert err.value.key == "domain.margins"
     with pytest.raises(ValueError):
         min_on_compact(GridFunction(grid, np.ones(grid.interior_count)), above)
+
+
+@pytest.mark.parametrize(
+    "dim, line",
+    [(3, "f.center = 0.3, 0.7"), (2, "f.center = 0.3"), (2, "f.center =")],
+)
+def test_gaussian_center_needs_a_coordinate_per_axis(tmp_path, dim, line):
+    # A short centre used to fail numpy's broadcast in 3D, or be broadcast
+    # to (0.3, 0.3) in 2D and solve a problem the file did not state.
+    text = f"domain.dim = {dim}\ndomain.cells = 8\nf.kind = gaussian_bump\n{line}\n"
+    with pytest.raises(ConfigError) as err:
+        RunConfig.from_file(write(tmp_path, text))
+    assert err.value.key == "f.center"
+    text = text.replace(line, "f.center = " + ", ".join(["0.3"] * dim))
+    assert RunConfig.from_file(write(tmp_path, text)).f.params[:dim] == (0.3,) * dim
+
+
+@pytest.mark.parametrize(
+    "kind, key",
+    [
+        ("h.kind = pure_power", "h.shift = 3"),
+        ("h.kind = pure_power", "h.plateau = 3"),
+        ("h.kind = bounded_plateau", "h.shift = 3"),
+        ("h.kind = shifted_power", "h.plateau = 3"),
+        ("f.kind = sin_pi", "f.value = 7"),
+        ("f.kind = zero", "f.value = 7"),
+        ("f.kind = gaussian_bump", "f.value = 7"),
+        ("f.kind = constant", "f.center = 0.5"),
+        ("f.kind = sin_pi", "f.width = 0.2"),
+        ("f.kind = constant", "f.scale = 2"),
+        ("f.kind = manufactured_singular", "f.scale = 2"),
+    ],
+)
+def test_key_the_kind_does_not_read_is_rejected(tmp_path, kind, key):
+    # Such a key used to be ignored: the run solved a problem without it.
+    with pytest.raises(ConfigError) as err:
+        RunConfig.from_file(write(tmp_path, f"domain.dim = 1\n{kind}\n{key}\n"))
+    assert err.value.key == key.split(" =")[0]
+
+
+@pytest.mark.parametrize(
+    "lines",
+    [
+        "h.kind = shifted_power\nh.shift = 3",
+        "h.kind = bounded_plateau\nh.plateau = 3",
+        "f.kind = constant\nf.value = 7",
+        "f.kind = gaussian_bump\nf.center = 0.3\nf.width = 0.2\nf.scale = 2",
+        "f.kind = sin_pi\nf.scale = 2",
+    ],
+)
+def test_keys_the_kind_reads_are_accepted(tmp_path, lines):
+    RunConfig.from_file(write(tmp_path, f"domain.dim = 1\n{lines}\n"))
