@@ -15,17 +15,17 @@ suites share is the tight-tolerance level-n_max solve, made once; it starts
 from the full schedule's last level, so a suite's rows are the same alone as
 under ``--suite all``.  A suite makes every other solve it needs itself.
 The sandwich suite builds its sub/super pair from the measure-free
-schedule's last level, so the pair costs one linear solve, and judges Hopf
-stability against the same problem on half the cells, not on a grid finer
-than the config's.  The Kato check reads the solver's level-n source of its
-two tight solves.  The solver and the diagnostics return observed numbers,
-and each suite holds the bounds that judge its rows; a solve that a suite
-needs and that does not converge ends the run with exit 2, by one
-convergence rule.  ``sweep`` runs the Cartesian product of the configured
-parameter grids and aggregates one row per run; the rows run in forked
-worker processes (the config key ``threads`` sets how many, capped at the
-jobs and at the CPUs the process may run on), so ``sweep`` needs a POSIX
-system.
+schedule's last level, so the pair costs one linear solve, judges the full
+schedule's last level against it, and judges Hopf stability against the
+same problem on half the cells, not on a grid finer than the config's.
+The Kato check reads the solver's level-n source of its two tight solves.
+The solver and the diagnostics return observed numbers, and each suite
+holds the bounds that judge its rows; a solve that a suite needs and that
+does not converge ends the run with exit 2, by one convergence rule.
+``sweep`` runs the Cartesian product of the configured parameter grids and
+aggregates one row per run; the rows run in forked worker processes (the
+config key ``threads`` sets how many, capped at the jobs and at the CPUs the
+process may run on), so ``sweep`` needs a POSIX system.
 Only the output directory (``--out``, default ``out``) and verify's suite
 (``--suite``, default ``all``) are not config keys.
 All CSV output uses 17 significant digits so identical configurations
@@ -236,9 +236,9 @@ class _ConvergenceFailure(RuntimeError):
     """A solve that a verify suite needs did not converge."""
 
 
-def _solve_converged(label: str, spec, cfg, initial=None, sandwich=None) -> SolveResult:
+def _solve_converged(label: str, spec, cfg, initial=None) -> SolveResult:
     """The converged ``solve_regularized``; _ConvergenceFailure(label) if not."""
-    res = solve_regularized(spec, cfg, initial, sandwich)
+    res = solve_regularized(spec, cfg, initial)
     if not res.converged:
         raise _ConvergenceFailure(label)
     return res
@@ -471,9 +471,9 @@ def _suite_sandwich(cfg: RunConfig, run: _Run):
     spec = run.spec
     if not np.all(cfg.f(spec.grid.node_coords) > 0):
         return [_na("sandwich.breach", "needs f>0 at every node")]
-    sandwich = build_sub_super(spec, run.schedules.last[False].u)
-    res = _solve_converged("clamped solve", spec, cfg.solver, sandwich.sub, sandwich)
-    breach = sandwich.breach(res.u)
+    last = run.schedules.last
+    sandwich = build_sub_super(spec, last[False].u)
+    breach = sandwich.breach(last[True].u)
     rows = [_check("sandwich.breach", breach, _TOL_MONO, breach <= _TOL_MONO)]
     ratio = hopf_ratio_check(sandwich.sub)
     rows.append(_check("sandwich.hopf_ratio", ratio, ">0", ratio > 0))
@@ -500,7 +500,8 @@ def _suite_sandwich(cfg: RunConfig, run: _Run):
 # its rows, ``schedules`` are those it reads (True the full one, False the
 # measure-free one) and ``top(cfg, u_n)``, if set, is the number it judges at
 # each top-half level of the full schedule.  Kato and uniqueness read the
-# full schedule's last level as the start of the tight solve.
+# full schedule's last level as the start of the tight solve, and sandwich
+# judges it against the pair it builds on the measure-free one.
 _Suite = namedtuple("_Suite", "run schedules top", defaults=((), None))
 _SUITES = {
     "lower_bound": _Suite(_suite_lower_bound, (True, False),
@@ -511,7 +512,7 @@ _SUITES = {
     "tails": _Suite(_suite_tails, (True,)),
     "kato": _Suite(_suite_kato, (True,)),
     "uniqueness": _Suite(_suite_uniqueness, (True,)),
-    "sandwich": _Suite(_suite_sandwich, (False,)),
+    "sandwich": _Suite(_suite_sandwich, (True, False)),
     "manufactured": _Suite(_suite_manufactured),
 }
 

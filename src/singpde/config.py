@@ -2,9 +2,11 @@
 
 One ``section.key = value`` per line, ``#`` starts a comment line, repeated
 keys are rejected except ``measure.atom`` which accumulates, and so is a key
-of ``h`` or ``f`` that the configured kind does not read.  The file is the
-only source of these settings; the verify suite and the output directory
-are command-line options of ``singpde`` and not keys.
+of ``h`` or ``f`` that the configured kind does not read.  A list whose
+entries name output rows or columns (``domain.margins`` and the ``sweep``
+lists) rejects a repeated entry.  The file is the only source of these
+settings; the verify suite and the output directory are command-line
+options of ``singpde`` and not keys.
 
 Every number must be finite: ``nan`` and ``inf`` are rejected under the key
 that holds them.
@@ -126,6 +128,17 @@ def _get_list(raw, key, cast, default=()) -> tuple:
         raise ConfigError(key, f"expected a comma-separated list, got {text!r}") from None
     if cast is float and not all(math.isfinite(v) for v in values):
         raise ConfigError(key, f"expected finite numbers, got {text!r}")
+    return values
+
+
+def _get_distinct(raw, key, cast, default=(), name=str) -> tuple:
+    """``_get_list`` for a list whose entries each name output rows or
+    columns: two entries that are equal or share a ``name`` are rejected."""
+    values = _get_list(raw, key, cast, default)
+    names = [name(v) for v in values]
+    for value, text in zip(values, names):
+        if values.count(value) > 1 or names.count(text) > 1:
+            raise ConfigError(key, f"repeated entry {text}")
     return values
 
 
@@ -289,7 +302,7 @@ class RunConfig:
         grid_margin = _get_float(raw, "domain.margin", 0.0)
         if not 0.0 <= grid_margin < 0.5:
             raise ConfigError("domain.margin", f"must lie in [0, 0.5), got {grid_margin}")
-        margins = _get_list(raw, "domain.margins", float, (0.125, 0.25))
+        margins = _get_distinct(raw, "domain.margins", float, (0.125, 0.25), "{:g}".format)
         for m in margins:
             if not 0.0 <= m < 0.5:
                 raise ConfigError("domain.margins", f"margins must lie in [0, 0.5), got {m}")
@@ -316,15 +329,13 @@ class RunConfig:
             raise ConfigError("solver.max_iters", f"must be at least 1, got {max_iters}")
         solver_cfg = SolverConfig(tol_fp=tol_fp, max_iters=max_iters)
 
-        sweep_measures = tuple(
-            str(s) for s in _get_list(raw, "sweep.measure", str, ())
-        )
+        sweep_measures = _get_distinct(raw, "sweep.measure", str)
         for name in sweep_measures:
             if name not in SWEEP_MEASURES:
                 raise ConfigError(
                     "sweep.measure", f"must be one of {tuple(SWEEP_MEASURES)}, got {name!r}"
                 )
-        sweep_cells = _get_list(raw, "sweep.cells", int, ())
+        sweep_cells = _get_distinct(raw, "sweep.cells", int)
         for c in sweep_cells:
             if c < 2:
                 raise ConfigError("sweep.cells", f"cells must be at least 2, got {c}")
@@ -333,7 +344,7 @@ class RunConfig:
             if m > max_margin(c):
                 raise ConfigError("domain.margins", f"margin {m} leaves no node at {c} cells, "
                                   f"whose deepest node lies {max_margin(c)} from the boundary")
-        sweep_gammas = _get_list(raw, "sweep.gamma", float, ())
+        sweep_gammas = _get_distinct(raw, "sweep.gamma", float)
         for g in sweep_gammas:
             if g <= 0:
                 raise ConfigError("sweep.gamma", f"gamma must be positive, got {g}")

@@ -57,10 +57,6 @@ class DiscretizedMeasure:
     grid: Grid
     values: GridFunction
 
-    @property
-    def discrete_mass(self) -> float:
-        return float(np.sum(self.values.values) * self.grid.cell_volume)
-
 
 def mollify(mu: RadonMeasure, grid: Grid, n: int) -> DiscretizedMeasure:
     """Spread mu onto the grid with kernel width max(spacing, 1/n)."""

@@ -6,8 +6,7 @@ Three concrete families cover both admissible behaviours at the origin:
 * ``shifted_power``   h(s) = (s + shift)^-gamma    (finite limit at 0)
 * ``bounded_plateau`` h(s) = min(plateau, s^-gamma)
 
-Truncations: T_k clamps to [-k, k], G_k is the signed excess beyond k, and
-T_k + G_k is the identity in floating point.  At regularization level n the
+The truncation T_k clamps to [-k, k].  At regularization level n the
 nonlinearity is capped at n, which for nonnegative h is simply min(n, h);
 ``eval_h_n`` is that cap, and both the solver's right-hand side and the Kato
 check evaluate h through it.  ``slope_h_n`` is |d/ds min(n, h(s))|, the
@@ -26,7 +25,6 @@ __all__ = [
     "eval_h_n",
     "slope_h_n",
     "trunc_T",
-    "trunc_G",
     "trunc_power",
 ]
 
@@ -109,37 +107,19 @@ def slope_h_n(h: SingularNonlinearity, n: int, s: np.ndarray, hs: np.ndarray) ->
     return np.where(hs < flat, h.gamma * hs / (s + h.shift), 0.0)
 
 
-def _split_at_level(k: float, arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Coherent floating-point split of s into (T_k(s), G_k(s)).
-
-    G is the correctly rounded excess (|s| - k)^+ sign(s) and T is computed
-    as s - G, which is exact: G is either zero or, by the Sterbenz lemma,
-    close enough to s that the subtraction commits no rounding error.  The
-    split therefore satisfies T + G == s exactly for every (k, s); on a
-    saturated branch whose excess is not representable, T agrees with the
-    clamp max(-k, min(k, s)) to within half an ulp of s.
-    """
-    g = np.sign(arr) * np.maximum(np.abs(arr) - k, 0.0)
-    t = arr - g
-    return t, g
-
-
 def trunc_T(k: float, s):
-    """Clamp of s to [-k, k] (exact complement of trunc_G; see _split_at_level)."""
+    """Clamp of s to [-k, k], computed as s - sign(s) (|s| - k)^+.
+
+    The subtraction is exact (Sterbenz), so T plus the signed excess is s
+    for every (k, s).  Once |s| > 2k the excess may round, and T then
+    differs from ``np.clip`` by up to half an ulp of s; verify's energy-law
+    slope is fitted on this arithmetic.
+    """
     if k <= 0:
         raise ValueError(f"truncation level must be positive, got {k}")
     arr = np.asarray(s, dtype=float)
-    t, _ = _split_at_level(k, arr)
+    t = arr - np.sign(arr) * np.maximum(np.abs(arr) - k, 0.0)
     return t if isinstance(s, np.ndarray) else float(t)
-
-
-def trunc_G(k: float, s):
-    """Signed excess beyond level k: (|s| - k)^+ sign(s); T_k + G_k = id."""
-    if k <= 0:
-        raise ValueError(f"truncation level must be positive, got {k}")
-    arr = np.asarray(s, dtype=float)
-    _, g = _split_at_level(k, arr)
-    return g if isinstance(s, np.ndarray) else float(g)
 
 
 def trunc_power(k: float, gamma: float, s):

@@ -14,20 +14,19 @@ The fixed point is found by inexact Newton on u - T(u) = 0 (Dembo,
 Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982; Kelley, Iterative
 Methods for Linear and Nonlinear Equations, 1995).  Multiplied by the
 Laplacian A, the Newton system is (A + D) d = A (T(u) - u) with the diagonal
-D = min(n, f) |h_n'(u + 1/n)| >= 0 (zero where the sandwich clamp is
-active), an SPD system that conjugate gradients solve, preconditioned by the
-exact sine-transform solve of A, to relative residual 0.1.  The step is
-u <- max(u + d, u/2), which keeps u positive, and a step that does not lower
-max|T(u) - u| is halved.  T stays the judge: a level is accepted, and u
-returned, once max|T(u) - u| <= tol_fp.
+D = min(n, f) |h_n'(u + 1/n)| >= 0, an SPD system that conjugate gradients
+solve, preconditioned by the exact sine-transform solve of A, to relative
+residual 0.1.  The step is u <- max(u + d, u/2), which keeps u positive,
+and a step that does not lower max|T(u) - u| is halved.  T stays the judge:
+a level is accepted, and u returned, once max|T(u) - u| <= tol_fp.
 
 Two drivers run levels, both through ``_prepare`` and ``_iterate``:
-``solve_regularized`` solves one level, plain or clamped by a sandwich pair,
-and the generator ``iter_sequence``, the one schedule driver, runs the
-geometric schedule n = 2, 4, ..., 1024 with warm starts and one Laplacian,
-yielding each level as it finishes with its successive difference in the
-discrete L1 norm, the natural norm for the limit passage.  It keeps only the
-previous level; a caller that needs more keeps what it reads.
+``solve_regularized`` solves one level, and the generator ``iter_sequence``,
+the one schedule driver, runs the geometric schedule n = 2, 4, ..., 1024
+with warm starts and one Laplacian, yielding each level as it finishes with
+its successive difference in the discrete L1 norm, the natural norm for the
+limit passage.  It keeps only the previous level; a caller that needs more
+keeps what it reads.
 
 A level runs on plain arrays and solves with the kernel ``mesh._solve``; a
 GridFunction is built only where a value leaves: ``SolveResult.u``,
@@ -39,12 +38,14 @@ and every caller that needs the source (the Kato check) use it.
 
 The module also provides ``comparison_check``, the one nodewise order
 check (verify's monotonicity in n, domination of the measure-free
-solution and the sandwich pair's breach all use it), the sub/supersolution
-pair that clamps the argument of h, and the construction of that pair from
-a measure-free solve v the caller already has: sub = v and super = v + w
-with -Lap w = mu_n, so building the pair costs one linear solve.  The
-checks return the observed numbers; the bounds that judge them belong to
-the caller.
+solution and the sandwich pair's breach all use it), and the
+sub/supersolution pair of a level: sub = v_n, the measure-free solve the
+caller already has, and super = v_n + w_n with -Lap w_n = mu_n, so building
+the pair costs one linear solve.  A is an M-matrix and h is nonincreasing,
+so the level's solution obeys v_n <= u_n <= v_n + w_n exactly (Crandall,
+Rabinowitz & Tartar, Comm. PDE 2, 1977); the pair's breach measures how far
+a solve strays from that bound.  The checks return the observed numbers;
+the bounds that judge them belong to the caller.
 """
 
 from __future__ import annotations
@@ -203,15 +204,14 @@ def level_source(spec: ProblemSpec, u: GridFunction) -> GridFunction:
     return GridFunction(spec.grid, rhs)
 
 
-def _picard(prep: _Prepared, lap: DiscreteOperator, u: np.ndarray, arg_map):
-    """One step of the Picard map: ``(T(u), arg_map(u), h values)``, with
-    ``lap`` the Laplacian of ``prep.grid``.
+def _picard(prep: _Prepared, lap: DiscreteOperator, u: np.ndarray):
+    """One step of the Picard map: ``(T(u), |u|, h values)``, with ``lap``
+    the Laplacian of ``prep.grid``.
 
-    ``arg_map(u)`` is the argument of h (``np.abs`` for the plain scheme,
-    ``SandwichSpec.clamp`` for the clamped one); it and the h values are
-    None when f vanishes identically.
+    |u| is the argument of h; it and the h values are None when f vanishes
+    identically.
     """
-    arg = arg_map(u) if prep.f_active else None
+    arg = np.abs(u) if prep.f_active else None
     rhs, hv = _source(prep, arg)
     return _solve(lap, rhs), arg, hv
 
@@ -269,28 +269,22 @@ def _newton_direction(
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _iterate(
-    prep: _Prepared,
-    lap: DiscreteOperator,
-    cfg: SolverConfig,
-    tol_fp: float,
-    initial: np.ndarray | None,
-    arg_map=np.abs,
-) -> SolveResult:
+def _iterate(prep: _Prepared, lap: DiscreteOperator, cfg: SolverConfig, tol_fp: float,
+             initial: np.ndarray | None) -> SolveResult:
     """Inexact Newton-PCG solve of u = T(u), with T the Picard map.
 
     Each iteration evaluates w = T(u) (one solve) and accepts u once
     max|w - u| <= tol_fp.  Otherwise it takes the Newton step d of
-    u - T(u) = 0, i.e. (A + D) d = A (w - u) with D = f_n |h_n'(arg_map(u) +
-    1/n)| where the clamp is inactive, and moves to max(u + d, u/2).  A step
-    that does not lower max|w - u| below its base is halved from the base.
-    The returned u is the last one judged, so ``residual`` is its own
-    max|T(u) - u|.  Floating-point overflow raises no warning here: a
-    non-finite source or iterate raises OverflowError instead.
+    u - T(u) = 0, i.e. (A + D) d = A (w - u) with D = f_n |h_n'(|u| + 1/n)|
+    where u >= 0, and moves to max(u + d, u/2).  A step that does not lower
+    max|w - u| below its base is halved from the base.  The returned u is
+    the last one judged, so ``residual`` is its own max|T(u) - u|.
+    Floating-point overflow raises no warning here: a non-finite source or
+    iterate raises OverflowError instead.
     """
     solves = 0
     if initial is None:
-        u, _, _ = _picard(prep, lap, np.zeros(prep.grid.interior_count), arg_map)
+        u, _, _ = _picard(prep, lap, np.zeros(prep.grid.interior_count))
         solves += 1
     else:
         u = np.array(initial, dtype=float)
@@ -301,7 +295,7 @@ def _iterate(
     base_residual = np.inf
     step = 1.0
     for iterations in range(1, cfg.max_iters + 1):
-        r, arg, hv = _picard(prep, lap, u, arg_map)
+        r, arg, hv = _picard(prep, lap, u)
         solves += 1
         r -= u  # T(u) - u, in place
         residual = float(np.abs(r).max())
@@ -317,6 +311,9 @@ def _iterate(
             continue
         diag = slope_h_n(prep.h, prep.cap, arg + prep.shift, hv)
         diag *= prep.f_capped
+        # Only a caller's start can hold negative entries.  There |u| != u,
+        # so the slope of h_n(|u| + 1/n) in u flips and the Newton diagonal
+        # would have the wrong sign; the step drops it.
         diag[arg != u] = 0.0
         # Free what the PCG solves do not read: their work vectors set the
         # level solve's peak memory.
@@ -337,10 +334,7 @@ def _iterate(
 
 
 def solve_regularized(
-    spec: ProblemSpec,
-    cfg: SolverConfig | None = None,
-    initial: GridFunction | None = None,
-    sandwich: SandwichSpec | None = None,
+    spec: ProblemSpec, cfg: SolverConfig | None = None, initial: GridFunction | None = None
 ) -> SolveResult:
     """Solve one regularized level by inexact Newton-PCG.
 
@@ -348,28 +342,16 @@ def solve_regularized(
     Picard step from zero, i.e. the linear solve with h frozen at h(1/n).
     Nonconvergence within max_iters evaluations of the Picard map returns a
     flagged result carrying the last max|T(u) - u|.
-
-    With a ``sandwich`` the level is the fixed point of the clamped Picard
-    map: h is evaluated at clamp(u) + 1/n with the same level-n caps used to
-    build the pair, so every evaluation is nonsingular and the exact
-    discrete fixed point lies inside [sub, sup];
-    ``sandwich.breach(result.u)`` measures how far the returned u strays.
-    The caller picks the start, usually ``sandwich.sub``.
     """
     cfg = cfg or SolverConfig()
-    arg_map = np.abs
     if initial is not None:
         require_same_grid(spec.grid, initial.grid)
-    if sandwich is not None:
-        require_same_grid(spec.grid, sandwich.sub.grid)
-        arg_map = sandwich.clamp
     return _iterate(
         _prepare(spec),
         build_laplacian(spec.grid),
         cfg,
         cfg.resolved_tol_fp(spec.grid),
         None if initial is None else initial.values,
-        arg_map,
     )
 
 
@@ -424,10 +406,11 @@ def comparison_check(u: GridFunction, v: GridFunction) -> float:
 
 @dataclass(frozen=True, eq=False)
 class SandwichSpec:
-    """An ordered sub/supersolution pair; the clamp it induces tames h.
+    """An ordered sub/supersolution pair [sub, sup] of one level.
 
     ``breach(u)`` is the largest nodewise distance of u outside [sub, sup],
-    0 when u lies inside.
+    0 when u lies inside, as the level's solution does for the pair of
+    ``build_sub_super``, up to the solves' tolerance.
     """
 
     sub: GridFunction
@@ -439,9 +422,6 @@ class SandwichSpec:
             raise ValueError("subsolution exceeds supersolution at some node")
         if np.any(self.sub.values <= 0.0):
             raise ValueError("subsolution must be strictly positive on the interior")
-
-    def clamp(self, values: np.ndarray) -> np.ndarray:
-        return np.clip(values, self.sub.values, self.sup.values)
 
     def breach(self, u: GridFunction) -> float:
         return max(comparison_check(u, self.sub), comparison_check(self.sup, u))

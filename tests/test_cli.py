@@ -24,7 +24,7 @@ from singpde.fields import constant
 from singpde.measures import RadonMeasure, scale_measure
 from singpde.mesh import GridFunction, _solve, build_grid, build_laplacian, l1_norm
 from singpde.singularity import SingularNonlinearity
-from singpde.solver import ProblemSpec, iter_sequence
+from singpde.solver import ProblemSpec, SandwichSpec, iter_sequence
 
 DIRAC_1D = """
 domain.dim = 1
@@ -651,9 +651,9 @@ def test_verify_sandwich_and_uniqueness_suites(tmp_path):
 
 
 def test_verify_nonconvergent_sandwich_writes_partial_csv(tmp_path, capsys):
-    # The measure-free schedule, whose last level is the sandwich pair's
-    # subsolution, cannot converge in two iterations; the suite still
-    # leaves its (empty) table.
+    # The schedules, whose last levels are the sandwich pair and the
+    # solution it bounds, cannot converge in two iterations; the suite
+    # still leaves its (empty) table.
     text = "\n".join([
         "domain.dim = 1",
         "domain.cells = 16",
@@ -708,12 +708,12 @@ def test_verify_hopf_ratio_stable_at_box_corners(tmp_path):
     assert abs(float(stability[1]) - 1.0) <= 0.01
 
 
-def centre_atom_cfg(tmp_path, dim, cells):
+def centre_atom_cfg(tmp_path, dim, cells, mass=1.0):
     return write_cfg(tmp_path, "\n".join([
         f"domain.dim = {dim}",
         f"domain.cells = {cells}",
         "h.gamma = 1.5",
-        "measure.atom = [0.5, 0.5, 0.5, 1.0]",
+        f"measure.atom = [0.5, 0.5, 0.5, {mass}]",
     ]) + "\n")
 
 
@@ -749,6 +749,38 @@ def test_verify_hopf_ratio_stability_fails_for_squared_subsolution_at_16_cells(
     row = squared_subsolution_stability(tmp_path, monkeypatch, dim, 16)
     assert row[3] == "fail"
     assert float(row[1]) < 0.9
+
+
+def _halved_super(pair):
+    sup = (pair.sub.values + pair.sup.values) / 2
+    return SandwichSpec(sub=pair.sub, sup=GridFunction(pair.sup.grid, sup))
+
+
+def _raised_sub(pair):
+    return SandwichSpec(sub=GridFunction(pair.sub.grid, 1.01 * pair.sub.values), sup=pair.sup)
+
+
+@pytest.mark.parametrize("dim, cells, mass", [(1, 32, 0.1), (2, 16, 1.0)])
+@pytest.mark.parametrize("narrow", [_halved_super, _raised_sub], ids=["v+w/2", "1.01v"])
+def test_verify_sandwich_breach_fails_for_a_narrowed_pair(
+    tmp_path, monkeypatch, capsys, dim, cells, mass, narrow
+):
+    # u_n lies inside [v, v + w].  Here u - v rose to 0.58 w (1D) and 0.86 w
+    # (2D) near the atom and fell to 0.0030 v and 0.0042 v elsewhere, so
+    # (v, v + w/2) cuts off u's top and (1.01 v, v + w) its bottom, while
+    # w >= 0.0156 v keeps the second pair ordered.  A 1D atom of mass 1
+    # kept u - v above 0.034 v, inside the raised pair.
+    real = cli.build_sub_super
+    monkeypatch.setattr(cli, "build_sub_super", lambda spec, sub: narrow(real(spec, sub)))
+    cfg = centre_atom_cfg(tmp_path, dim, cells, mass)
+    out = tmp_path / "out"
+    assert main(["verify", cfg, "--out", str(out), "--suite", "sandwich"]) == 3
+    assert reason_fields(capsys.readouterr().out) == [
+        "reason", "3", "check_failed", "sandwich.breach"
+    ]
+    _, rows = read_rows(out / "verify_sandwich.csv")
+    breach = {row[0]: row for row in rows}["sandwich.breach"]
+    assert breach[3] == "fail"
 
 
 def test_verify_hopf_ratio_stability_needs_16_cells(tmp_path):
@@ -795,8 +827,8 @@ def test_verify_tight_solves_start_warm_when_the_schedule_is_solved(tmp_path, mo
             finals[spec.mu] = level[1].u.values
             yield level
 
-    def recording_solve_regularized(spec, cfg=None, initial=None, sandwich=None):
-        res = solve_regularized_(spec, cfg, initial, sandwich)
+    def recording_solve_regularized(spec, cfg=None, initial=None):
+        res = solve_regularized_(spec, cfg, initial)
         if cfg.tol_fp == 1e-12:
             tight.append((spec.mu, None if initial is None else initial.values, res.u.values))
         return res
@@ -824,7 +856,7 @@ def test_verify_tight_solves_start_warm_when_the_schedule_is_solved(tmp_path, mo
 
 @pytest.mark.parametrize(
     "suite, expected_calls",
-    [("all", 2), ("monotone", 1), ("uniqueness", 1), ("kato", 1)],
+    [("all", 2), ("monotone", 1), ("uniqueness", 1), ("kato", 1), ("sandwich", 2)],
 )
 def test_verify_solves_each_schedule_once(tmp_path, monkeypatch, suite, expected_calls):
     calls = []
@@ -838,18 +870,19 @@ def test_verify_solves_each_schedule_once(tmp_path, monkeypatch, suite, expected
     cfg = write_cfg(tmp_path, text)
     assert main(["verify", cfg, "--out", str(tmp_path / "out"), "--suite", suite]) == 0
     # A lone suite solves only the schedules it reads itself: uniqueness
-    # and kato read the full one, for the start of the tight solve.
+    # and kato read the full one, for the start of the tight solve, and
+    # sandwich reads both, the full one's last level and its pair.
     assert len(calls) == expected_calls
     assert len(set(calls)) == expected_calls
 
 
 def test_verify_solves_no_level_problem_twice(tmp_path, monkeypatch):
     # Every level solve goes through solver._iterate; two calls with the same
-    # grid, level, data, tolerance, start and argument map repeat one solve.
+    # grid, level, data, tolerance and start repeat one solve.
     keys = []
     iterate = solver._iterate
 
-    def recording_iterate(prep, lap, cfg, tol_fp, initial, arg_map=np.abs):
+    def recording_iterate(prep, lap, cfg, tol_fp, initial):
         keys.append((
             prep.grid.dim,
             prep.grid.cells_per_side,
@@ -858,9 +891,8 @@ def test_verify_solves_no_level_problem_twice(tmp_path, monkeypatch):
             prep.mu_vals.tobytes(),
             tol_fp,
             None if initial is None else np.asarray(initial).tobytes(),
-            arg_map,
         ))
-        return iterate(prep, lap, cfg, tol_fp, initial, arg_map)
+        return iterate(prep, lap, cfg, tol_fp, initial)
 
     monkeypatch.setattr(solver, "_iterate", recording_iterate)
     text = DIRAC_1D.replace("h.gamma = 0.5", "h.gamma = 1.5")
@@ -876,16 +908,16 @@ def test_verify_solves_the_measure_free_top_level_once(tmp_path, monkeypatch):
     top_levels = []
     iterate = solver._iterate
 
-    def recording_iterate(prep, lap, cfg, tol_fp, initial, arg_map=np.abs):
+    def recording_iterate(prep, lap, cfg, tol_fp, initial):
         if prep.grid.cells_per_side == 32 and prep.cap == 64 and not prep.mu_vals.any():
-            top_levels.append(arg_map)
-        return iterate(prep, lap, cfg, tol_fp, initial, arg_map)
+            top_levels.append(initial is None)
+        return iterate(prep, lap, cfg, tol_fp, initial)
 
     monkeypatch.setattr(solver, "_iterate", recording_iterate)
     text = DIRAC_1D.replace("h.gamma = 0.5", "h.gamma = 1.5")
     cfg = write_cfg(tmp_path, text)
     assert main(["verify", cfg, "--out", str(tmp_path / "out"), "--suite", "all"]) == 0
-    assert top_levels == [np.abs]
+    assert top_levels == [False]
 
 
 def test_verify_keeps_one_level_per_schedule(tmp_path, monkeypatch):
@@ -1025,8 +1057,8 @@ def test_verify_kato_unconverged_solve_exits_two(tmp_path, monkeypatch, capsys):
     mu = RunConfig.from_file(cfg).mu
     solve_regularized_ = cli.solve_regularized
     for k, failing in enumerate((mu, scale_measure(mu, 2.0))):
-        def unconverged_tight(spec, cfg=None, initial=None, sandwich=None):
-            res = solve_regularized_(spec, cfg, initial, sandwich)
+        def unconverged_tight(spec, cfg=None, initial=None):
+            res = solve_regularized_(spec, cfg, initial)
             if cfg.tol_fp == 1e-12 and spec.mu == failing:
                 return replace(res, converged=False)
             return res
@@ -1209,6 +1241,31 @@ def test_sweep_rebuilds_h_of_the_configured_kind(tmp_path, kind_lines, build_h):
 def test_sweep_empty_gamma_list_is_config_error(tmp_path):
     cfg = write_cfg(tmp_path, DIRAC_1D + "sweep.cells = 8\n")
     assert main(["sweep", cfg, "--out", str(tmp_path / "o")]) == 1
+
+
+@pytest.mark.parametrize(
+    "command, lines, detail",
+    [
+        ("solve", "domain.margins = 0.25, 0.25", "domain.margins: repeated entry 0.25"),
+        ("verify", "domain.margins = 0.1, 0.1000001", "domain.margins: repeated entry 0.1"),
+        ("solve", "domain.margins = 0, -0", "domain.margins: repeated entry 0"),
+        ("sweep", "sweep.gamma = 1.5, 1.5\nsweep.cells = 16, 8", "sweep.gamma: repeated entry 1.5"),
+        ("sweep", "sweep.gamma = 1.5\nsweep.cells = 16, 16", "sweep.cells: repeated entry 16"),
+        ("sweep", "sweep.gamma = 1.5\nsweep.measure = none, uniform, none",
+         "sweep.measure: repeated entry none"),
+    ],
+    ids=["margins", "margins-same-name", "margins-signed-zero", "gamma", "cells", "measure"],
+)
+def test_repeated_list_entry_is_config_error(tmp_path, capsys, command, lines, detail):
+    # Each entry names output columns or rows: a repeated margin wrote its
+    # min_K column and lower_bound rows twice, and a repeated gamma and cells
+    # solved one sweep row four times.  Margins that print the same {m:g}
+    # name are one entry, and so are 0 and -0, which print min_K_0 and
+    # min_K_-0 over the same values.
+    out = tmp_path / "out"
+    assert main([command, write_cfg(tmp_path, DIRAC_1D + lines + "\n"), "--out", str(out)]) == 1
+    assert reason_fields(capsys.readouterr().out) == ["reason", "1", "config", detail]
+    assert not out.exists()
 
 
 def test_sweep_nonconvergent_row_flagged_others_intact(tmp_path):

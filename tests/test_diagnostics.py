@@ -13,7 +13,7 @@ from singpde.diagnostics import (
 from singpde.fields import constant
 from singpde.measures import RadonMeasure
 from singpde.mesh import GridFunction, build_grid, build_laplacian, sample_field, solve_spd
-from singpde.singularity import SingularNonlinearity, trunc_G, trunc_T
+from singpde.singularity import SingularNonlinearity, trunc_T
 from singpde.solver import ProblemSpec, SolverConfig, level_source, solve_regularized
 
 DELTA_HALF = RadonMeasure(atoms=(((0.5,), 1.0),))
@@ -180,7 +180,7 @@ def test_truncation_energy_rejects_gamma_below_one():
 def test_g1_supported_near_peak_only():
     grid, u = greens_tent()
     lifted = GridFunction(grid, 0.8 + u.values)  # exceeds 1 only near the atom
-    g1 = trunc_G(1.0, lifted.values)
+    g1 = lifted.values - trunc_T(1.0, lifted.values)
     x = grid.node_coords[:, 0]
     assert np.all(g1[np.abs(x - 0.5) > 0.45] == 0.0)
     assert np.any(g1 > 0.0)
@@ -190,7 +190,8 @@ def test_g1_t1_identity_exact():
     rng = np.random.default_rng(9)
     grid = build_grid(2, 12)
     u = GridFunction(grid, rng.uniform(0, 3, grid.interior_count))
-    assert np.all(trunc_T(1.0, u.values) + trunc_G(1.0, u.values) == u.values)
+    g1 = np.sign(u.values) * np.maximum(np.abs(u.values) - 1.0, 0.0)
+    assert np.all(trunc_T(1.0, u.values) + g1 == u.values)
 
 
 def test_chebyshev_consistency_with_truncation_energy():

@@ -5,7 +5,6 @@ from singpde.singularity import (
     SingularNonlinearity,
     eval_h_n,
     slope_h_n,
-    trunc_G,
     trunc_T,
     trunc_power,
 )
@@ -47,16 +46,18 @@ def test_truncation_examples():
     assert trunc_T(2.0, -5.0) == -2.0
     assert trunc_T(3.0, 0.0) == 0.0
     assert trunc_T(2.0, 1.0) == 1.0
-    assert trunc_G(2.0, 5.0) == 3.0
-    assert trunc_G(2.0, 1.0) == 0.0
 
 
 def test_truncation_identity_randomized():
+    # T_k plus the signed excess (|s| - k)^+ sign(s) is s exactly, and T_k
+    # is the clamp to [-k, k] within half an ulp of s.
     rng = np.random.default_rng(42)
     k = rng.uniform(1e-2, 100.0, size=1000)
     s = rng.uniform(-200.0, 200.0, size=1000)
     for ki, si in zip(k, s):
-        assert trunc_T(ki, si) + trunc_G(ki, si) == si
+        excess = np.sign(si) * max(abs(si) - ki, 0.0)
+        assert trunc_T(ki, si) + excess == si
+        assert abs(trunc_T(ki, si) - np.clip(si, -ki, ki)) <= 0.5 * np.spacing(abs(si))
 
 
 def test_truncation_rejects_nonpositive_level():
@@ -64,8 +65,6 @@ def test_truncation_rejects_nonpositive_level():
         trunc_T(0.0, 1.0)
     with pytest.raises(ValueError):
         trunc_T(-1.0, 1.0)
-    with pytest.raises(ValueError):
-        trunc_G(-1.0, 1.0)
 
 
 def test_eval_h_n_cap_examples():

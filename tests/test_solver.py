@@ -315,48 +315,6 @@ def test_build_sub_super_requires_positive_source():
         build_sub_super(spec, v.u)
 
 
-
-def test_solve_clamped_stays_inside_sandwich():
-    spec = spec_1d(f=constant(1.0), mu=DELTA_HALF, n=256)
-    cfg = SolverConfig(tol_fp=1e-11)
-    sw = sub_super(spec, cfg)
-    res = solve_regularized(spec, cfg, sw.sub, sw)
-    assert res.converged
-    assert sw.breach(res.u) <= 1e-8
-
-
-def test_solve_clamped_degenerate_sandwich_returns_subsolution():
-    spec = spec_1d(f=constant(1.0), mu=RadonMeasure())
-    cfg = SolverConfig(tol_fp=1e-11)
-    sw = sub_super(spec, cfg)
-    res = solve_regularized(spec, cfg, sw.sub, sw)
-    assert res.converged
-    assert np.max(np.abs(res.u.values - sw.sub.values)) <= 1e-9
-
-
-def test_clamped_solve_on_collapsed_pair_returns_the_supersolution():
-    # The true solution lies inside the pair, so there the clamp is idle.
-    # Collapsed onto v, the clamp freezes h at v: the clamped map is then
-    # constant, A^-1 (h_n(v + 1/n) f_n + mu_n) = v + w, the supersolution,
-    # which the plain solution lies strictly below.
-    spec = spec_1d(f=constant(1.0), mu=DELTA_HALF, n=256)
-    cfg = SolverConfig(tol_fp=1e-11)
-    sw = sub_super(spec, cfg)
-    collapsed = SandwichSpec(sub=sw.sub, sup=sw.sub)
-    res = solve_regularized(spec, cfg, sw.sub, collapsed)
-    assert res.converged
-    assert np.max(np.abs(res.u.values - sw.sup.values)) <= 1e-9
-    plain = solve_regularized(spec, cfg)
-    assert np.max(sw.sup.values - plain.u.values) > 1e-3
-
-
-def test_solve_regularized_rejects_sandwich_on_another_grid():
-    spec = spec_1d(f=constant(1.0), mu=DELTA_HALF)
-    sw = sub_super(spec_1d(cells=32, f=constant(1.0), mu=DELTA_HALF))
-    with pytest.raises(ValueError, match="grid mismatch"):
-        solve_regularized(spec, sandwich=sw)
-
-
 def test_sandwich_breach_is_largest_distance_outside_the_pair():
     grid = build_grid(1, 8)
     sw = SandwichSpec(
@@ -455,7 +413,7 @@ def test_strong_singularity_sequence_converges_with_adaptive_damping():
     assert max(decreases([r.u for r in results])) <= 1e-8
 
 
-# -- property: the shared Picard driver on random data -------------------------
+# -- property: the level solve inside its sandwich pair on random data --------
 
 
 @settings(max_examples=40, deadline=None)
@@ -480,9 +438,10 @@ def test_strong_singularity_sequence_converges_with_adaptive_damping():
     mass=st.floats(0.0, 5.0),
     n=st.sampled_from((8, 64)),
 )
-def test_clamped_and_plain_solves_respect_sandwich_and_comparison(
-    h, f, dim_cells, position, mass, n
-):
+def test_level_solve_respects_sandwich_and_comparison(h, f, dim_cells, position, mass, n):
+    # The pair is built on the measure-free solve v, as verify builds it on
+    # the measure-free schedule's last level; v <= u is the comparison half.
+    # On 600 such draws the breach stayed below 2e-6 tol_fp.
     dim, cells = dim_cells
     spec = ProblemSpec(
         grid=build_grid(dim, cells),
@@ -491,42 +450,31 @@ def test_clamped_and_plain_solves_respect_sandwich_and_comparison(
         mu=RadonMeasure(atoms=((position[:dim], mass),)),
         n=n,
     )
-    tol = 1e-8
-    # The pair is built on the measure-free solve v, as verify builds it on
-    # the measure-free schedule's last level.
     v = solve_regularized(spec.without_measure())
-    assert v.converged
-    sw = build_sub_super(spec, v.u)
-    clamped = solve_regularized(spec, None, sw.sub, sw)
-    assert clamped.converged
-    assert sw.breach(clamped.u) <= tol
-    assert np.all(sw.sub.values <= clamped.u.values + tol)
-    assert np.all(clamped.u.values <= sw.sup.values + tol)
-
     u = solve_regularized(spec)
-    assert u.converged
-    assert np.all(v.u.values <= u.u.values + tol)
+    assert v.converged and u.converged
+    assert build_sub_super(spec, v.u).breach(u.u) <= SolverConfig().resolved_tol_fp(spec.grid)
 
 
 # -- reference: the damped Picard iteration the Newton solve replaced ----------
 
 
-def picard_map(spec, arg_map=np.abs):
-    """The paper's map T(u) = A^-1 (min(n, h(arg_map(u) + 1/n)) min(n, f) + mu_n)."""
+def picard_map(spec):
+    """The paper's map T(u) = A^-1 (min(n, h(|u| + 1/n)) min(n, f) + mu_n)."""
     lap = build_laplacian(spec.grid)
     f_capped = np.minimum(sample_field(spec.grid, spec.f).values, spec.n)
     mu_n = mollify(spec.mu, spec.grid, spec.n).values.values
 
     def T(u):
-        hv = eval_h_n(spec.h, spec.n, arg_map(u) + 1.0 / spec.n)
+        hv = eval_h_n(spec.h, spec.n, np.abs(u) + 1.0 / spec.n)
         return solve_spd(lap, GridFunction(spec.grid, hv * f_capped + mu_n)).values
 
     return T
 
 
-def picard_reference(spec, tol, start=None, arg_map=np.abs):
+def picard_reference(spec, tol, start=None):
     """Damped Picard from ``start`` (default T(0)) until max|T(u) - u| <= tol."""
-    T = picard_map(spec, arg_map)
+    T = picard_map(spec)
     damping = 0.7 if spec.h.gamma >= 1.0 else 1.0
     u = T(np.zeros(spec.grid.interior_count)) if start is None else start.copy()
     for _ in range(5000):
@@ -570,16 +518,19 @@ def test_newton_matches_picard_reference(dim, cells, h):
 
 
 @pytest.mark.parametrize("dim, cells", _GRIDS)
-def test_clamped_newton_matches_picard_reference(dim, cells):
-    spec = atom_spec(dim, cells, SingularNonlinearity.pure_power(1.5))
+@pytest.mark.parametrize("h", _H_FAMILIES, ids=lambda h: h.kind)
+def test_level_solve_lies_inside_the_sandwich_pair(dim, cells, h):
+    # A is an M-matrix and h is nonincreasing, so the exact level solution
+    # obeys v <= u <= v + w; the solves, each to tol_fp, keep it to tol_fp.
+    # Neither side is tight: u lies strictly inside the pair somewhere.
+    spec = atom_spec(dim, cells, h)
     tol_fp = SolverConfig().resolved_tol_fp(spec.grid)
-    sw = sub_super(spec)
-    res = solve_regularized(spec, None, sw.sub, sw)
+    res = solve_regularized(spec)
     assert res.converged
-    reference = picard_reference(spec, tol_fp / 10, sw.sub.values, sw.clamp)
-    assert np.max(np.abs(res.u.values - reference)) <= 10 * tol_fp
-    T = picard_map(spec, sw.clamp)
-    assert np.max(np.abs(T(res.u.values) - res.u.values)) <= tol_fp
+    sw = sub_super(spec)
+    assert sw.breach(res.u) <= tol_fp
+    assert np.max(res.u.values - sw.sub.values) > 1e-3
+    assert np.max(sw.sup.values - res.u.values) > 1e-3
 
 
 @pytest.mark.parametrize("dim, cells", _GRIDS)
