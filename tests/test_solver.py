@@ -341,6 +341,29 @@ def test_sandwich_spec_rejects_nonpositive_subsolution():
         SandwichSpec(sub=flat, sup=one)
 
 
+def test_solve_clamped_stays_inside_sandwich():
+    # No clamp is needed to keep the level solve in [v, v + w]: started
+    # at the subsolution v, the plain solve ends inside the pair.
+    spec = spec_1d(f=constant(1.0), mu=DELTA_HALF, n=256)
+    cfg = SolverConfig(tol_fp=1e-11)
+    sw = sub_super(spec, cfg)
+    res = solve_regularized(spec, cfg, sw.sub)
+    assert res.converged
+    assert sw.breach(res.u) <= 1e-8
+
+
+def test_solve_clamped_degenerate_sandwich_returns_subsolution():
+    # With mu = 0 the supersolution's w vanishes, so v = v + w pins the
+    # level solution to the subsolution.
+    spec = spec_1d(f=constant(1.0), mu=RadonMeasure())
+    cfg = SolverConfig(tol_fp=1e-11)
+    sw = sub_super(spec, cfg)
+    assert np.array_equal(sw.sub.values, sw.sup.values)
+    res = solve_regularized(spec, cfg)
+    assert res.converged
+    assert np.max(np.abs(res.u.values - sw.sub.values)) <= 1e-9
+
+
 # -- Hopf ratio ----------------------------------------------------------------
 
 
