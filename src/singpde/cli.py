@@ -23,8 +23,13 @@ The solver and the diagnostics return observed numbers, and each suite
 holds the bounds that judge its rows; a solve that a suite needs and that
 does not converge ends the run with exit 2, by one convergence rule.
 ``sweep`` runs the Cartesian product of the configured parameter grids and
-aggregates one row per run; the rows run in forked worker processes (the
-config key ``threads`` sets how many, capped at the jobs and at the CPUs the
+aggregates one row per run.  The rows that share a cells value are solved
+as one stack, one ``iter_sequence`` over their problems, each row to the
+bits of its lone solve; a stack holds at most ``_STACK_UNKNOWNS`` unknowns,
+so the rows of a larger grid are solved one at a time, and a stack that
+raises is solved again row by row, so only the row at fault records
+``error:<Type>``.  The stacks run in forked worker processes (the config
+key ``threads`` sets how many, capped at the stacks and at the CPUs the
 process may run on), so ``sweep`` needs a POSIX system.
 Only the output directory (``--out``, default ``out``) and verify's suite
 (``--suite``, default ``all``) are not config keys.
@@ -548,31 +553,70 @@ def _cmd_verify(cfg: RunConfig, suite: str, out_dir: Path) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _sweep_row(cfg: RunConfig, gamma: float, cells: int, measure_name: str):
-    base = [gamma, cells, measure_name]
-    try:
-        spec = _spec_from_config(replace(
-            cfg, cells=cells, h=replace(cfg.h, gamma=gamma), mu=SWEEP_MEASURES[measure_name]
-        ))
-        # Only the first level and an aborted one have NaN differences.
-        levels, l1_diff = 0, math.nan
-        for _, final, l1, _ in iter_sequence(spec, cfg.n_schedule, cfg.solver):
-            levels += 1
+# The most unknowns, k rows times (cells - 1)^dim, that one sweep stack
+# holds; a grid with more unknowns than this is solved one row at a time.
+_STACK_UNKNOWNS = 8192
+
+
+def _sweep_stacks(cfg: RunConfig, jobs: list) -> list[list]:
+    """The jobs grouped into stacks: the jobs of one cells value, in job
+    order, split so that no stack holds more than ``_STACK_UNKNOWNS``.  The
+    finest grid comes first, so the workers start the longest stacks first."""
+    stacks = []
+    for cells in sorted({job[1] for job in jobs}, reverse=True):
+        group = [job for job in jobs if job[1] == cells]
+        size = max(1, _STACK_UNKNOWNS // (cells - 1) ** cfg.dim)
+        stacks += [group[i : i + size] for i in range(0, len(group), size)]
+    return stacks
+
+
+def _stack_rows(cfg: RunConfig, jobs: list) -> list[list]:
+    """The sweep.csv rows of ``jobs``, which share one cells value, from
+    one stacked ``iter_sequence``."""
+    spec = _spec_from_config(replace(cfg, cells=jobs[0][1]))
+    specs = [
+        replace(spec, h=replace(cfg.h, gamma=gamma), mu=SWEEP_MEASURES[measure_name])
+        for gamma, _, measure_name in jobs
+    ]
+    # Only the first level and an aborted one have NaN differences.
+    levels, l1_diff, final = [0] * len(jobs), [math.nan] * len(jobs), [None] * len(jobs)
+    for _, solved in iter_sequence(specs, cfg.n_schedule, cfg.solver):
+        for i, (res, l1, _) in solved.items():
+            levels[i] += 1
+            final[i] = res
             if not math.isnan(l1):
-                l1_diff = l1
-        minima = [min_on_compact(final.u, m) for m in cfg.margins]
-        return base + [
-            "ok" if final.converged else "nonconverged",
-            levels,
-            l1_diff,
-            final.residual,
-            l1_norm(final.u),
-            *minima,
+                l1_diff[i] = l1
+    return [
+        list(job) + [
+            "ok" if res.converged else "nonconverged",
+            count,
+            l1,
+            res.residual,
+            l1_norm(res.u),
+            *(min_on_compact(res.u, m) for m in cfg.margins),
         ]
-    except Exception as exc:  # per-row isolation: record, keep sweeping
-        return base + [f"error:{type(exc).__name__}", 0, float("nan"), float("nan"), float("nan")] + [
-            float("nan")
-        ] * len(cfg.margins)
+        for job, count, l1, res in zip(jobs, levels, l1_diff, final)
+    ]
+
+
+def _sweep_stack(cfg: RunConfig, jobs: list) -> list[list]:
+    """The rows of one stack of jobs.  A stack that raises is solved again
+    one row at a time, so only the row at fault records ``error:<Type>``
+    and every other row keeps the bits of its lone solve."""
+    if len(jobs) > 1:
+        try:
+            return _stack_rows(cfg, jobs)
+        except Exception:  # solved again below, row by row
+            pass
+    rows = []
+    for job in jobs:
+        try:
+            rows += _stack_rows(cfg, [job])
+        except Exception as exc:  # per-row isolation: record, keep sweeping
+            rows.append(list(job) + [
+                f"error:{type(exc).__name__}", 0, math.nan, math.nan, math.nan
+            ] + [math.nan] * len(cfg.margins))
+    return rows
 
 
 # The config of a sweep worker process, set once when the worker starts.
@@ -584,14 +628,15 @@ def _init_sweep_worker(cfg: RunConfig) -> None:
     _worker_cfg = cfg
 
 
-def _sweep_job(job: tuple) -> list:
-    return _sweep_row(_worker_cfg, *job)
+def _sweep_job(jobs: list) -> list[list]:
+    return _sweep_stack(_worker_cfg, jobs)
 
 
 def _cmd_sweep(cfg: RunConfig, out_dir: Path) -> int:
-    """Run the sweep's rows in ``cfg.threads`` forked worker processes (POSIX
-    only), at most one per job and per CPU this process may run on, and
-    write them to sweep.csv in sorted job order."""
+    """Run the sweep's stacks (``_sweep_stacks``) in ``cfg.threads`` forked
+    worker processes (POSIX only), at most one per stack and per CPU this
+    process may run on, and write the rows to sweep.csv in sorted job
+    order."""
     gammas = cfg.sweep_gammas
     cells_list = cfg.sweep_cells or (cfg.cells,)
     measures = cfg.sweep_measures or ("none",)
@@ -600,6 +645,7 @@ def _cmd_sweep(cfg: RunConfig, out_dir: Path) -> int:
     jobs = sorted(
         (g, c, m) for g in gammas for c in cells_list for m in measures
     )
+    stacks = _sweep_stacks(cfg, jobs)
     # Imported here so that solve and verify do not pay for them.
     import multiprocessing
     import os
@@ -612,19 +658,22 @@ def _cmd_sweep(cfg: RunConfig, out_dir: Path) -> int:
 
     # The workers are forked: the config holds lambdas and cannot be pickled,
     # so it reaches them through ``initargs``, which fork passes unpickled.
-    # Only the job tuples and the finished rows cross the pipe.
+    # Only the stacks' job tuples and the finished rows cross the pipe.
     with ProcessPoolExecutor(
-        max_workers=min(cfg.threads, len(jobs), cpus),
+        max_workers=min(cfg.threads, len(stacks), cpus),
         mp_context=multiprocessing.get_context("fork"),
         initializer=_init_sweep_worker,
         initargs=(cfg,),
     ) as pool:
-        rows = list(pool.map(_sweep_job, jobs))
+        solved = dict(zip(
+            itertools.chain.from_iterable(stacks),
+            itertools.chain.from_iterable(pool.map(_sweep_job, stacks)),
+        ))
     header = (
         ["gamma", "cells", "measure", "status", "levels", "final_l1_diff", "final_residual", "final_l1_norm"]
         + [f"min_K_{m:g}" for m in cfg.margins]
     )
-    _write_csv(out_dir / "sweep.csv", header, rows)
+    _write_csv(out_dir / "sweep.csv", header, [solved[job] for job in jobs])
     return EXIT_OK
 
 

@@ -28,6 +28,17 @@ its successive difference in the discrete L1 norm, the natural norm for the
 limit passage.  It keeps only the previous level; a caller that needs more
 keeps what it reads.
 
+The level loop runs a stack of k problems on one grid at once, as (k, N)
+arrays: ``solve_regularized`` passes one problem, and ``iter_sequence``
+one or a list of them (``sweep`` passes the rows of one grid).  Each step,
+halving, PCG stop and iteration limit is decided row by row, a row leaves
+the stack when its level is accepted or runs out of iterations, and every
+row gets the bits of its lone solve: the kernels keep each row's BLAS call
+and reduction order, and h is evaluated once per distinct h of the stack,
+with its scalar exponent.  Stacking many small solves into one call cuts
+the interpreter overhead per solve (Dongarra et al., "A Proposed API for
+Batched BLAS", 2016).
+
 A level runs on plain arrays and solves with the kernel ``mesh._solve``; a
 GridFunction is built only where a value leaves: ``SolveResult.u``,
 ``level_source`` and the sandwich pair.
@@ -52,6 +63,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -154,42 +166,86 @@ class SolveResult:
 
 @dataclass(eq=False)
 class _Prepared:
+    """The level data of a stack of problems on one grid at one level n:
+    row i of ``f_capped`` and ``mu_vals`` and ``hs[i]`` belong to problem
+    i.  Whether f vanishes identically, ``f_active``, is shared by the rows.
+    """
+
     grid: Grid
-    h: SingularNonlinearity
+    hs: tuple[SingularNonlinearity, ...]
     cap: float
     shift: float
     f_capped: np.ndarray
     mu_vals: np.ndarray
     f_active: bool
 
+    @cached_property
+    def groups(self) -> list[tuple[SingularNonlinearity, list[int]]]:
+        """Each distinct h of the stack with the rows that have it."""
+        rows: dict[SingularNonlinearity, list[int]] = {}
+        for i, h in enumerate(self.hs):
+            rows.setdefault(h, []).append(i)
+        return list(rows.items())
 
-def _prepare(spec: ProblemSpec) -> _Prepared:
-    f_vals = sample_field(spec.grid, spec.f).values
+    def rows(self, keep: np.ndarray) -> "_Prepared":
+        """The stack of the rows where ``keep`` holds."""
+        return replace(
+            self,
+            hs=tuple(h for h, k in zip(self.hs, keep) if k),
+            f_capped=self.f_capped[keep],
+            mu_vals=self.mu_vals[keep],
+        )
+
+
+def _prepare(specs) -> _Prepared:
+    """The level data of ``specs``, problems on one grid at one level."""
+    grid, level = specs[0].grid, specs[0].n
+    for spec in specs:
+        require_same_grid(grid, spec.grid)
+        if spec.n != level:
+            raise ValueError(f"a stack solves one level, got {spec.n} and {level}")
+    n = float(level)
+    f_vals = np.stack([sample_field(grid, spec.f).values for spec in specs])
     if np.any(f_vals < 0):
         raise ValueError("source f must be nonnegative at every node")
-    n = float(spec.n)
     f_capped = np.minimum(f_vals, n)
-    mu_vals = mollify(spec.mu, spec.grid, spec.n).values.values
+    active = np.any(f_capped > 0, axis=1)
+    if active.any() and not active.all():
+        raise ValueError("the problems of a stack must agree on whether f vanishes")
     return _Prepared(
-        grid=spec.grid,
-        h=spec.h,
+        grid=grid,
+        hs=tuple(spec.h for spec in specs),
         cap=n,
         shift=1.0 / n,
         f_capped=f_capped,
-        mu_vals=mu_vals,
-        f_active=bool(np.any(f_capped > 0)),
+        mu_vals=np.stack([mollify(spec.mu, grid, level).values.values for spec in specs]),
+        f_active=bool(active.all()),
     )
 
 
-def _source(prep: _Prepared, arg: np.ndarray | None):
-    """The level-n source ``(F, h values)`` with h evaluated at ``arg``.
+def _by_h(prep: _Prepared, fn, *arrays) -> np.ndarray:
+    """``fn(h, *rows)`` over the stack: one call per distinct h, on the rows
+    that have it.  Each call keeps h's scalar exponent; an array of
+    exponents would round differently (numpy's x ** -1.0 takes its
+    reciprocal path, for one)."""
+    if len(prep.groups) == 1:
+        return fn(prep.hs[0], *arrays)
+    out = np.empty_like(arrays[0])
+    for h, rows in prep.groups:
+        out[rows] = fn(h, *(a[rows] for a in arrays))
+    return out
 
-    With f identically zero the problem is linear in the measure: ``arg`` may
-    be None, h is never evaluated and the h values are None.
+
+def _source(prep: _Prepared, arg: np.ndarray | None):
+    """The level-n sources ``(F, h values)`` of the stack, h evaluated at
+    ``arg``, one row per problem.
+
+    With f identically zero the problems are linear in the measure: ``arg``
+    may be None, h is never evaluated and the h values are None.
     """
     if not prep.f_active:
         return prep.mu_vals, None
-    hv = eval_h_n(prep.h, prep.cap, arg + prep.shift)
+    hv = _by_h(prep, lambda h, s: eval_h_n(h, prep.cap, s), arg + prep.shift)
     rhs = hv * prep.f_capped + prep.mu_vals
     if not np.isfinite(rhs).all():
         raise OverflowError("right-hand side overflowed during Picard step")
@@ -200,13 +256,13 @@ def level_source(spec: ProblemSpec, u: GridFunction) -> GridFunction:
     """F(u) = min(n, h(|u| + 1/n)) min(n, f) + mu_n at level ``spec.n``: the
     source whose solve is the Picard map's image, T(u) = A^-1 F(u)."""
     require_same_grid(spec.grid, u.grid)
-    rhs, _ = _source(_prepare(spec), np.abs(u.values))
-    return GridFunction(spec.grid, rhs)
+    rhs, _ = _source(_prepare([spec]), np.abs(u.values)[None])
+    return GridFunction(spec.grid, rhs[0])
 
 
 def _picard(prep: _Prepared, lap: DiscreteOperator, u: np.ndarray):
-    """One step of the Picard map: ``(T(u), |u|, h values)``, with ``lap``
-    the Laplacian of ``prep.grid``.
+    """One step of the Picard map on the stack ``u``: ``(T(u), |u|, h
+    values)``, with ``lap`` the Laplacian of ``prep.grid``.
 
     |u| is the argument of h; it and the h values are None when f vanishes
     identically.
@@ -227,110 +283,178 @@ _MAX_CG_ITERS = 50
 _MIN_STEP = 1.0 / 64.0
 
 
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (k, N) stacks as a (k, 1) column, each
+    the same bits as the lone row's ``a @ b`` (``einsum`` sums in another
+    order)."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0]
+
+
 def _newton_direction(
     prep: _Prepared, lap: DiscreteOperator, r: np.ndarray, diag: np.ndarray
 ):
-    """Inexact solution d of (A + diag(diag)) d = A r by PCG, preconditioned
-    by the exact solve of A; returns d and the number of solves made.
+    """Inexact solution d of (A + diag(diag)) d = A r, row by row of the
+    stack ``r``, by PCG preconditioned by the exact solve of A; returns d
+    and the number of solves made for each row.
 
     Started from d = 0, the first preconditioned residual A^-1 (A r) is r
     itself, and A p is carried by recurrence through A z = res, so the only
-    stencil application is the one forming A r.  ``r`` is overwritten: it
-    serves as the search direction.
+    stencil application is the one forming A r.  Each row stops on its own
+    test and then leaves the stack.  ``r`` is overwritten: it serves as the
+    search direction.
     """
     b = _apply(prep.grid, r)
-    stop = _FORCING * math.sqrt(b @ b)
+    stop = _FORCING * np.sqrt(_dots(b, b))
     d = np.zeros_like(r)
+    solves = np.full(len(r), _MAX_CG_ITERS)
+    rows = np.arange(len(r))  # the rows still iterating
+    dk = d
     res = b
     p = r
     ap = b.copy()
     q = np.empty_like(r)
-    rz = float(res @ p)
-    solves = 0
-    for _ in range(_MAX_CG_ITERS):
+    rz = _dots(res, p)
+    for made in range(_MAX_CG_ITERS):
         np.multiply(diag, p, out=q)
         q += ap
-        alpha = rz / float(p @ q)
-        d += alpha * p
+        alpha = rz / _dots(p, q)
+        dk += alpha * p
         res -= alpha * q
-        # Written so that a non-finite norm (overflow) also ends the loop;
-        # the caller's finiteness check on the new iterate reports it.
-        if not stop < math.sqrt(res @ res) < np.inf:
-            break
+        # Written so that a non-finite norm (overflow) also ends a row; the
+        # caller's finiteness check on the new iterate reports it.
+        norm = np.sqrt(_dots(res, res))
+        going = (stop < norm) & (norm < np.inf)
+        if not going.all():
+            done, keep = ~going[:, 0], going[:, 0]
+            solves[rows[done]] = made
+            if not keep.any():
+                break
+            d[rows[done]] = dk[done]
+            rows, dk, res, p, ap, q, diag, rz, stop = (
+                a[keep] for a in (rows, dk, res, p, ap, q, diag, rz, stop)
+            )
         z = _solve(lap, res)
-        solves += 1
-        rz, rz_old = float(res @ z), rz
+        rz, rz_old = _dots(res, z), rz
         beta = rz / rz_old
         p *= beta
         p += z
         ap *= beta
         ap += res
+    if dk is not d:  # rows have left: d holds them, dk the rest
+        d[rows] = dk
     return d, solves
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def _iterate(prep: _Prepared, lap: DiscreteOperator, cfg: SolverConfig, tol_fp: float,
-             initial: np.ndarray | None) -> SolveResult:
-    """Inexact Newton-PCG solve of u = T(u), with T the Picard map.
+             initial) -> list[SolveResult]:
+    """Inexact Newton-PCG solve of u = T(u), with T the Picard map, for each
+    problem of the stack ``prep``; one SolveResult per problem.
 
-    Each iteration evaluates w = T(u) (one solve) and accepts u once
+    ``initial`` is None (a cold start) or the problems' starts, one row
+    each.  Each iteration evaluates w = T(u) (one solve) and accepts u once
     max|w - u| <= tol_fp.  Otherwise it takes the Newton step d of
     u - T(u) = 0, i.e. (A + D) d = A (w - u) with D = f_n |h_n'(|u| + 1/n)|
     where u >= 0, and moves to max(u + d, u/2).  A step that does not lower
     max|w - u| below its base is halved from the base.  The returned u is
-    the last one judged, so ``residual`` is its own max|T(u) - u|.
+    the last one judged, so ``residual`` is its own max|T(u) - u|.  Every
+    decision is taken row by row, and a row leaves the stack once accepted
+    or out of iterations, so each problem gets the bits of its lone solve.
     Floating-point overflow raises no warning here: a non-finite source or
     iterate raises OverflowError instead.
     """
-    solves = 0
+    k, grid = len(prep.hs), prep.grid
+    results: list = [None] * k
+    rows = np.arange(k)  # the problems still iterating
+    solves = np.zeros(k, dtype=int)
     if initial is None:
-        u, _, _ = _picard(prep, lap, np.zeros(prep.grid.interior_count))
+        u, _, _ = _picard(prep, lap, np.zeros((k, grid.interior_count)))
         solves += 1
     else:
         u = np.array(initial, dtype=float)
-    converged = False
-    residual = np.inf
     iterations = 0
-    base_u = base_d = None
-    base_residual = np.inf
-    step = 1.0
+    residual = np.full(k, np.inf)
+    # A row's base is read only after its first Newton step; until then u
+    # stands in for it, so that no array is allocated for it.
+    base_u = base_d = u
+    base_residual = np.full(k, np.inf)
+    step = np.ones(k)
+
+    def finish(done):
+        for j in np.flatnonzero(done):
+            results[rows[j]] = SolveResult(
+                u=GridFunction(grid, u[j]),
+                iterations=iterations,
+                residual=float(residual[j]),
+                converged=bool(residual[j] <= tol_fp),
+                linear_solves=int(solves[j]),
+            )
+
     for iterations in range(1, cfg.max_iters + 1):
         r, arg, hv = _picard(prep, lap, u)
         solves += 1
         r -= u  # T(u) - u, in place
-        residual = float(np.abs(r).max())
-        converged = residual <= tol_fp
-        if converged or iterations == cfg.max_iters:
-            break
-        if residual >= base_residual and step > _MIN_STEP:
-            step *= 0.5
-            u = np.maximum(base_u + step * base_d, 0.5 * base_u)
-            continue
+        residual = np.abs(r).max(axis=1)
+        done = residual <= tol_fp
+        if iterations == cfg.max_iters:
+            done[:] = True
+        if done.any():
+            finish(done)
+            if done.all():
+                return results
+            keep = ~done
+            prep = prep.rows(keep)
+            rows, u, r, residual, solves, base_u, base_d, base_residual, step = (
+                a[keep] for a in (rows, u, r, residual, solves, base_u, base_d, base_residual, step)
+            )
+            if hv is not None:
+                arg, hv = arg[keep], hv[keep]
+        halve = (residual >= base_residual) & (step > _MIN_STEP)
+        partial = bool(halve.any())
+        if partial:
+            step[halve] *= 0.5
+            halved = np.maximum(base_u + step[:, None] * base_d, 0.5 * base_u)
+            if halve.all():
+                u = halved
+                continue
+        # The rows that take a new step: all of them, or those not halved.
+        sel = ~halve if partial else slice(None)
         if hv is None:  # T is constant, so T(u) = u + r is its fixed point
-            u = u + r
-            continue
-        diag = slope_h_n(prep.h, prep.cap, arg + prep.shift, hv)
-        diag *= prep.f_capped
-        # Only a caller's start can hold negative entries.  There |u| != u,
-        # so the slope of h_n(|u| + 1/n) in u flips and the Newton diagonal
-        # would have the wrong sign; the step drops it.
-        diag[arg != u] = 0.0
-        # Free what the PCG solves do not read: their work vectors set the
-        # level solve's peak memory.
-        del arg, hv, base_d
-        base_u, base_residual, step = u, residual, 1.0
-        base_d, cg_solves = _newton_direction(prep, lap, r, diag)
-        solves += cg_solves
-        u = np.maximum(u + base_d, 0.5 * u)
-        if not np.isfinite(u).all():
-            raise OverflowError("Newton iterate contains non-finite values")
-    return SolveResult(
-        u=GridFunction(prep.grid, u),
-        iterations=iterations,
-        residual=residual,
-        converged=converged,
-        linear_solves=solves,
-    )
+            new = u[sel] + r[sel]
+        else:
+            diag = _by_h(
+                prep, lambda h, s, hs: slope_h_n(h, prep.cap, s, hs), arg + prep.shift, hv
+            )
+            diag *= prep.f_capped
+            # Only a caller's start can hold negative entries.  There |u| != u,
+            # so the slope of h_n(|u| + 1/n) in u flips and the Newton diagonal
+            # would have the wrong sign; the step drops it.
+            diag[arg != u] = 0.0
+            # Free what the PCG solves do not read: their work vectors set the
+            # level solve's peak memory.  The old base is read after them only
+            # for the rows that halved.
+            del arg, hv
+            if not partial:
+                base_u = base_d = None
+            base_residual[sel] = residual[sel]
+            step[sel] = 1.0
+            d, cg_solves = _newton_direction(prep, lap, r[sel], diag[sel])
+            solves[sel] += cg_solves
+            new = np.maximum(u[sel] + d, 0.5 * u[sel])
+            if not np.isfinite(new).all():
+                raise OverflowError("Newton iterate contains non-finite values")
+            if partial:
+                base_u, base_d = base_u.copy(), base_d.copy()
+                base_u[sel], base_d[sel] = u[sel], d
+            else:
+                base_u, base_d = u, d
+            del d  # base_d alone keeps it, so the next step frees it before its PCG
+        if partial:
+            halved[sel] = new
+            new = halved
+        u = new
+    finish(np.ones(len(rows), dtype=bool))
+    return results
 
 
 def solve_regularized(
@@ -346,16 +470,17 @@ def solve_regularized(
     cfg = cfg or SolverConfig()
     if initial is not None:
         require_same_grid(spec.grid, initial.grid)
-    return _iterate(
-        _prepare(spec),
+    [result] = _iterate(
+        _prepare([spec]),
         build_laplacian(spec.grid),
         cfg,
         cfg.resolved_tol_fp(spec.grid),
-        None if initial is None else initial.values,
+        None if initial is None else [initial.values],
     )
+    return result
 
 
-def iter_sequence(spec: ProblemSpec, n_schedule=None, cfg: SolverConfig | None = None):
+def iter_sequence(spec, n_schedule=None, cfg: SolverConfig | None = None):
     """Yield ``(n, result, l1_diff, max_diff)`` as each level of the schedule
     finishes, solved with warm starts and one Laplacian.
 
@@ -364,27 +489,45 @@ def iter_sequence(spec: ProblemSpec, n_schedule=None, cfg: SolverConfig | None =
     norm, are NaN at the first level and at the first nonconvergent one,
     which is the last level yielded.  An empty, non-increasing or
     non-integer schedule raises ValueError at the first ``next``.
+
+    ``spec`` may also be a list of problems on one grid, solved as one stack
+    through the same level loop, each to the bits of its lone schedule; then
+    each level yields ``(n, {i: (result, l1_diff, max_diff)})`` for the
+    problems i solved at it.  A problem whose level does not converge ends
+    its own schedule there and leaves the stack.
     """
+    if isinstance(spec, ProblemSpec):
+        for n, level in iter_sequence([spec], n_schedule, cfg):
+            yield (n, *level[0])
+        return
+    specs = list(spec)
     cfg = cfg or SolverConfig()
     schedule = tuple(DEFAULT_SCHEDULE if n_schedule is None else n_schedule)
     if not schedule:
         raise ValueError("n_schedule must not be empty")
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("n_schedule must be strictly increasing")
-    levels = [replace(spec, n=n) for n in schedule]  # ProblemSpec checks each n
-    lap = build_laplacian(spec.grid)
-    tol_fp = cfg.resolved_tol_fp(spec.grid)
-    prev: np.ndarray | None = None
-    for level in levels:
-        res = _iterate(_prepare(level), lap, cfg, tol_fp, prev)
-        l1 = mx = math.nan
-        if res.converged and prev is not None:
-            diff = np.abs(res.u.values - prev)
-            l1 = float(np.sum(diff) * spec.grid.cell_volume)
-            mx = float(np.max(diff))
-        prev = res.u.values
-        yield level.n, res, l1, mx
-        if not res.converged:
+    levels = [[replace(s, n=n) for s in specs] for n in schedule]  # ProblemSpec checks each n
+    grid = specs[0].grid
+    lap = build_laplacian(grid)
+    tol_fp = cfg.resolved_tol_fp(grid)
+    running = list(range(len(specs)))
+    prev: list[np.ndarray] | None = None
+    for n, level in zip(schedule, levels):
+        results = _iterate(_prepare([level[i] for i in running]), lap, cfg, tol_fp, prev)
+        solved = {}
+        for j, (i, res) in enumerate(zip(running, results)):
+            l1 = mx = math.nan
+            if res.converged and prev is not None:
+                diff = np.abs(res.u.values - prev[j])
+                l1 = float(np.sum(diff) * grid.cell_volume)
+                mx = float(np.max(diff))
+            solved[i] = (res, l1, mx)
+        running = [i for i, res in zip(running, results) if res.converged]
+        prev = [solved[i][0].u.values for i in running]
+        del results
+        yield n, solved
+        if not running:
             return
 
 

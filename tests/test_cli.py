@@ -281,9 +281,9 @@ def test_solve_streams_each_level_before_the_next_starts(tmp_path, monkeypatch):
         files = {p.name: p.read_bytes() for p in out.glob("solution_n*.csv")}
         rows = (out / "sequence.csv").read_text().splitlines()[1:]
         starts.append((alive, files, rows))
-        res = real(*args, **kwargs)
-        finished.append(weakref.ref(res))
-        return res
+        results = real(*args, **kwargs)  # one per problem of the stack, here one
+        finished.extend(weakref.ref(res) for res in results)
+        return results
 
     monkeypatch.setattr(solver, "_iterate", watched)
     assert main(["solve", write_cfg(tmp_path, DIRAC_1D), "--out", str(out)]) == 0
@@ -1179,14 +1179,14 @@ def test_sweep_worker_death_exits_two_without_hanging(tmp_path):
     script = textwrap.dedent("""
         import os, sys
         import singpde.cli as cli
-        row = cli._sweep_row
+        stack = cli._sweep_stack
 
-        def die_on_one_job(cfg, gamma, cells, measure):
-            if (gamma, cells, measure) == (1.0, 8, "none"):
+        def die_on_one_job(cfg, jobs):
+            if (1.0, 8, "none") in jobs:
                 os._exit(1)
-            return row(cfg, gamma, cells, measure)
+            return stack(cfg, jobs)
 
-        cli._sweep_row = die_on_one_job
+        cli._sweep_stack = die_on_one_job
         cfg, out = sys.argv[1:]
         sys.exit(cli.main(["sweep", cfg, "--out", out]))
     """)
@@ -1301,6 +1301,33 @@ def test_sweep_row_aborted_past_the_first_level(tmp_path):
     assert row["final_residual"] == seq_rows[2][seq_header.index("residual")]
 
 
+def test_sweep_row_that_raises_in_a_stack_reads_its_error_alone(tmp_path, monkeypatch):
+    # The gamma = 1 rows raise inside their stacks (the forked workers
+    # inherit the patch), so each stack is solved again one row at a time:
+    # only those rows read error:FloatingPointError, and every other line is
+    # the line of a sweep without them.
+    real = solver.eval_h_n
+
+    def fails_at_gamma_one(h, n, s):
+        if h.gamma == 1.0:
+            raise FloatingPointError("injected")
+        return real(h, n, s)
+
+    monkeypatch.setattr(solver, "eval_h_n", fails_at_gamma_one)
+    text = SWEEP.replace("sweep.gamma = 0.5, 1.0", "sweep.gamma = 0.5, 1.0, 1.5")
+    out, without = tmp_path / "out", tmp_path / "without"
+    assert main(["sweep", write_cfg(tmp_path, text), "--out", str(out)]) == 0
+    text = text.replace("sweep.gamma = 0.5, 1.0, 1.5", "sweep.gamma = 0.5, 1.5")
+    assert main(["sweep", write_cfg(tmp_path, text, "without.cfg"), "--out", str(without)]) == 0
+    lines = (out / "sweep.csv").read_text().splitlines()
+    failed = [line for line in lines if line.startswith("1,")]
+    assert len(failed) == 4
+    assert all(line.split(",")[3:5] == ["error:FloatingPointError", "0"] for line in failed)
+    assert [line for line in lines if not line.startswith("1,")] == (
+        (without / "sweep.csv").read_text().splitlines()
+    )
+
+
 def test_sweep_threads_below_one_is_config_error(tmp_path, capsys):
     cfg = write_cfg(tmp_path, SWEEP.replace("threads = 2", "threads = 0"))
     out = tmp_path / "out"
@@ -1333,9 +1360,9 @@ class _RecordingPool:
 
 @pytest.mark.parametrize("affinity", [True, False])
 def test_sweep_workers_capped_at_usable_cpus(tmp_path, monkeypatch, affinity):
-    # threads = 10**6 would fork a worker per job: the 8 jobs run on the 3
-    # CPUs the process may use, read from the affinity mask or, where the
-    # platform has none, from the CPU count.
+    # threads = 10**6 would fork a worker per stack: the 4 stacks, one per
+    # cells value, run on the 3 CPUs the process may use, read from the
+    # affinity mask or, where the platform has none, from the CPU count.
     import concurrent.futures
 
     monkeypatch.setattr(_RecordingPool, "max_workers", [])
@@ -1346,12 +1373,46 @@ def test_sweep_workers_capped_at_usable_cpus(tmp_path, monkeypatch, affinity):
     else:
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    cfg = write_cfg(tmp_path, SWEEP.replace("threads = 2", f"threads = {10**6}"))
+    text = SWEEP.replace("threads = 2", f"threads = {10**6}")
+    cfg = write_cfg(tmp_path, text.replace("sweep.cells = 8, 16", "sweep.cells = 8, 12, 16, 20"))
     out = tmp_path / "out"
     assert main(["sweep", cfg, "--out", str(out)]) == 0
     assert _RecordingPool.max_workers == [3]
     _, rows = read_rows(out / "sweep.csv")
-    assert [r[3] for r in rows] == ["ok"] * 8
+    assert [r[3] for r in rows] == ["ok"] * 16
+
+
+def test_sweep_grid_above_the_stack_cap_runs_one_row_per_stack(tmp_path, monkeypatch):
+    # Under the cap the 8 rows make one stack per cells value, and threads
+    # is capped at those 2 stacks.  Above it (7 and 15 unknowns against a
+    # cap of 6) each row is its own stack, as before rows were stacked, and
+    # sweep.csv keeps its bytes.
+    import concurrent.futures
+
+    monkeypatch.setattr(_RecordingPool, "max_workers", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+    cfg = write_cfg(tmp_path, SWEEP.replace("threads = 2", f"threads = {10**6}"))
+    assert main(["sweep", cfg, "--out", str(tmp_path / "stacked")]) == 0
+    monkeypatch.setattr(cli, "_STACK_UNKNOWNS", 6)
+    assert main(["sweep", cfg, "--out", str(tmp_path / "alone")]) == 0
+    assert _RecordingPool.max_workers == [2, 8]
+    assert (tmp_path / "alone" / "sweep.csv").read_bytes() == (
+        tmp_path / "stacked" / "sweep.csv"
+    ).read_bytes()
+
+
+def test_sweep_stacks_hold_one_cells_value_under_the_cap(tmp_path):
+    # 1D/512 has 511 unknowns, so 16 rows fit under the cap of 8,192; 2D/128
+    # has 16,129, above it, so its rows are solved one at a time.
+    assert cli._STACK_UNKNOWNS == 8192
+    jobs = sorted((g, c, "none") for g in range(1, 21) for c in (32, 128, 512))
+    cfg_1d = RunConfig.from_file(write_cfg(tmp_path, "domain.dim = 1\n", "1d.cfg"))
+    stacks = cli._sweep_stacks(cfg_1d, jobs)
+    assert [(s[0][1], len(s)) for s in stacks] == [(512, 16), (512, 4), (128, 20), (32, 20)]
+    assert sorted(itertools.chain(*stacks)) == jobs
+    cfg_2d = RunConfig.from_file(write_cfg(tmp_path, "domain.dim = 2\n", "2d.cfg"))
+    assert [len(s) for s in cli._sweep_stacks(cfg_2d, jobs)] == [1] * 40 + [8, 8, 4]
 
 
 @pytest.mark.parametrize("command", ["solve", "verify", "sweep"])

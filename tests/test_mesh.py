@@ -177,6 +177,39 @@ def test_kernel_and_solve_spd_return_the_same_bits(dim, cells):
     assert np.array_equal(x, solve_spd(op, GridFunction(g, b)).values)
 
 
+@pytest.mark.parametrize("dim, cells", [(1, 32), (1, 512), (2, 16), (3, 8)])
+def test_kernel_solves_each_row_of_a_stack_to_its_lone_bits(dim, cells):
+    # 1D/32 takes the dense sine matrix and 1D/512 the FFT.  A stack keeps
+    # each row's BLAS call of a lone solve, so no row moves by a bit.
+    g = build_grid(dim, cells)
+    op = build_laplacian(g)
+    assert (op.sine is None) == (cells - 1 > _DENSE_MAX)
+    b = np.random.default_rng(cells).uniform(-1.0, 1.0, (5, g.interior_count))
+    x = _solve(op, b)
+    assert x.shape == b.shape
+    for row, rhs in zip(x, b):
+        assert np.array_equal(row, _solve(op, rhs))
+    assert np.array_equal(_apply(g, b)[2], _apply(g, b[2]))
+
+
+def test_kernel_guard_judges_each_row_at_its_own_scale():
+    # A wrong eigenvalue of the second sine mode leaves the first mode's
+    # row exact.  The second row, 1e-14 the size of the first, misses its
+    # own backward-error bound by orders of magnitude but lies far below
+    # a bound taken over the whole stack.
+    g = build_grid(1, 16)
+    op = build_laplacian(g)
+    eigenvalues = op.eigenvalues.copy()
+    eigenvalues[1] *= 1.5
+    bad = replace(op, eigenvalues=eigenvalues)
+    x = g.node_coords[:, 0]
+    first, second = np.sin(np.pi * x), 1e-14 * np.sin(2 * np.pi * x)
+    _solve(bad, first)
+    with pytest.raises(LinearSolveError) as err:
+        _solve(bad, np.stack([first, second]))
+    assert 1e-16 < err.value.residual < 1e-14
+
+
 def test_kernel_rejects_corrupted_sine_matrix():
     g = build_grid(2, 8)
     op = build_laplacian(g)

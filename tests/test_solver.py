@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -583,3 +585,96 @@ def test_overflowing_source_raises_overflow_error():
     spec = spec_1d(cells=8, h=SingularNonlinearity.pure_power(1.5), f=constant(1e200), n=10**200)
     with pytest.raises(OverflowError, match="right-hand side"):
         solve_regularized(spec)
+
+
+# -- stacks ------------------------------------------------------------------
+
+
+def _stacked_levels(specs, schedule, cfg=None):
+    """Per problem of the stack, the levels ``iter_sequence`` yields for it."""
+    levels = [[] for _ in specs]
+    for n, solved in iter_sequence(specs, schedule, cfg):
+        for i, (res, l1, mx) in solved.items():
+            levels[i].append((n, res, l1, mx))
+    return levels
+
+
+def _assert_same_levels(stacked, lone):
+    assert [n for n, *_ in stacked] == [n for n, *_ in lone]
+    for (_, res, l1, mx), (_, ref, ref_l1, ref_mx) in zip(stacked, lone):
+        assert np.array_equal(res.u.values, ref.u.values)
+        assert (res.iterations, res.residual, res.converged, res.linear_solves) == (
+            ref.iterations, ref.residual, ref.converged, ref.linear_solves
+        )
+        assert np.array_equal([l1, mx], [ref_l1, ref_mx], equal_nan=True)
+
+
+@pytest.mark.parametrize("n", [31, 127, 511, 4095])
+def test_row_dots_are_the_lone_dot_products(n):
+    # Each row's PCG dot product has the bits of the lone a @ b; einsum sums
+    # in another order and misses some by an ulp.
+    rng = np.random.default_rng(n)
+    a, b = rng.uniform(-1.0, 1.0, (2, 6, n))
+    assert solver._dots(a, b).shape == (6, 1)
+    assert [float(x) for x in solver._dots(a, b)[:, 0]] == [float(x @ y) for x, y in zip(a, b)]
+
+
+_STACK_H = [
+    make(gamma)
+    for make in (
+        SingularNonlinearity.pure_power,
+        lambda g: SingularNonlinearity.shifted_power(g, 0.05),
+        lambda g: SingularNonlinearity.bounded_plateau(g, 10.0),
+    )
+    for gamma in (0.5, 1.0, 3.0)
+]
+
+
+@pytest.mark.parametrize("dim, cells", [(1, 32), (2, 8)])
+@pytest.mark.parametrize("adjacent", [True, False], ids=["by-h", "interleaved"])
+def test_stacked_schedule_gives_each_problem_its_lone_bits(dim, cells, adjacent):
+    # gamma = 1 takes numpy's reciprocal path for x ** -1.0, which an array
+    # of exponents would not.  The rows of one h are adjacent, as a sweep
+    # lists them, or interleaved with the others.
+    grid = build_grid(dim, cells)
+    measures = [RadonMeasure(), RadonMeasure(atoms=(((0.5,) * dim, 1.0),))]
+    pairs = [(h, mu) for h in _STACK_H for mu in measures]
+    if not adjacent:
+        pairs = [(h, mu) for mu in measures for h in _STACK_H]
+    specs = [ProblemSpec(grid=grid, h=h, f=constant(1.0), mu=mu) for h, mu in pairs]
+    schedule = (2, 8, 64, 512)
+    for spec, levels in zip(specs, _stacked_levels(specs, schedule)):
+        _assert_same_levels(levels, list(iter_sequence(spec, schedule)))
+
+
+def test_stacked_schedule_ends_only_the_nonconvergent_rows():
+    # Alone, gamma = 0.2 and 3.0 stop at level 4, 0.5 at level 8 and 1.5 at
+    # level 2, each at its first nonconvergent level; 0.05 solves all four.
+    # In the stack each ends its own schedule, and the others keep their bits.
+    grid = build_grid(1, 64)
+    cfg = SolverConfig(tol_fp=1e-10, max_iters=5)
+    specs = [
+        ProblemSpec(grid=grid, h=SingularNonlinearity.pure_power(g), f=constant(1.0),
+                    mu=RadonMeasure())
+        for g in (0.05, 0.2, 0.5, 1.5, 3.0)
+    ]
+    schedule = (2, 4, 8, 16)
+    stacked = _stacked_levels(specs, schedule, cfg)
+    assert [levels[-1][0] for levels in stacked] == [16, 4, 8, 2, 4]
+    assert [levels[-1][1].converged for levels in stacked] == [True] + [False] * 4
+    for spec, levels in zip(specs, stacked):
+        _assert_same_levels(levels, list(iter_sequence(spec, schedule, cfg)))
+
+
+@pytest.mark.parametrize(
+    "other, message",
+    [
+        (lambda s: replace(s, grid=build_grid(1, 16)), "grid mismatch"),
+        (lambda s: replace(s, f=zero()), "agree on whether f vanishes"),
+    ],
+    ids=["grid", "f-vanishes"],
+)
+def test_stack_rejects_problems_that_cannot_share_a_loop(other, message):
+    spec = spec_1d(cells=32, mu=DELTA_HALF)
+    with pytest.raises(ValueError, match=message):
+        next(iter_sequence([spec, other(spec)], (2, 4)))
