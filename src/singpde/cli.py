@@ -23,14 +23,15 @@ The solver and the diagnostics return observed numbers, and each suite
 holds the bounds that judge its rows; a solve that a suite needs and that
 does not converge ends the run with exit 2, by one convergence rule.
 ``sweep`` runs the Cartesian product of the configured parameter grids and
-aggregates one row per run.  The rows that share a cells value are solved
-as one stack, one ``iter_sequence`` over their problems, each row to the
-bits of its lone solve; a stack holds at most ``_STACK_UNKNOWNS`` unknowns,
-so the rows of a larger grid are solved one at a time, and a stack that
-raises is solved again row by row, so only the row at fault records
-``error:<Type>``.  The stacks run in forked worker processes (the config
-key ``threads`` sets how many, capped at the stacks and at the CPUs the
-process may run on), so ``sweep`` needs a POSIX system.
+aggregates one row per run.  The rows run in forked worker processes (the
+config key ``threads`` sets how many, capped at the CPUs the process may
+run on and at the stacks), so ``sweep`` needs a POSIX system.  Each worker
+takes a stack: rows of one cells value, solved together by one stacked
+level loop, each row to the bits of its lone solve.  A cells value's rows
+are spread over as many workers as its share of the sweep's work, at most
+``_STACK_UNKNOWNS`` unknowns per stack, so the rows of a larger grid are
+solved one at a time.  A stack that raises is solved again row by row, so
+only the row at fault records ``error:<Type>``.
 Only the output directory (``--out``, default ``out``) and verify's suite
 (``--suite``, default ``all``) are not config keys.
 All CSV output uses 17 significant digits so identical configurations
@@ -72,6 +73,7 @@ from .mesh import GridFunction, LinearSolveError, build_grid, l1_norm, min_on_co
 from .solver import (
     ProblemSpec,
     SolveResult,
+    _iter_stack,
     build_sub_super,
     comparison_check,
     hopf_ratio_check,
@@ -558,21 +560,31 @@ def _cmd_verify(cfg: RunConfig, suite: str, out_dir: Path) -> int:
 _STACK_UNKNOWNS = 8192
 
 
-def _sweep_stacks(cfg: RunConfig, jobs: list) -> list[list]:
-    """The jobs grouped into stacks: the jobs of one cells value, in job
-    order, split so that no stack holds more than ``_STACK_UNKNOWNS``.  The
-    finest grid comes first, so the workers start the longest stacks first."""
+def _sweep_stacks(cfg: RunConfig, jobs: list, workers: int) -> list[list]:
+    """The jobs grouped into stacks of one cells value each, in job order.
+    A cells value's jobs are split over as many of the ``workers`` as its
+    share of the sweep's work, jobs times unknowns (cells - 1)^dim, rounded
+    up: a sweep over one grid keeps every worker busy, and no grid's stacks
+    take much more than a worker's share.  No stack holds more than
+    ``_STACK_UNKNOWNS`` unknowns.  The finest grid comes first, so the
+    workers start the longest stacks first."""
+    groups: dict[int, list] = {}
+    for job in jobs:
+        groups.setdefault(job[1], []).append(job)
+    work = {cells: len(group) * (cells - 1) ** cfg.dim for cells, group in groups.items()}
     stacks = []
-    for cells in sorted({job[1] for job in jobs}, reverse=True):
-        group = [job for job in jobs if job[1] == cells]
-        size = max(1, _STACK_UNKNOWNS // (cells - 1) ** cfg.dim)
+    for cells in sorted(groups, reverse=True):
+        group = groups[cells]
+        parts = math.ceil(workers * work[cells] / sum(work.values()))
+        cap = max(1, _STACK_UNKNOWNS // (cells - 1) ** cfg.dim)
+        size = min(cap, math.ceil(len(group) / parts))
         stacks += [group[i : i + size] for i in range(0, len(group), size)]
     return stacks
 
 
 def _stack_rows(cfg: RunConfig, jobs: list) -> list[list]:
     """The sweep.csv rows of ``jobs``, which share one cells value, from
-    one stacked ``iter_sequence``."""
+    one ``_iter_stack``."""
     spec = _spec_from_config(replace(cfg, cells=jobs[0][1]))
     specs = [
         replace(spec, h=replace(cfg.h, gamma=gamma), mu=SWEEP_MEASURES[measure_name])
@@ -580,7 +592,7 @@ def _stack_rows(cfg: RunConfig, jobs: list) -> list[list]:
     ]
     # Only the first level and an aborted one have NaN differences.
     levels, l1_diff, final = [0] * len(jobs), [math.nan] * len(jobs), [None] * len(jobs)
-    for _, solved in iter_sequence(specs, cfg.n_schedule, cfg.solver):
+    for _, solved in _iter_stack(specs, cfg.n_schedule, cfg.solver):
         for i, (res, l1, _) in solved.items():
             levels[i] += 1
             final[i] = res
@@ -634,9 +646,8 @@ def _sweep_job(jobs: list) -> list[list]:
 
 def _cmd_sweep(cfg: RunConfig, out_dir: Path) -> int:
     """Run the sweep's stacks (``_sweep_stacks``) in ``cfg.threads`` forked
-    worker processes (POSIX only), at most one per stack and per CPU this
-    process may run on, and write the rows to sweep.csv in sorted job
-    order."""
+    worker processes (POSIX only), at most one per CPU this process may run
+    on and per stack, and write the rows to sweep.csv in sorted job order."""
     gammas = cfg.sweep_gammas
     cells_list = cfg.sweep_cells or (cfg.cells,)
     measures = cfg.sweep_measures or ("none",)
@@ -645,7 +656,6 @@ def _cmd_sweep(cfg: RunConfig, out_dir: Path) -> int:
     jobs = sorted(
         (g, c, m) for g in gammas for c in cells_list for m in measures
     )
-    stacks = _sweep_stacks(cfg, jobs)
     # Imported here so that solve and verify do not pay for them.
     import multiprocessing
     import os
@@ -655,12 +665,14 @@ def _cmd_sweep(cfg: RunConfig, out_dir: Path) -> int:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         cpus = os.cpu_count() or 1
+    workers = min(cfg.threads, cpus)
+    stacks = _sweep_stacks(cfg, jobs, workers)
 
     # The workers are forked: the config holds lambdas and cannot be pickled,
     # so it reaches them through ``initargs``, which fork passes unpickled.
     # Only the stacks' job tuples and the finished rows cross the pipe.
     with ProcessPoolExecutor(
-        max_workers=min(cfg.threads, len(stacks), cpus),
+        max_workers=min(workers, len(stacks)),
         mp_context=multiprocessing.get_context("fork"),
         initializer=_init_sweep_worker,
         initargs=(cfg,),

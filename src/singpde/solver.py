@@ -21,16 +21,16 @@ and a step that does not lower max|T(u) - u| is halved.  T stays the judge:
 a level is accepted, and u returned, once max|T(u) - u| <= tol_fp.
 
 Two drivers run levels, both through ``_prepare`` and ``_iterate``:
-``solve_regularized`` solves one level, and the generator ``iter_sequence``,
+``solve_regularized`` solves one level, and the generator ``_iter_stack``,
 the one schedule driver, runs the geometric schedule n = 2, 4, ..., 1024
 with warm starts and one Laplacian, yielding each level as it finishes with
 its successive difference in the discrete L1 norm, the natural norm for the
-limit passage.  It keeps only the previous level; a caller that needs more
-keeps what it reads.
+limit passage; ``iter_sequence`` is its view of one problem.  It keeps only
+the previous level; a caller that needs more keeps what it reads.
 
 The level loop runs a stack of k problems on one grid at once, as (k, N)
-arrays: ``solve_regularized`` passes one problem, and ``iter_sequence``
-one or a list of them (``sweep`` passes the rows of one grid).  Each step,
+arrays: ``solve_regularized`` and ``iter_sequence`` pass one problem, and
+``sweep`` passes the rows of one grid to ``_iter_stack``.  Each step,
 halving, PCG stop and iteration limit is decided row by row, a row leaves
 the stack when its level is accepted or runs out of iterations, and every
 row gets the bits of its lone solve: the kernels keep each row's BLAS call
@@ -283,13 +283,6 @@ _MAX_CG_ITERS = 50
 _MIN_STEP = 1.0 / 64.0
 
 
-def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise dot products of two (k, N) stacks as a (k, 1) column, each
-    the same bits as the lone row's ``a @ b`` (``einsum`` sums in another
-    order)."""
-    return (a[:, None, :] @ b[:, :, None])[:, 0]
-
-
 def _newton_direction(
     prep: _Prepared, lap: DiscreteOperator, r: np.ndarray, diag: np.ndarray
 ):
@@ -302,39 +295,49 @@ def _newton_direction(
     stencil application is the one forming A r.  Each row stops on its own
     test and then leaves the stack.  ``r`` is overwritten: it serves as the
     search direction.
+
+    The vectors are held as (k, 1, N) stacks of rows and the per-row scalars
+    as (k, 1, 1) arrays, so that ``x @ y.transpose(0, 2, 1)`` is each row's
+    dot product, with the bits of the lone row's ``x @ y`` (``einsum`` sums
+    in another order), and a scalar scales its own row.  The transposed
+    views are taken once per set of rows: the vectors are updated in place.
     """
-    b = _apply(prep.grid, r)
-    stop = _FORCING * np.sqrt(_dots(b, b))
-    d = np.zeros_like(r)
+    p = r[:, None, :]
+    res = _apply(prep.grid, p)
+    d = np.zeros_like(res)
+    dk = d
+    ap = res.copy()
+    q = np.empty_like(res)
+    res_t, q_t = res.transpose(0, 2, 1), q.transpose(0, 2, 1)
+    stop = _FORCING * np.sqrt(res @ res_t)
+    rz = p @ res_t
+    diag = diag[:, None, :]
     solves = np.full(len(r), _MAX_CG_ITERS)
     rows = np.arange(len(r))  # the rows still iterating
-    dk = d
-    res = b
-    p = r
-    ap = b.copy()
-    q = np.empty_like(r)
-    rz = _dots(res, p)
     for made in range(_MAX_CG_ITERS):
         np.multiply(diag, p, out=q)
         q += ap
-        alpha = rz / _dots(p, q)
+        alpha = rz / (p @ q_t)
         dk += alpha * p
         res -= alpha * q
         # Written so that a non-finite norm (overflow) also ends a row; the
         # caller's finiteness check on the new iterate reports it.
-        norm = np.sqrt(_dots(res, res))
+        norm = np.sqrt(res @ res_t)
         going = (stop < norm) & (norm < np.inf)
         if not going.all():
-            done, keep = ~going[:, 0], going[:, 0]
-            solves[rows[done]] = made
-            if not keep.any():
+            if not going.any():
+                solves[rows] = made
                 break
+            keep = going[:, 0, 0]
+            done = ~keep
+            solves[rows[done]] = made
             d[rows[done]] = dk[done]
             rows, dk, res, p, ap, q, diag, rz, stop = (
                 a[keep] for a in (rows, dk, res, p, ap, q, diag, rz, stop)
             )
+            res_t, q_t = res.transpose(0, 2, 1), q.transpose(0, 2, 1)
         z = _solve(lap, res)
-        rz, rz_old = _dots(res, z), rz
+        rz, rz_old = z @ res_t, rz
         beta = rz / rz_old
         p *= beta
         p += z
@@ -342,7 +345,7 @@ def _newton_direction(
         ap += res
     if dk is not d:  # rows have left: d holds them, dk the rest
         d[rows] = dk
-    return d, solves
+    return d[:, 0], solves
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -366,10 +369,11 @@ def _iterate(prep: _Prepared, lap: DiscreteOperator, cfg: SolverConfig, tol_fp: 
     k, grid = len(prep.hs), prep.grid
     results: list = [None] * k
     rows = np.arange(k)  # the problems still iterating
-    solves = np.zeros(k, dtype=int)
+    # Each row makes one solve per iteration, one more for a cold start, and
+    # the PCG solves of its Newton directions, counted here.
+    pcg_solves = np.zeros(k, dtype=int)
     if initial is None:
         u, _, _ = _picard(prep, lap, np.zeros((k, grid.interior_count)))
-        solves += 1
     else:
         u = np.array(initial, dtype=float)
     iterations = 0
@@ -387,12 +391,11 @@ def _iterate(prep: _Prepared, lap: DiscreteOperator, cfg: SolverConfig, tol_fp: 
                 iterations=iterations,
                 residual=float(residual[j]),
                 converged=bool(residual[j] <= tol_fp),
-                linear_solves=int(solves[j]),
+                linear_solves=int(initial is None) + iterations + int(pcg_solves[j]),
             )
 
     for iterations in range(1, cfg.max_iters + 1):
         r, arg, hv = _picard(prep, lap, u)
-        solves += 1
         r -= u  # T(u) - u, in place
         residual = np.abs(r).max(axis=1)
         done = residual <= tol_fp
@@ -404,13 +407,17 @@ def _iterate(prep: _Prepared, lap: DiscreteOperator, cfg: SolverConfig, tol_fp: 
                 return results
             keep = ~done
             prep = prep.rows(keep)
-            rows, u, r, residual, solves, base_u, base_d, base_residual, step = (
-                a[keep] for a in (rows, u, r, residual, solves, base_u, base_d, base_residual, step)
+            rows, u, r, residual, pcg_solves, base_u, base_d, base_residual, step = (
+                a[keep]
+                for a in (rows, u, r, residual, pcg_solves, base_u, base_d, base_residual, step)
             )
             if hv is not None:
                 arg, hv = arg[keep], hv[keep]
-        halve = (residual >= base_residual) & (step > _MIN_STEP)
+        halve = residual >= base_residual
         partial = bool(halve.any())
+        if partial:  # only rows with steps left to halve
+            halve &= step > _MIN_STEP
+            partial = bool(halve.any())
         if partial:
             step[halve] *= 0.5
             halved = np.maximum(base_u + step[:, None] * base_d, 0.5 * base_u)
@@ -434,12 +441,14 @@ def _iterate(prep: _Prepared, lap: DiscreteOperator, cfg: SolverConfig, tol_fp: 
             # level solve's peak memory.  The old base is read after them only
             # for the rows that halved.
             del arg, hv
-            if not partial:
+            if partial:
+                base_residual[sel] = residual[sel]
+                step[sel] = 1.0
+            else:
                 base_u = base_d = None
-            base_residual[sel] = residual[sel]
-            step[sel] = 1.0
+                base_residual, step = residual, np.ones(len(rows))
             d, cg_solves = _newton_direction(prep, lap, r[sel], diag[sel])
-            solves[sel] += cg_solves
+            pcg_solves[sel] += cg_solves
             new = np.maximum(u[sel] + d, 0.5 * u[sel])
             if not np.isfinite(new).all():
                 raise OverflowError("Newton iterate contains non-finite values")
@@ -480,7 +489,7 @@ def solve_regularized(
     return result
 
 
-def iter_sequence(spec, n_schedule=None, cfg: SolverConfig | None = None):
+def iter_sequence(spec: ProblemSpec, n_schedule=None, cfg: SolverConfig | None = None):
     """Yield ``(n, result, l1_diff, max_diff)`` as each level of the schedule
     finishes, solved with warm starts and one Laplacian.
 
@@ -489,18 +498,17 @@ def iter_sequence(spec, n_schedule=None, cfg: SolverConfig | None = None):
     norm, are NaN at the first level and at the first nonconvergent one,
     which is the last level yielded.  An empty, non-increasing or
     non-integer schedule raises ValueError at the first ``next``.
-
-    ``spec`` may also be a list of problems on one grid, solved as one stack
-    through the same level loop, each to the bits of its lone schedule; then
-    each level yields ``(n, {i: (result, l1_diff, max_diff)})`` for the
-    problems i solved at it.  A problem whose level does not converge ends
-    its own schedule there and leaves the stack.
     """
-    if isinstance(spec, ProblemSpec):
-        for n, level in iter_sequence([spec], n_schedule, cfg):
-            yield (n, *level[0])
-        return
-    specs = list(spec)
+    for n, solved in _iter_stack([spec], n_schedule, cfg):
+        yield (n, *solved[0])
+
+
+def _iter_stack(specs, n_schedule=None, cfg: SolverConfig | None = None):
+    """``iter_sequence`` for a stack of problems on one grid, solved through
+    one level loop, each to the bits of its lone schedule: each level yields
+    ``(n, {i: (result, l1_diff, max_diff)})`` for the problems i solved at
+    it.  A problem whose level does not converge ends its own schedule there
+    and leaves the stack."""
     cfg = cfg or SolverConfig()
     schedule = tuple(DEFAULT_SCHEDULE if n_schedule is None else n_schedule)
     if not schedule:

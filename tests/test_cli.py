@@ -1154,14 +1154,14 @@ def test_sweep_rows_run_outside_the_calling_process(tmp_path, monkeypatch):
     # The forked workers inherit the patch; a row solved in this process
     # would read error:RuntimeError.
     caller = os.getpid()
-    real = cli.iter_sequence
+    real = cli._iter_stack
 
     def solve_outside_caller(*args, **kwargs):
         if os.getpid() == caller:
             raise RuntimeError("sweep row solved in the calling process")
         yield from real(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "iter_sequence", solve_outside_caller)
+    monkeypatch.setattr(cli, "_iter_stack", solve_outside_caller)
     cfg = write_cfg(tmp_path, SWEEP)
     out = tmp_path / "out"
     assert main(["sweep", cfg, "--out", str(out)]) == 0
@@ -1339,10 +1339,12 @@ def test_sweep_threads_below_one_is_config_error(tmp_path, capsys):
 
 
 class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records its worker count and runs
-    the jobs in this process, so no process starts."""
+    """Stands in for ProcessPoolExecutor: records its worker count and the
+    sizes of the stacks it is given, and runs them in this process, so no
+    process starts."""
 
     max_workers = []
+    stack_sizes = []
 
     def __init__(self, max_workers, mp_context, initializer, initargs):
         self.max_workers.append(max_workers)
@@ -1354,49 +1356,68 @@ class _RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, jobs):
-        return map(fn, jobs)
+    def map(self, fn, stacks):
+        self.stack_sizes.append([len(stack) for stack in stacks])
+        return map(fn, stacks)
 
 
-@pytest.mark.parametrize("affinity", [True, False])
-def test_sweep_workers_capped_at_usable_cpus(tmp_path, monkeypatch, affinity):
-    # threads = 10**6 would fork a worker per stack: the 4 stacks, one per
-    # cells value, run on the 3 CPUs the process may use, read from the
-    # affinity mask or, where the platform has none, from the CPU count.
+@pytest.fixture
+def recording_pool(monkeypatch):
     import concurrent.futures
 
     monkeypatch.setattr(_RecordingPool, "max_workers", [])
+    monkeypatch.setattr(_RecordingPool, "stack_sizes", [])
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    return _RecordingPool
+
+
+@pytest.mark.parametrize("affinity", [True, False])
+def test_sweep_workers_capped_at_usable_cpus(tmp_path, monkeypatch, recording_pool, affinity):
+    # threads = 10**6 would fork a worker per stack: the 8 jobs run on the 3
+    # CPUs the process may use, read from the affinity mask or, where the
+    # platform has none, from the CPU count.
     if affinity:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
     else:
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    text = SWEEP.replace("threads = 2", f"threads = {10**6}")
-    cfg = write_cfg(tmp_path, text.replace("sweep.cells = 8, 16", "sweep.cells = 8, 12, 16, 20"))
+    cfg = write_cfg(tmp_path, SWEEP.replace("threads = 2", f"threads = {10**6}"))
     out = tmp_path / "out"
     assert main(["sweep", cfg, "--out", str(out)]) == 0
-    assert _RecordingPool.max_workers == [3]
+    assert recording_pool.max_workers == [3]
     _, rows = read_rows(out / "sweep.csv")
-    assert [r[3] for r in rows] == ["ok"] * 16
+    assert [r[3] for r in rows] == ["ok"] * 8
 
 
-def test_sweep_grid_above_the_stack_cap_runs_one_row_per_stack(tmp_path, monkeypatch):
-    # Under the cap the 8 rows make one stack per cells value, and threads
-    # is capped at those 2 stacks.  Above it (7 and 15 unknowns against a
-    # cap of 6) each row is its own stack, as before rows were stacked, and
-    # sweep.csv keeps its bytes.
-    import concurrent.futures
-
-    monkeypatch.setattr(_RecordingPool, "max_workers", [])
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+def test_sweep_rows_of_one_grid_spread_over_the_workers(tmp_path, monkeypatch, recording_pool):
+    # A sweep over one cells value keeps the workers busy: its 6 rows are
+    # split into stacks of at most ceil(6 / workers) rows, not solved as one
+    # stack on one worker.  Four workers get 3 stacks of 2 rows, which end
+    # as soon as 4 stacks would, and the bytes do not change.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
-    cfg = write_cfg(tmp_path, SWEEP.replace("threads = 2", f"threads = {10**6}"))
+    text = SWEEP.replace("sweep.gamma = 0.5, 1.0", "sweep.gamma = 0.5, 1.0, 1.5")
+    for threads, sizes, workers in [(1, [6], 1), (2, [3, 3], 2), (4, [2, 2, 2], 3)]:
+        cfg = write_cfg(tmp_path, text.replace("sweep.cells = 8, 16", "sweep.cells = 16")
+                        .replace("threads = 2", f"threads = {threads}"))
+        assert main(["sweep", cfg, "--out", str(tmp_path / str(threads))]) == 0
+        assert recording_pool.stack_sizes[-1] == sizes
+        assert recording_pool.max_workers[-1] == workers
+        assert (tmp_path / str(threads) / "sweep.csv").read_bytes() == (
+            tmp_path / "1" / "sweep.csv"
+        ).read_bytes()
+
+
+def test_sweep_grid_above_the_stack_cap_runs_one_row_per_stack(tmp_path, monkeypatch,
+                                                                recording_pool):
+    # Under the cap the 8 rows of one worker make one stack per cells value.
+    # Above it (7 and 15 unknowns against a cap of 6) each row is its own
+    # stack, as before rows were stacked, and sweep.csv keeps its bytes.
+    cfg = write_cfg(tmp_path, SWEEP.replace("threads = 2", "threads = 1"))
     assert main(["sweep", cfg, "--out", str(tmp_path / "stacked")]) == 0
     monkeypatch.setattr(cli, "_STACK_UNKNOWNS", 6)
     assert main(["sweep", cfg, "--out", str(tmp_path / "alone")]) == 0
-    assert _RecordingPool.max_workers == [2, 8]
+    assert recording_pool.stack_sizes == [[4, 4], [1] * 8]
     assert (tmp_path / "alone" / "sweep.csv").read_bytes() == (
         tmp_path / "stacked" / "sweep.csv"
     ).read_bytes()
@@ -1404,15 +1425,23 @@ def test_sweep_grid_above_the_stack_cap_runs_one_row_per_stack(tmp_path, monkeyp
 
 def test_sweep_stacks_hold_one_cells_value_under_the_cap(tmp_path):
     # 1D/512 has 511 unknowns, so 16 rows fit under the cap of 8,192; 2D/128
-    # has 16,129, above it, so its rows are solved one at a time.
+    # has 16,129, above it, so its rows are solved one at a time.  With 3
+    # workers, 1D/512 holds 3 * 10,220 / 13,380 = 2.3 workers' shares of
+    # the unknowns, so its rows are split over 3 stacks; 1D/128 and 1D/32
+    # hold less than one share each and stay whole.
     assert cli._STACK_UNKNOWNS == 8192
     jobs = sorted((g, c, "none") for g in range(1, 21) for c in (32, 128, 512))
     cfg_1d = RunConfig.from_file(write_cfg(tmp_path, "domain.dim = 1\n", "1d.cfg"))
-    stacks = cli._sweep_stacks(cfg_1d, jobs)
+    stacks = cli._sweep_stacks(cfg_1d, jobs, 1)
     assert [(s[0][1], len(s)) for s in stacks] == [(512, 16), (512, 4), (128, 20), (32, 20)]
     assert sorted(itertools.chain(*stacks)) == jobs
+    stacks = cli._sweep_stacks(cfg_1d, jobs, 3)
+    assert [(s[0][1], len(s)) for s in stacks] == [
+        (512, 7), (512, 7), (512, 6), (128, 20), (32, 20)
+    ]
+    assert sorted(itertools.chain(*stacks)) == jobs
     cfg_2d = RunConfig.from_file(write_cfg(tmp_path, "domain.dim = 2\n", "2d.cfg"))
-    assert [len(s) for s in cli._sweep_stacks(cfg_2d, jobs)] == [1] * 40 + [8, 8, 4]
+    assert [len(s) for s in cli._sweep_stacks(cfg_2d, jobs, 1)] == [1] * 40 + [8, 8, 4]
 
 
 @pytest.mark.parametrize("command", ["solve", "verify", "sweep"])

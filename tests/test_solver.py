@@ -591,9 +591,9 @@ def test_overflowing_source_raises_overflow_error():
 
 
 def _stacked_levels(specs, schedule, cfg=None):
-    """Per problem of the stack, the levels ``iter_sequence`` yields for it."""
+    """Per problem of the stack, the levels ``_iter_stack`` yields for it."""
     levels = [[] for _ in specs]
-    for n, solved in iter_sequence(specs, schedule, cfg):
+    for n, solved in solver._iter_stack(specs, schedule, cfg):
         for i, (res, l1, mx) in solved.items():
             levels[i].append((n, res, l1, mx))
     return levels
@@ -611,12 +611,17 @@ def _assert_same_levels(stacked, lone):
 
 @pytest.mark.parametrize("n", [31, 127, 511, 4095])
 def test_row_dots_are_the_lone_dot_products(n):
-    # Each row's PCG dot product has the bits of the lone a @ b; einsum sums
-    # in another order and misses some by an ulp.
+    # The PCG loop takes each row's dot product as a (k, 1, N) stack times
+    # the transposed view of another, in either order: each has the bits of
+    # the lone a @ b.  einsum sums in another order and misses some by an
+    # ulp.
     rng = np.random.default_rng(n)
-    a, b = rng.uniform(-1.0, 1.0, (2, 6, n))
-    assert solver._dots(a, b).shape == (6, 1)
-    assert [float(x) for x in solver._dots(a, b)[:, 0]] == [float(x @ y) for x, y in zip(a, b)]
+    a, b = rng.uniform(-1.0, 1.0, (2, 6, 1, n))
+    lone = [float(x[0] @ y[0]) for x, y in zip(a, b)]
+    for x, y in ((a, b), (b, a)):
+        dots = x @ y.transpose(0, 2, 1)
+        assert dots.shape == (6, 1, 1)
+        assert [float(v) for v in dots[:, 0, 0]] == lone
 
 
 _STACK_H = [
@@ -677,4 +682,4 @@ def test_stacked_schedule_ends_only_the_nonconvergent_rows():
 def test_stack_rejects_problems_that_cannot_share_a_loop(other, message):
     spec = spec_1d(cells=32, mu=DELTA_HALF)
     with pytest.raises(ValueError, match=message):
-        next(iter_sequence([spec, other(spec)], (2, 4)))
+        next(solver._iter_stack([spec, other(spec)], (2, 4)))
