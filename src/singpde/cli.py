@@ -23,15 +23,18 @@ The solver and the diagnostics return observed numbers, and each suite
 holds the bounds that judge its rows; a solve that a suite needs and that
 does not converge ends the run with exit 2, by one convergence rule.
 ``sweep`` runs the Cartesian product of the configured parameter grids and
-aggregates one row per run.  The rows run in forked worker processes (the
-config key ``threads`` sets how many, capped at the CPUs the process may
-run on and at the stacks), so ``sweep`` needs a POSIX system.  Each worker
-takes a stack: rows of one cells value, solved together by one stacked
-level loop, each row to the bits of its lone solve.  A cells value's rows
-are spread over as many workers as its share of the sweep's work, at most
-``_STACK_UNKNOWNS`` unknowns per stack, so the rows of a larger grid are
-solved one at a time.  A stack that raises is solved again row by row, so
-only the row at fault records ``error:<Type>``.
+aggregates one row per run.  The rows run in worker processes forked by
+``os.fork`` (the config key ``threads`` sets how many, capped at the CPUs
+the process may run on and at the stacks), so ``sweep`` needs a POSIX
+system.  The rows are grouped into stacks: rows of one cells value, solved
+together by one stacked level loop, each row to the bits of its lone solve.
+A cells value's rows are spread over as many stacks as its share of the
+sweep's work, at most ``_STACK_UNKNOWNS`` unknowns per stack, so the rows
+of a larger grid are solved one at a time.  The workers inherit the config
+and the stacks through the fork and are dealt the stacks in turn, finest
+grid first; each sends its rows back pickled through its own pipe.  A stack
+that raises is solved again row by row, so only the row at fault records
+``error:<Type>``.
 Only the output directory (``--out``, default ``out``) and verify's suite
 (``--suite``, default ``all``) are not config keys.
 All CSV output uses 17 significant digits so identical configurations
@@ -57,6 +60,8 @@ from __future__ import annotations
 import argparse
 import itertools
 import math
+import os
+import pickle
 import sys
 from collections import namedtuple
 from dataclasses import replace
@@ -631,23 +636,61 @@ def _sweep_stack(cfg: RunConfig, jobs: list) -> list[list]:
     return rows
 
 
-# The config of a sweep worker process, set once when the worker starts.
-_worker_cfg: RunConfig | None = None
+def _fork_map(fn, tasks: list, workers: int) -> list:
+    """``[fn(task) for task in tasks]``, computed in ``workers`` forked child
+    processes (POSIX only), child i taking tasks i, i + workers, ...  Each
+    child inherits ``fn`` and what it reads through the fork, sends its
+    results pickled through its own pipe and leaves only through
+    ``os._exit``, with code 0 once the pipe is written and closed.  The
+    parent reads each pipe to EOF and reaps its child in turn; a nonzero exit
+    raises ChildProcessError, and every child still alive when this raises
+    is killed and reaped."""
+    sources, alive = [], []  # each child's read end; the children not yet reaped
+    try:
+        for i in range(workers):
+            read, write = os.pipe()
+            sources.append(open(read, "rb"))
+            with open(write, "wb") as sink:
+                pid = os.fork()
+                if pid == 0:
+                    code = 1
+                    try:
+                        for source in sources:
+                            source.close()
+                        pickle.dump([fn(task) for task in tasks[i::workers]], sink)
+                        sink.close()
+                        code = 0
+                    except BaseException:  # to fd 2: sys.stderr's buffer may hold the parent's text
+                        import traceback
 
-
-def _init_sweep_worker(cfg: RunConfig) -> None:
-    global _worker_cfg
-    _worker_cfg = cfg
-
-
-def _sweep_job(jobs: list) -> list[list]:
-    return _sweep_stack(_worker_cfg, jobs)
+                        os.write(2, traceback.format_exc().encode())
+                    finally:
+                        os._exit(code)
+            alive.append(pid)
+        results = [None] * len(tasks)
+        for i, (pid, source) in enumerate(zip(list(alive), sources)):
+            data = source.read()
+            status = os.waitpid(pid, 0)[1]
+            alive.remove(pid)
+            if status:
+                raise ChildProcessError(f"sweep worker exited with {os.waitstatus_to_exitcode(status)}")
+            results[i::workers] = pickle.loads(data)
+        return results
+    finally:
+        for source in sources:
+            source.close()
+        for pid in alive:
+            os.kill(pid, 9)  # SIGKILL
+            os.waitpid(pid, 0)
 
 
 def _cmd_sweep(cfg: RunConfig, out_dir: Path) -> int:
-    """Run the sweep's stacks (``_sweep_stacks``) in ``cfg.threads`` forked
-    worker processes (POSIX only), at most one per CPU this process may run
-    on and per stack, and write the rows to sweep.csv in sorted job order."""
+    """Run the sweep's stacks (``_sweep_stacks``) in forked worker processes
+    (``_fork_map``, POSIX only), and write the rows to sweep.csv in sorted
+    job order.  ``cfg.threads`` sets the number of workers, capped at the
+    CPUs this process may run on and at the stacks.  The workers inherit
+    ``cfg``, which holds lambdas and cannot be pickled, through the fork;
+    only the finished rows cross back, one pipe per worker."""
     gammas = cfg.sweep_gammas
     cells_list = cfg.sweep_cells or (cfg.cells,)
     measures = cfg.sweep_measures or ("none",)
@@ -656,31 +699,14 @@ def _cmd_sweep(cfg: RunConfig, out_dir: Path) -> int:
     jobs = sorted(
         (g, c, m) for g in gammas for c in cells_list for m in measures
     )
-    # Imported here so that solve and verify do not pay for them.
-    import multiprocessing
-    import os
-    from concurrent.futures import ProcessPoolExecutor
-
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         cpus = os.cpu_count() or 1
     workers = min(cfg.threads, cpus)
     stacks = _sweep_stacks(cfg, jobs, workers)
-
-    # The workers are forked: the config holds lambdas and cannot be pickled,
-    # so it reaches them through ``initargs``, which fork passes unpickled.
-    # Only the stacks' job tuples and the finished rows cross the pipe.
-    with ProcessPoolExecutor(
-        max_workers=min(workers, len(stacks)),
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=_init_sweep_worker,
-        initargs=(cfg,),
-    ) as pool:
-        solved = dict(zip(
-            itertools.chain.from_iterable(stacks),
-            itertools.chain.from_iterable(pool.map(_sweep_job, stacks)),
-        ))
+    rows = _fork_map(lambda stack: _sweep_stack(cfg, stack), stacks, min(workers, len(stacks)))
+    solved = dict(zip(itertools.chain.from_iterable(stacks), itertools.chain.from_iterable(rows)))
     header = (
         ["gamma", "cells", "measure", "status", "levels", "final_l1_diff", "final_residual", "final_l1_norm"]
         + [f"min_K_{m:g}" for m in cfg.margins]

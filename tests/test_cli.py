@@ -3,6 +3,7 @@ import io
 import itertools
 import json
 import os
+import signal
 import subprocess
 import sys
 import textwrap
@@ -10,6 +11,7 @@ import warnings
 import weakref
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -487,8 +489,9 @@ def test_module_entry_point_runs_solve(tmp_path):
 
 def test_commands_do_not_import_scipy(tmp_path):
     # The solves and their guard run on numpy alone; importing scipy would
-    # cost a fresh process more than a small command's solves.  Only sweep
-    # needs multiprocessing, so solve and verify must not import it either.
+    # cost a fresh process more than a small command's solves.  Nor does any
+    # command import multiprocessing or concurrent.futures: sweep forks its
+    # workers with os.fork, and the two packages raised its peak memory.
     cfg = write_cfg(tmp_path, "\n".join([
         "domain.dim = 2",
         "domain.cells = 8",
@@ -497,22 +500,24 @@ def test_commands_do_not_import_scipy(tmp_path):
         "measure.atom = [0.5, 0.5, 0.5, 1.0]",
         "sequence.n_schedule = 2, 8, 32",
     ]) + "\n")
+    sweep_cfg = write_cfg(tmp_path, SWEEP, name="sweep.cfg")
     script = textwrap.dedent("""
         import json, sys
         from singpde.cli import main
-        cfg, out = sys.argv[1:]
+        cfg, sweep_cfg, out = sys.argv[1:]
         codes = [
             main(["solve", cfg, "--out", out + "/solve"]),
             main(["verify", cfg, "--out", out + "/verify", "--suite", "all"]),
+            main(["sweep", sweep_cfg, "--out", out + "/sweep"]),
         ]
         top = {m: m.partition(".")[0] for m in sys.modules}
         scipy = sorted(m for m, t in top.items() if t == "scipy")
-        mp = sorted(m for m, t in top.items() if t == "multiprocessing")
+        mp = sorted(m for m, t in top.items() if t in ("multiprocessing", "concurrent"))
         print(json.dumps({"codes": codes, "scipy": scipy, "multiprocessing": mp}))
     """)
     src = str(Path(singpde.__file__).resolve().parents[1])
     proc = subprocess.run(
-        [sys.executable, "-c", script, cfg, str(tmp_path)],
+        [sys.executable, "-c", script, cfg, sweep_cfg, str(tmp_path)],
         env={**os.environ, "PYTHONPATH": src},
         capture_output=True,
         text=True,
@@ -522,6 +527,7 @@ def test_commands_do_not_import_scipy(tmp_path):
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["codes"][0] == 0
     assert result["codes"][1] in (0, 3)  # 3: a check failed, the run completed
+    assert result["codes"][2] == 0
     assert result["scipy"] == []
     assert result["multiprocessing"] == []
 
@@ -1170,15 +1176,52 @@ def test_sweep_rows_run_outside_the_calling_process(tmp_path, monkeypatch):
     assert [r[3] for r in rows] == ["ok"] * 8
 
 
-def test_sweep_worker_death_exits_two_without_hanging(tmp_path):
-    # A worker that dies mid-row breaks the pool; the sweep must report it
-    # and exit, not wait for the lost row.  Run in a subprocess so that a
-    # hang fails the test through the timeout.
+def run_sweep_script(tmp_path, body):
+    """Run ``body`` in a fresh interpreter, with ``cli``, ``os``, ``sys``,
+    ``time``, ``cfg`` (the SWEEP config) and ``out`` defined, then
+    ``code = cli.main(["sweep", cfg, "--out", out])``, and after it print
+    ``caller,<pid>,<code>`` and whether any child process is left.  A hang
+    fails the test through the timeout."""
     cfg = write_cfg(tmp_path, SWEEP)
     out = tmp_path / "out"
     script = textwrap.dedent("""
-        import os, sys
+        import os, sys, time
         import singpde.cli as cli
+        cfg, out = sys.argv[1:]
+    """) + textwrap.dedent(body) + textwrap.dedent("""
+        code = cli.main(["sweep", cfg, "--out", out])
+        try:
+            os.waitpid(-1, os.WNOHANG)
+            left = "child-left"
+        except ChildProcessError:
+            left = "no-child"
+        print(f"caller,{os.getpid()},{code},{left}")
+    """)
+    src = str(Path(singpde.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-c", script, cfg, str(out)],
+        env={**os.environ, "PYTHONPATH": src},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        start_new_session=True,
+    )
+    try:
+        stdout, stderr = proc.communicate(timeout=120)
+    finally:  # a failed run may leave workers behind: kill its whole group
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.wait()
+    assert proc.returncode == 0, stdout + stderr
+    return out, proc.pid, stdout.splitlines()
+
+
+def test_sweep_worker_death_exits_two_without_hanging(tmp_path):
+    # A worker that dies mid-row ends the sweep: it must report it and exit,
+    # not wait for the lost row, and leave no child process behind.
+    out, pid, lines = run_sweep_script(tmp_path, """
         stack = cli._sweep_stack
 
         def die_on_one_job(cfg, jobs):
@@ -1187,19 +1230,46 @@ def test_sweep_worker_death_exits_two_without_hanging(tmp_path):
             return stack(cfg, jobs)
 
         cli._sweep_stack = die_on_one_job
-        cfg, out = sys.argv[1:]
-        sys.exit(cli.main(["sweep", cfg, "--out", out]))
     """)
-    src = str(Path(singpde.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-c", script, cfg, str(out)],
-        env={**os.environ, "PYTHONPATH": src},
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert proc.returncode == 2, proc.stdout + proc.stderr
-    assert proc.stdout.splitlines()[-1].startswith("reason,2,infrastructure,BrokenProcessPool")
+    assert lines[-2] == "reason,2,infrastructure,ChildProcessError: sweep worker exited with 1"
+    assert lines[-1] == f"caller,{pid},2,no-child"
+    assert not (out / "sweep.csv").exists()
+
+
+def test_sweep_kills_the_workers_left_when_one_dies(tmp_path):
+    # The first worker dies on its first stack while the second one would
+    # solve for ten minutes: the parent kills and reaps it, and returns.
+    out, pid, lines = run_sweep_script(tmp_path, """
+        def first_dies_second_sleeps(cfg, jobs):
+            if jobs[0][0] == 0.5:
+                os._exit(1)
+            time.sleep(600)
+
+        cli._sweep_stack = first_dies_second_sleeps
+    """)
+    assert lines[-2] == "reason,2,infrastructure,ChildProcessError: sweep worker exited with 1"
+    assert lines[-1] == f"caller,{pid},2,no-child"
+    assert not (out / "sweep.csv").exists()
+
+
+def test_sweep_worker_leaves_through_its_own_exit_on_a_base_exception(tmp_path):
+    # SystemExit(0) passes _sweep_stack's per-row except Exception.  The
+    # worker must still exit nonzero and never return into the caller's
+    # code: only the parent prints a reason and a caller line, and the
+    # worker does not flush the parent's buffered output a second time.
+    out, pid, lines = run_sweep_script(tmp_path, """
+        print("buffered before the fork")
+
+        def exit_zero(cfg, jobs):
+            raise SystemExit(0)
+
+        cli._sweep_stack = exit_zero
+    """)
+    assert lines == [
+        "buffered before the fork",
+        "reason,2,infrastructure,ChildProcessError: sweep worker exited with 1",
+        f"caller,{pid},2,no-child",
+    ]
     assert not (out / "sweep.csv").exists()
 
 
@@ -1338,41 +1408,24 @@ def test_sweep_threads_below_one_is_config_error(tmp_path, capsys):
     assert not (out / "sweep.csv").exists()
 
 
-class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records its worker count and the
+@pytest.fixture
+def recording_fork(monkeypatch):
+    """Stands in for ``cli._fork_map``: records its worker count and the
     sizes of the stacks it is given, and runs them in this process, so no
     process starts."""
+    record = SimpleNamespace(workers=[], stack_sizes=[])
 
-    max_workers = []
-    stack_sizes = []
+    def fork_map(fn, stacks, workers):
+        record.workers.append(workers)
+        record.stack_sizes.append([len(stack) for stack in stacks])
+        return [fn(stack) for stack in stacks]
 
-    def __init__(self, max_workers, mp_context, initializer, initargs):
-        self.max_workers.append(max_workers)
-        initializer(*initargs)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, stacks):
-        self.stack_sizes.append([len(stack) for stack in stacks])
-        return map(fn, stacks)
-
-
-@pytest.fixture
-def recording_pool(monkeypatch):
-    import concurrent.futures
-
-    monkeypatch.setattr(_RecordingPool, "max_workers", [])
-    monkeypatch.setattr(_RecordingPool, "stack_sizes", [])
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
-    return _RecordingPool
+    monkeypatch.setattr(cli, "_fork_map", fork_map)
+    return record
 
 
 @pytest.mark.parametrize("affinity", [True, False])
-def test_sweep_workers_capped_at_usable_cpus(tmp_path, monkeypatch, recording_pool, affinity):
+def test_sweep_workers_capped_at_usable_cpus(tmp_path, monkeypatch, recording_fork, affinity):
     # threads = 10**6 would fork a worker per stack: the 8 jobs run on the 3
     # CPUs the process may use, read from the affinity mask or, where the
     # platform has none, from the CPU count.
@@ -1385,12 +1438,12 @@ def test_sweep_workers_capped_at_usable_cpus(tmp_path, monkeypatch, recording_po
     cfg = write_cfg(tmp_path, SWEEP.replace("threads = 2", f"threads = {10**6}"))
     out = tmp_path / "out"
     assert main(["sweep", cfg, "--out", str(out)]) == 0
-    assert recording_pool.max_workers == [3]
+    assert recording_fork.workers == [3]
     _, rows = read_rows(out / "sweep.csv")
     assert [r[3] for r in rows] == ["ok"] * 8
 
 
-def test_sweep_rows_of_one_grid_spread_over_the_workers(tmp_path, monkeypatch, recording_pool):
+def test_sweep_rows_of_one_grid_spread_over_the_workers(tmp_path, monkeypatch, recording_fork):
     # A sweep over one cells value keeps the workers busy: its 6 rows are
     # split into stacks of at most ceil(6 / workers) rows, not solved as one
     # stack on one worker.  Four workers get 3 stacks of 2 rows, which end
@@ -1401,15 +1454,15 @@ def test_sweep_rows_of_one_grid_spread_over_the_workers(tmp_path, monkeypatch, r
         cfg = write_cfg(tmp_path, text.replace("sweep.cells = 8, 16", "sweep.cells = 16")
                         .replace("threads = 2", f"threads = {threads}"))
         assert main(["sweep", cfg, "--out", str(tmp_path / str(threads))]) == 0
-        assert recording_pool.stack_sizes[-1] == sizes
-        assert recording_pool.max_workers[-1] == workers
+        assert recording_fork.stack_sizes[-1] == sizes
+        assert recording_fork.workers[-1] == workers
         assert (tmp_path / str(threads) / "sweep.csv").read_bytes() == (
             tmp_path / "1" / "sweep.csv"
         ).read_bytes()
 
 
 def test_sweep_grid_above_the_stack_cap_runs_one_row_per_stack(tmp_path, monkeypatch,
-                                                                recording_pool):
+                                                                recording_fork):
     # Under the cap the 8 rows of one worker make one stack per cells value.
     # Above it (7 and 15 unknowns against a cap of 6) each row is its own
     # stack, as before rows were stacked, and sweep.csv keeps its bytes.
@@ -1417,7 +1470,7 @@ def test_sweep_grid_above_the_stack_cap_runs_one_row_per_stack(tmp_path, monkeyp
     assert main(["sweep", cfg, "--out", str(tmp_path / "stacked")]) == 0
     monkeypatch.setattr(cli, "_STACK_UNKNOWNS", 6)
     assert main(["sweep", cfg, "--out", str(tmp_path / "alone")]) == 0
-    assert recording_pool.stack_sizes == [[4, 4], [1] * 8]
+    assert recording_fork.stack_sizes == [[4, 4], [1] * 8]
     assert (tmp_path / "alone" / "sweep.csv").read_bytes() == (
         tmp_path / "stacked" / "sweep.csv"
     ).read_bytes()
