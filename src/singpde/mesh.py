@@ -44,7 +44,7 @@ __all__ = [
     "require_same_grid",
 ]
 
-# Backward-error bound for solve_spd, in units of machine epsilon:
+# Backward-error bound for _solve, in units of machine epsilon:
 #   max|A x - b| <= _BACKWARD_ERROR_FACTOR * eps * (||A||_inf (max|x| + tiny) + max|b|)
 # (Higham, Accuracy and Stability of Numerical Algorithms, ch. 7).  The
 # smallest normal number ``tiny`` accounts for gradual underflow, where each

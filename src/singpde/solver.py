@@ -16,9 +16,11 @@ Methods for Linear and Nonlinear Equations, 1995).  Multiplied by the
 Laplacian A, the Newton system is (A + D) d = A (T(u) - u) with the diagonal
 D = min(n, f) |h_n'(u + 1/n)| >= 0, an SPD system that conjugate gradients
 solve, preconditioned by the exact sine-transform solve of A, to relative
-residual 0.1.  The step is u <- max(u + d, u/2), which keeps u positive,
-and a step that does not lower max|T(u) - u| is halved.  T stays the judge:
-a level is accepted, and u returned, once max|T(u) - u| <= tol_fp.
+residual 0.1.  One rule moves u from its base (u_b, d_b) and step s to
+max(u_b + s d_b, u_b/2), which keeps u positive: s halves, down to 1/64,
+while max|T(u) - u| stays at or above the base's; otherwise (u, d) becomes
+the base, with s = 1.  T stays the judge: a level is accepted once
+max|T(u) - u| <= tol_fp.
 
 Two drivers run levels, both through ``_prepare`` and ``_iterate``:
 ``solve_regularized`` solves one level, and the generator ``_iter_stack``,
@@ -124,8 +126,9 @@ class SolverConfig:
     A level is accepted once one Picard step moves the iterate by at most
     ``tol_fp`` in the max norm; ``tol_fp`` defaults to None and resolves to
     1e-10 in 1D and 1e-8 otherwise.  ``max_iters`` bounds the evaluations of
-    the Picard map per level.  The bounds that judge verify's checks are not
-    solver settings; they sit with the suites in ``cli``.
+    the Picard map per level at its iterates; a cold start makes one more,
+    T(0).  The bounds that judge verify's checks are not solver settings;
+    they sit with the suites in ``cli``.
     """
 
     tol_fp: float | None = None
@@ -147,9 +150,11 @@ class SolverConfig:
 class SolveResult:
     """Converged (or flagged) nonnegative solution of one regularized level.
 
-    ``iterations`` counts evaluations of the Picard map T, ``residual`` is
-    the last max|T(u) - u| and ``linear_solves`` counts every Laplacian
-    solve of the level (one per evaluation of T, plus the PCG solves).
+    ``iterations`` counts evaluations of the Picard map T at the iterates,
+    ``residual`` is the last max|T(u) - u| and ``linear_solves`` counts
+    every Laplacian solve of the level: one per evaluation of T, the T(0)
+    of a cold start included, plus the PCG solves, i.e. cold + iterations
+    + PCG.
     """
 
     u: GridFunction
@@ -356,15 +361,17 @@ def _iterate(prep: _Prepared, lap: DiscreteOperator, cfg: SolverConfig, tol_fp: 
 
     ``initial`` is None (a cold start) or the problems' starts, one row
     each.  Each iteration evaluates w = T(u) (one solve) and accepts u once
-    max|w - u| <= tol_fp.  Otherwise it takes the Newton step d of
-    u - T(u) = 0, i.e. (A + D) d = A (w - u) with D = f_n |h_n'(|u| + 1/n)|
-    where u >= 0, and moves to max(u + d, u/2).  A step that does not lower
-    max|w - u| below its base is halved from the base.  The returned u is
-    the last one judged, so ``residual`` is its own max|T(u) - u|.  Every
-    decision is taken row by row, and a row leaves the stack once accepted
-    or out of iterations, so each problem gets the bits of its lone solve.
-    Floating-point overflow raises no warning here: a non-finite source or
-    iterate raises OverflowError instead.
+    max|w - u| <= tol_fp; with f identically zero T is constant and u moves
+    to w.  Otherwise a row whose max|w - u| did not fall below its base's
+    halves its step, while the step exceeds ``_MIN_STEP``, and every other
+    row takes, from one PCG call, the Newton step d of u - T(u) = 0, i.e.
+    (A + D) d = A (w - u) with D = f_n |h_n'(|u| + 1/n)| where u >= 0, and
+    makes (u, d, max|w - u|) its base with step 1.  Then every row moves to
+    max(base_u + step base_d, base_u/2).  The returned u is the last one
+    judged, so ``residual`` is its own max|T(u) - u|.  A row leaves the
+    stack once accepted or out of iterations, so each problem gets the bits
+    of its lone solve.  Floating-point overflow raises no warning here: a
+    non-finite source or iterate raises OverflowError instead.
     """
     k, grid = len(prep.hs), prep.grid
     results: list = [None] * k
@@ -379,9 +386,10 @@ def _iterate(prep: _Prepared, lap: DiscreteOperator, cfg: SolverConfig, tol_fp: 
     iterations = 0
     residual = np.full(k, np.inf)
     # A row's base is read only after its first Newton step; until then u
-    # stands in for it, so that no array is allocated for it.
+    # stands in for it, so that no array is allocated for it.  A NaN base
+    # residual compares false, so no row halves before it has a base.
     base_u = base_d = u
-    base_residual = np.full(k, np.inf)
+    base_residual = np.full(k, np.nan)
     step = np.ones(k)
 
     def finish(done):
@@ -413,22 +421,14 @@ def _iterate(prep: _Prepared, lap: DiscreteOperator, cfg: SolverConfig, tol_fp: 
             )
             if hv is not None:
                 arg, hv = arg[keep], hv[keep]
-        halve = residual >= base_residual
-        partial = bool(halve.any())
-        if partial:  # only rows with steps left to halve
-            halve &= step > _MIN_STEP
-            partial = bool(halve.any())
-        if partial:
-            step[halve] *= 0.5
-            halved = np.maximum(base_u + step[:, None] * base_d, 0.5 * base_u)
-            if halve.all():
-                u = halved
-                continue
-        # The rows that take a new step: all of them, or those not halved.
-        sel = ~halve if partial else slice(None)
         if hv is None:  # T is constant, so T(u) = u + r is its fixed point
-            new = u[sel] + r[sel]
-        else:
+            u = u + r
+            continue
+        halve = (residual >= base_residual) & (step > _MIN_STEP)
+        step[halve] *= 0.5
+        if not halve.all():
+            whole = not halve.any()
+            sel = slice(None) if whole else ~halve
             diag = _by_h(
                 prep, lambda h, s, hs: slope_h_n(h, prep.cap, s, hs), arg + prep.shift, hv
             )
@@ -439,29 +439,24 @@ def _iterate(prep: _Prepared, lap: DiscreteOperator, cfg: SolverConfig, tol_fp: 
             diag[arg != u] = 0.0
             # Free what the PCG solves do not read: their work vectors set the
             # level solve's peak memory.  The old base is read after them only
-            # for the rows that halved.
+            # by the rows that halve.
             del arg, hv
-            if partial:
-                base_residual[sel] = residual[sel]
-                step[sel] = 1.0
-            else:
+            if whole:
                 base_u = base_d = None
-                base_residual, step = residual, np.ones(len(rows))
             d, cg_solves = _newton_direction(prep, lap, r[sel], diag[sel])
             pcg_solves[sel] += cg_solves
-            new = np.maximum(u[sel] + d, 0.5 * u[sel])
-            if not np.isfinite(new).all():
-                raise OverflowError("Newton iterate contains non-finite values")
-            if partial:
-                base_u, base_d = base_u.copy(), base_d.copy()
-                base_u[sel], base_d[sel] = u[sel], d
-            else:
+            # In place: a fresh step and base residual array each iteration
+            # (np.where) raised solve's minor faults on 3D/64 from 44k to 56k.
+            base_residual[sel], step[sel] = residual[sel], 1.0
+            if whole:
                 base_u, base_d = u, d
-            del d  # base_d alone keeps it, so the next step frees it before its PCG
-        if partial:
-            halved[sel] = new
-            new = halved
-        u = new
+            else:
+                base_u[sel], base_d[sel] = u[sel], d
+            del d  # only base_d keeps it, so the next step frees it before its PCG
+        # 1.0 * d == d exactly: a row with a new base moves to max(u + d, u/2).
+        u = np.maximum(base_u + step[:, None] * base_d, 0.5 * base_u)
+        if not np.isfinite(u).all():
+            raise OverflowError("Newton iterate contains non-finite values")
     finish(np.ones(len(rows), dtype=bool))
     return results
 

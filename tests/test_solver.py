@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import singpde.solver as solver
+from singpde.config import SWEEP_MEASURES
 from singpde.fields import constant, gaussian_bump, manufactured_singular, sin_pi, zero
 from singpde.measures import RadonMeasure, mollify
 from singpde.mesh import (
@@ -669,6 +670,58 @@ def test_stacked_schedule_ends_only_the_nonconvergent_rows():
     assert [levels[-1][1].converged for levels in stacked] == [True] + [False] * 4
     for spec, levels in zip(specs, stacked):
         _assert_same_levels(levels, list(iter_sequence(spec, schedule, cfg)))
+
+
+def _spied_levels(monkeypatch, specs):
+    """``_stacked_levels`` on the default schedule, and per level n the
+    ``(stack rows, direction rows)`` of each ``_newton_direction`` call."""
+    calls, per_level = [], {}
+    newton = solver._newton_direction
+
+    def spy(prep, lap, r, diag):
+        calls.append((len(prep.hs), len(r)))
+        return newton(prep, lap, r, diag)
+
+    monkeypatch.setattr(solver, "_newton_direction", spy)
+    levels = [[] for _ in specs]
+    for n, solved in solver._iter_stack(specs):
+        per_level[n], calls[:] = calls[:], []
+        for i, (res, l1, mx) in solved.items():
+            levels[i].append((n, res, l1, mx))
+    monkeypatch.undo()
+    return levels, per_level
+
+
+def _halvings(levels, calls):
+    """Per level, the steps halved: every iteration but the accepting one
+    moves u, by a Newton step or by halving the last one."""
+    return {n: res.iterations - 1 - len(calls[n]) for n, res, *_ in levels}
+
+
+def _halving_spec(gamma, measure):
+    return ProblemSpec(grid=build_grid(1, 64), h=SingularNonlinearity.pure_power(gamma),
+                       f=constant(1.0), mu=SWEEP_MEASURES[measure])
+
+
+def test_lone_schedule_halves_a_step_that_does_not_lower_the_residual(monkeypatch):
+    [levels], calls = _spied_levels(monkeypatch, [_halving_spec(3.0, "uniform")])
+    assert all(res.converged for _, res, *_ in levels)
+    assert {n: k for n, k in _halvings(levels, calls).items() if k} == {32: 1}
+
+
+def test_stacked_row_halves_while_its_stack_mates_take_newton_steps(monkeypatch):
+    # Alone, only the gamma = 3 row with the uniform measure halves at level
+    # 32.  In the stack its three mates take Newton steps in that iteration,
+    # in one PCG call without it, and every row keeps its lone bits.
+    specs = [_halving_spec(g, m) for g in (1.5, 3.0) for m in ("none", "uniform")]
+    stacked, calls = _spied_levels(monkeypatch, specs)
+    assert [c for c in calls[32] if c[1] < c[0]] == [(4, 3)]
+    halved_at_32 = []
+    for spec, levels in zip(specs, stacked):
+        [lone], lone_calls = _spied_levels(monkeypatch, [spec])
+        _assert_same_levels(levels, lone)
+        halved_at_32.append(_halvings(lone, lone_calls)[32])
+    assert halved_at_32 == [0, 0, 0, 1]
 
 
 @pytest.mark.parametrize(
