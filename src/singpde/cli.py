@@ -26,8 +26,8 @@ does not converge ends the run with exit 2, by one convergence rule.
 aggregates one row per run.  The rows run in worker processes forked by
 ``os.fork`` (the config key ``threads`` sets how many, capped at the CPUs
 the process may run on and at the stacks), so ``sweep`` needs a POSIX
-system.  The rows are grouped into stacks: rows of one cells value, solved
-together by one stacked level loop, each row to the bits of its lone solve.
+system.  The rows are grouped into stacks: rows of one cells value whose
+level loops share each round's kernel solve, each row to its lone bits.
 A cells value's rows are spread over as many stacks as its share of the
 sweep's work, at most ``_STACK_UNKNOWNS`` unknowns per stack, so the rows
 of a larger grid are solved one at a time.  The workers inherit the config

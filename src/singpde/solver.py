@@ -30,20 +30,16 @@ its successive difference in the discrete L1 norm, the natural norm for the
 limit passage; ``iter_sequence`` is its view of one problem.  It keeps only
 the previous level; a caller that needs more keeps what it reads.
 
-The level loop runs a stack of k problems on one grid at once, as (k, N)
-arrays: ``solve_regularized`` and ``iter_sequence`` pass one problem, and
-``sweep`` passes the rows of one grid to ``_iter_stack``.  Each step,
-halving, PCG stop and iteration limit is decided row by row, a row leaves
-the stack when its level is accepted or runs out of iterations, and every
-row gets the bits of its lone solve: the kernels keep each row's BLAS call
-and reduction order, and h is evaluated once per distinct h of the stack,
-with its scalar exponent.  Stacking many small solves into one call cuts
-the interpreter overhead per solve (Dongarra et al., "A Proposed API for
-Batched BLAS", 2016).
-
-A level runs on plain arrays and solves with the kernel ``mesh._solve``; a
-GridFunction is built only where a value leaves: ``SolveResult.u``,
-``level_source`` and the sandwich pair.
+The level loop ``_level`` runs one problem on plain arrays: a generator
+that yields each right-hand side it needs solved with the Laplacian and is
+sent the solution.  ``_iterate`` runs the loops of a stack of problems on
+one grid (``sweep`` passes the rows of one grid to ``_iter_stack``, every
+other caller one problem), and they share only the kernel: each round
+solves every pending right-hand side in one ``mesh._solve`` call, which
+gives each row the bits of its lone solve.  Stacking many small solves into
+one call cuts the interpreter overhead per solve (Dongarra et al., "A
+Proposed API for Batched BLAS", 2016).  A GridFunction is built only where
+a value leaves: ``SolveResult.u``, ``level_source`` and the sandwich pair.
 
 ``level_source`` is the one definition of the level-n source
 F(u) = h_n(u + 1/n) min(n, f) + mu_n, so T(u) = A^-1 F(u); the Picard map
@@ -65,7 +61,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -171,86 +166,43 @@ class SolveResult:
 
 @dataclass(eq=False)
 class _Prepared:
-    """The level data of a stack of problems on one grid at one level n:
-    row i of ``f_capped`` and ``mu_vals`` and ``hs[i]`` belong to problem
-    i.  Whether f vanishes identically, ``f_active``, is shared by the rows.
-    """
+    """The level data of one problem at its level n."""
 
     grid: Grid
-    hs: tuple[SingularNonlinearity, ...]
+    h: SingularNonlinearity
     cap: float
     shift: float
     f_capped: np.ndarray
     mu_vals: np.ndarray
     f_active: bool
 
-    @cached_property
-    def groups(self) -> list[tuple[SingularNonlinearity, list[int]]]:
-        """Each distinct h of the stack with the rows that have it."""
-        rows: dict[SingularNonlinearity, list[int]] = {}
-        for i, h in enumerate(self.hs):
-            rows.setdefault(h, []).append(i)
-        return list(rows.items())
 
-    def rows(self, keep: np.ndarray) -> "_Prepared":
-        """The stack of the rows where ``keep`` holds."""
-        return replace(
-            self,
-            hs=tuple(h for h, k in zip(self.hs, keep) if k),
-            f_capped=self.f_capped[keep],
-            mu_vals=self.mu_vals[keep],
-        )
-
-
-def _prepare(specs) -> _Prepared:
-    """The level data of ``specs``, problems on one grid at one level."""
-    grid, level = specs[0].grid, specs[0].n
-    for spec in specs:
-        require_same_grid(grid, spec.grid)
-        if spec.n != level:
-            raise ValueError(f"a stack solves one level, got {spec.n} and {level}")
-    n = float(level)
-    f_vals = np.stack([sample_field(grid, spec.f).values for spec in specs])
+def _prepare(spec: ProblemSpec) -> _Prepared:
+    f_vals = sample_field(spec.grid, spec.f).values
     if np.any(f_vals < 0):
         raise ValueError("source f must be nonnegative at every node")
+    n = float(spec.n)
     f_capped = np.minimum(f_vals, n)
-    active = np.any(f_capped > 0, axis=1)
-    if active.any() and not active.all():
-        raise ValueError("the problems of a stack must agree on whether f vanishes")
     return _Prepared(
-        grid=grid,
-        hs=tuple(spec.h for spec in specs),
+        grid=spec.grid,
+        h=spec.h,
         cap=n,
         shift=1.0 / n,
         f_capped=f_capped,
-        mu_vals=np.stack([mollify(spec.mu, grid, level).values.values for spec in specs]),
-        f_active=bool(active.all()),
+        mu_vals=mollify(spec.mu, spec.grid, spec.n).values.values,
+        f_active=bool(np.any(f_capped > 0)),
     )
 
 
-def _by_h(prep: _Prepared, fn, *arrays) -> np.ndarray:
-    """``fn(h, *rows)`` over the stack: one call per distinct h, on the rows
-    that have it.  Each call keeps h's scalar exponent; an array of
-    exponents would round differently (numpy's x ** -1.0 takes its
-    reciprocal path, for one)."""
-    if len(prep.groups) == 1:
-        return fn(prep.hs[0], *arrays)
-    out = np.empty_like(arrays[0])
-    for h, rows in prep.groups:
-        out[rows] = fn(h, *(a[rows] for a in arrays))
-    return out
-
-
 def _source(prep: _Prepared, arg: np.ndarray | None):
-    """The level-n sources ``(F, h values)`` of the stack, h evaluated at
-    ``arg``, one row per problem.
+    """The level-n source ``(F, h values)`` with h evaluated at ``arg``.
 
-    With f identically zero the problems are linear in the measure: ``arg``
-    may be None, h is never evaluated and the h values are None.
+    With f identically zero the problem is linear in the measure: ``arg`` may
+    be None, h is never evaluated and the h values are None.
     """
     if not prep.f_active:
         return prep.mu_vals, None
-    hv = _by_h(prep, lambda h, s: eval_h_n(h, prep.cap, s), arg + prep.shift)
+    hv = eval_h_n(prep.h, prep.cap, arg + prep.shift)
     rhs = hv * prep.f_capped + prep.mu_vals
     if not np.isfinite(rhs).all():
         raise OverflowError("right-hand side overflowed during Picard step")
@@ -261,20 +213,20 @@ def level_source(spec: ProblemSpec, u: GridFunction) -> GridFunction:
     """F(u) = min(n, h(|u| + 1/n)) min(n, f) + mu_n at level ``spec.n``: the
     source whose solve is the Picard map's image, T(u) = A^-1 F(u)."""
     require_same_grid(spec.grid, u.grid)
-    rhs, _ = _source(_prepare([spec]), np.abs(u.values)[None])
-    return GridFunction(spec.grid, rhs[0])
+    rhs, _ = _source(_prepare(spec), np.abs(u.values))
+    return GridFunction(spec.grid, rhs)
 
 
-def _picard(prep: _Prepared, lap: DiscreteOperator, u: np.ndarray):
-    """One step of the Picard map on the stack ``u``: ``(T(u), |u|, h
-    values)``, with ``lap`` the Laplacian of ``prep.grid``.
+def _picard(prep: _Prepared, u: np.ndarray):
+    """One step of the Picard map, a generator that yields F(u) and is sent
+    A^-1 F(u): returns ``(T(u), |u|, h values)``.
 
     |u| is the argument of h; it and the h values are None when f vanishes
     identically.
     """
     arg = np.abs(u) if prep.f_active else None
     rhs, hv = _source(prep, arg)
-    return _solve(lap, rhs), arg, hv
+    return (yield rhs), arg, hv
 
 
 # Forcing term of the inexact Newton solve: PCG stops once the linear
@@ -288,176 +240,144 @@ _MAX_CG_ITERS = 50
 _MIN_STEP = 1.0 / 64.0
 
 
-def _newton_direction(
-    prep: _Prepared, lap: DiscreteOperator, r: np.ndarray, diag: np.ndarray
-):
-    """Inexact solution d of (A + diag(diag)) d = A r, row by row of the
-    stack ``r``, by PCG preconditioned by the exact solve of A; returns d
-    and the number of solves made for each row.
+def _newton_direction(prep: _Prepared, r: np.ndarray, diag: np.ndarray):
+    """Inexact solution d of (A + diag(diag)) d = A r by PCG, preconditioned
+    by the exact solve of A, a generator that yields each residual to solve
+    with A and is sent the solution; returns d and the number of solves.
 
     Started from d = 0, the first preconditioned residual A^-1 (A r) is r
     itself, and A p is carried by recurrence through A z = res, so the only
-    stencil application is the one forming A r.  Each row stops on its own
-    test and then leaves the stack.  ``r`` is overwritten: it serves as the
-    search direction.
-
-    The vectors are held as (k, 1, N) stacks of rows and the per-row scalars
-    as (k, 1, 1) arrays, so that ``x @ y.transpose(0, 2, 1)`` is each row's
-    dot product, with the bits of the lone row's ``x @ y`` (``einsum`` sums
-    in another order), and a scalar scales its own row.  The transposed
-    views are taken once per set of rows: the vectors are updated in place.
+    stencil application is the one forming A r.  ``r`` is overwritten: it
+    serves as the search direction.
     """
-    p = r[:, None, :]
-    res = _apply(prep.grid, p)
-    d = np.zeros_like(res)
-    dk = d
-    ap = res.copy()
-    q = np.empty_like(res)
-    res_t, q_t = res.transpose(0, 2, 1), q.transpose(0, 2, 1)
-    stop = _FORCING * np.sqrt(res @ res_t)
-    rz = p @ res_t
-    diag = diag[:, None, :]
-    solves = np.full(len(r), _MAX_CG_ITERS)
-    rows = np.arange(len(r))  # the rows still iterating
-    for made in range(_MAX_CG_ITERS):
+    b = _apply(prep.grid, r)
+    stop = _FORCING * math.sqrt(b @ b)
+    d = np.zeros_like(r)
+    res = b
+    p = r
+    ap = b.copy()
+    q = np.empty_like(r)
+    rz = float(res @ p)
+    solves = 0
+    for _ in range(_MAX_CG_ITERS):
         np.multiply(diag, p, out=q)
         q += ap
-        alpha = rz / (p @ q_t)
-        dk += alpha * p
+        alpha = rz / float(p @ q)
+        d += alpha * p
         res -= alpha * q
-        # Written so that a non-finite norm (overflow) also ends a row; the
-        # caller's finiteness check on the new iterate reports it.
-        norm = np.sqrt(res @ res_t)
-        going = (stop < norm) & (norm < np.inf)
-        if not going.all():
-            if not going.any():
-                solves[rows] = made
-                break
-            keep = going[:, 0, 0]
-            done = ~keep
-            solves[rows[done]] = made
-            d[rows[done]] = dk[done]
-            rows, dk, res, p, ap, q, diag, rz, stop = (
-                a[keep] for a in (rows, dk, res, p, ap, q, diag, rz, stop)
-            )
-            res_t, q_t = res.transpose(0, 2, 1), q.transpose(0, 2, 1)
-        z = _solve(lap, res)
-        rz, rz_old = z @ res_t, rz
+        # Written so that a non-finite norm (overflow) also ends the loop;
+        # the caller's finiteness check on the new iterate reports it.
+        if not stop < math.sqrt(res @ res) < np.inf:
+            break
+        z = yield res
+        solves += 1
+        rz, rz_old = float(res @ z), rz
         beta = rz / rz_old
         p *= beta
         p += z
         ap *= beta
         ap += res
-    if dk is not d:  # rows have left: d holds them, dk the rest
-        d[rows] = dk
-    return d[:, 0], solves
+    return d, solves
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _iterate(prep: _Prepared, lap: DiscreteOperator, cfg: SolverConfig, tol_fp: float,
-             initial) -> list[SolveResult]:
-    """Inexact Newton-PCG solve of u = T(u), with T the Picard map, for each
-    problem of the stack ``prep``; one SolveResult per problem.
+def _level(prep: _Prepared, cfg: SolverConfig, tol_fp: float, initial: np.ndarray | None):
+    """Inexact Newton-PCG solve of u = T(u), with T the Picard map, for one
+    problem: a generator that yields each right-hand side b it needs solved
+    with A, is sent A^-1 b, and returns the SolveResult.
 
-    ``initial`` is None (a cold start) or the problems' starts, one row
-    each.  Each iteration evaluates w = T(u) (one solve) and accepts u once
+    ``initial`` is None (a cold start, u = T(0)) or the start.  Each
+    iteration evaluates w = T(u) (one solve) and accepts u once
     max|w - u| <= tol_fp; with f identically zero T is constant and u moves
-    to w.  Otherwise a row whose max|w - u| did not fall below its base's
-    halves its step, while the step exceeds ``_MIN_STEP``, and every other
-    row takes, from one PCG call, the Newton step d of u - T(u) = 0, i.e.
-    (A + D) d = A (w - u) with D = f_n |h_n'(|u| + 1/n)| where u >= 0, and
-    makes (u, d, max|w - u|) its base with step 1.  Then every row moves to
-    max(base_u + step base_d, base_u/2).  The returned u is the last one
-    judged, so ``residual`` is its own max|T(u) - u|.  A row leaves the
-    stack once accepted or out of iterations, so each problem gets the bits
-    of its lone solve.  Floating-point overflow raises no warning here: a
-    non-finite source or iterate raises OverflowError instead.
+    to w.  Otherwise, if max|w - u| did not fall below its base's, the step
+    halves, while it exceeds ``_MIN_STEP``; else PCG gives the Newton step d
+    of u - T(u) = 0, i.e. (A + D) d = A (w - u) with D = f_n |h_n'(|u| + 1/n)|
+    where u >= 0, and (u, d, max|w - u|) becomes the base with step 1.  Then
+    u moves to max(base_u + step base_d, base_u/2).  The returned u is the
+    last one judged, so ``residual`` is its own max|T(u) - u|.  A non-finite
+    source or iterate raises OverflowError.
     """
-    k, grid = len(prep.hs), prep.grid
-    results: list = [None] * k
-    rows = np.arange(k)  # the problems still iterating
-    # Each row makes one solve per iteration, one more for a cold start, and
-    # the PCG solves of its Newton directions, counted here.
-    pcg_solves = np.zeros(k, dtype=int)
+    solves = 0
     if initial is None:
-        u, _, _ = _picard(prep, lap, np.zeros((k, grid.interior_count)))
+        u, _, _ = yield from _picard(prep, np.zeros(prep.grid.interior_count))
+        solves += 1
     else:
         u = np.array(initial, dtype=float)
+    converged = False
+    residual = np.inf
     iterations = 0
-    residual = np.full(k, np.inf)
-    # A row's base is read only after its first Newton step; until then u
-    # stands in for it, so that no array is allocated for it.  A NaN base
-    # residual compares false, so no row halves before it has a base.
-    base_u = base_d = u
-    base_residual = np.full(k, np.nan)
-    step = np.ones(k)
-
-    def finish(done):
-        for j in np.flatnonzero(done):
-            results[rows[j]] = SolveResult(
-                u=GridFunction(grid, u[j]),
-                iterations=iterations,
-                residual=float(residual[j]),
-                converged=bool(residual[j] <= tol_fp),
-                linear_solves=int(initial is None) + iterations + int(pcg_solves[j]),
-            )
-
+    base_u = base_d = None
+    base_residual = np.inf
+    step = 1.0
     for iterations in range(1, cfg.max_iters + 1):
-        r, arg, hv = _picard(prep, lap, u)
+        r, arg, hv = yield from _picard(prep, u)
+        solves += 1
         r -= u  # T(u) - u, in place
-        residual = np.abs(r).max(axis=1)
-        done = residual <= tol_fp
-        if iterations == cfg.max_iters:
-            done[:] = True
-        if done.any():
-            finish(done)
-            if done.all():
-                return results
-            keep = ~done
-            prep = prep.rows(keep)
-            rows, u, r, residual, pcg_solves, base_u, base_d, base_residual, step = (
-                a[keep]
-                for a in (rows, u, r, residual, pcg_solves, base_u, base_d, base_residual, step)
-            )
-            if hv is not None:
-                arg, hv = arg[keep], hv[keep]
+        residual = float(np.abs(r).max())
+        converged = residual <= tol_fp
+        if converged or iterations == cfg.max_iters:
+            break
         if hv is None:  # T is constant, so T(u) = u + r is its fixed point
             u = u + r
             continue
-        halve = (residual >= base_residual) & (step > _MIN_STEP)
-        step[halve] *= 0.5
-        if not halve.all():
-            whole = not halve.any()
-            sel = slice(None) if whole else ~halve
-            diag = _by_h(
-                prep, lambda h, s, hs: slope_h_n(h, prep.cap, s, hs), arg + prep.shift, hv
-            )
+        if residual >= base_residual and step > _MIN_STEP:
+            step *= 0.5
+        else:
+            diag = slope_h_n(prep.h, prep.cap, arg + prep.shift, hv)
             diag *= prep.f_capped
             # Only a caller's start can hold negative entries.  There |u| != u,
             # so the slope of h_n(|u| + 1/n) in u flips and the Newton diagonal
             # would have the wrong sign; the step drops it.
             diag[arg != u] = 0.0
             # Free what the PCG solves do not read: their work vectors set the
-            # level solve's peak memory.  The old base is read after them only
-            # by the rows that halve.
-            del arg, hv
-            if whole:
-                base_u = base_d = None
-            d, cg_solves = _newton_direction(prep, lap, r[sel], diag[sel])
-            pcg_solves[sel] += cg_solves
-            # In place: a fresh step and base residual array each iteration
-            # (np.where) raised solve's minor faults on 3D/64 from 44k to 56k.
-            base_residual[sel], step[sel] = residual[sel], 1.0
-            if whole:
-                base_u, base_d = u, d
-            else:
-                base_u[sel], base_d[sel] = u[sel], d
-            del d  # only base_d keeps it, so the next step frees it before its PCG
-        # 1.0 * d == d exactly: a row with a new base moves to max(u + d, u/2).
-        u = np.maximum(base_u + step[:, None] * base_d, 0.5 * base_u)
+            # level solve's peak memory.
+            del arg, hv, base_d
+            base_u, base_residual, step = u, residual, 1.0
+            base_d, cg_solves = yield from _newton_direction(prep, r, diag)
+            solves += cg_solves
+        # 1.0 * d == d exactly: a new base moves u to max(u + d, u/2).
+        u = np.maximum(base_u + step * base_d, 0.5 * base_u)
         if not np.isfinite(u).all():
             raise OverflowError("Newton iterate contains non-finite values")
-    finish(np.ones(len(rows), dtype=bool))
+    return SolveResult(
+        u=GridFunction(prep.grid, u),
+        iterations=iterations,
+        residual=residual,
+        converged=converged,
+        linear_solves=solves,
+    )
+
+
+# The loops run inside the driver's calls to ``send``, so the errstate goes
+# on the driver: on a generator function it would cover only the creation of
+# the generator.
+@np.errstate(over="ignore", invalid="ignore")
+def _iterate(specs, lap: DiscreteOperator, cfg: SolverConfig, tol_fp: float,
+             initials) -> list[SolveResult]:
+    """The level solves of ``specs``, problems on the grid of ``lap``, from
+    ``initials`` (None for cold starts, else one start per problem): one
+    ``_level`` loop per problem.  Each round solves the right-hand sides of
+    every loop still running in one ``_solve`` call, each row to the bits of
+    its lone solve, and sends each loop its solution.  Floating-point
+    overflow raises no warning here; a loop that raises ends every loop.
+    """
+    starts = [None] * len(specs) if initials is None else initials
+    loops = [_level(_prepare(spec), cfg, tol_fp, u0) for spec, u0 in zip(specs, starts)]
+    results: list = [None] * len(loops)
+    sends = dict.fromkeys(range(len(loops)))  # None starts a loop
+    while sends:
+        # Each right-hand side and each solution leaves its table before the
+        # loops run on: a level's peak memory is its loop's own arrays.
+        pending = {}
+        for i in list(sends):
+            try:
+                pending[i] = loops[i].send(sends.pop(i))
+            except StopIteration as done:
+                results[i] = done.value
+        rows = list(pending)
+        if len(rows) == 1:
+            sends = {rows[0]: _solve(lap, pending.pop(rows[0]))}
+        elif rows:  # np.array, not np.stack: a fifth of the overhead on short rows
+            sends = dict(zip(rows, _solve(lap, np.array([pending.pop(i) for i in rows]))))
     return results
 
 
@@ -475,7 +395,7 @@ def solve_regularized(
     if initial is not None:
         require_same_grid(spec.grid, initial.grid)
     [result] = _iterate(
-        _prepare([spec]),
+        [spec],
         build_laplacian(spec.grid),
         cfg,
         cfg.resolved_tol_fp(spec.grid),
@@ -499,11 +419,12 @@ def iter_sequence(spec: ProblemSpec, n_schedule=None, cfg: SolverConfig | None =
 
 
 def _iter_stack(specs, n_schedule=None, cfg: SolverConfig | None = None):
-    """``iter_sequence`` for a stack of problems on one grid, solved through
-    one level loop, each to the bits of its lone schedule: each level yields
+    """``iter_sequence`` for a stack of problems on one grid, each to the
+    bits of its lone schedule: each level yields
     ``(n, {i: (result, l1_diff, max_diff)})`` for the problems i solved at
-    it.  A problem whose level does not converge ends its own schedule there
-    and leaves the stack."""
+    it, whose level loops ran through one ``_iterate``, sharing its kernel
+    calls.  A problem whose level does not converge ends its own schedule
+    there."""
     cfg = cfg or SolverConfig()
     schedule = tuple(DEFAULT_SCHEDULE if n_schedule is None else n_schedule)
     if not schedule:
@@ -512,12 +433,14 @@ def _iter_stack(specs, n_schedule=None, cfg: SolverConfig | None = None):
         raise ValueError("n_schedule must be strictly increasing")
     levels = [[replace(s, n=n) for s in specs] for n in schedule]  # ProblemSpec checks each n
     grid = specs[0].grid
+    for spec in specs:
+        require_same_grid(grid, spec.grid)
     lap = build_laplacian(grid)
     tol_fp = cfg.resolved_tol_fp(grid)
     running = list(range(len(specs)))
     prev: list[np.ndarray] | None = None
     for n, level in zip(schedule, levels):
-        results = _iterate(_prepare([level[i] for i in running]), lap, cfg, tol_fp, prev)
+        results = _iterate([level[i] for i in running], lap, cfg, tol_fp, prev)
         solved = {}
         for j, (i, res) in enumerate(zip(running, results)):
             l1 = mx = math.nan

@@ -888,17 +888,19 @@ def test_verify_solves_no_level_problem_twice(tmp_path, monkeypatch):
     keys = []
     iterate = solver._iterate
 
-    def recording_iterate(prep, lap, cfg, tol_fp, initial):
-        keys.append((
-            prep.grid.dim,
-            prep.grid.cells_per_side,
-            prep.cap,
-            prep.f_capped.tobytes(),
-            prep.mu_vals.tobytes(),
-            tol_fp,
-            None if initial is None else np.asarray(initial).tobytes(),
-        ))
-        return iterate(prep, lap, cfg, tol_fp, initial)
+    def recording_iterate(specs, lap, cfg, tol_fp, initials):
+        for i, spec in enumerate(specs):
+            prep = solver._prepare(spec)
+            keys.append((
+                prep.grid.dim,
+                prep.grid.cells_per_side,
+                prep.cap,
+                prep.f_capped.tobytes(),
+                prep.mu_vals.tobytes(),
+                tol_fp,
+                None if initials is None else np.asarray(initials[i]).tobytes(),
+            ))
+        return iterate(specs, lap, cfg, tol_fp, initials)
 
     monkeypatch.setattr(solver, "_iterate", recording_iterate)
     text = DIRAC_1D.replace("h.gamma = 0.5", "h.gamma = 1.5")
@@ -914,10 +916,12 @@ def test_verify_solves_the_measure_free_top_level_once(tmp_path, monkeypatch):
     top_levels = []
     iterate = solver._iterate
 
-    def recording_iterate(prep, lap, cfg, tol_fp, initial):
-        if prep.grid.cells_per_side == 32 and prep.cap == 64 and not prep.mu_vals.any():
-            top_levels.append(initial is None)
-        return iterate(prep, lap, cfg, tol_fp, initial)
+    def recording_iterate(specs, lap, cfg, tol_fp, initials):
+        for spec in specs:
+            prep = solver._prepare(spec)
+            if prep.grid.cells_per_side == 32 and prep.cap == 64 and not prep.mu_vals.any():
+                top_levels.append(initials is None)
+        return iterate(specs, lap, cfg, tol_fp, initials)
 
     monkeypatch.setattr(solver, "_iterate", recording_iterate)
     text = DIRAC_1D.replace("h.gamma = 0.5", "h.gamma = 1.5")

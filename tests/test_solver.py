@@ -610,21 +610,6 @@ def _assert_same_levels(stacked, lone):
         assert np.array_equal([l1, mx], [ref_l1, ref_mx], equal_nan=True)
 
 
-@pytest.mark.parametrize("n", [31, 127, 511, 4095])
-def test_row_dots_are_the_lone_dot_products(n):
-    # The PCG loop takes each row's dot product as a (k, 1, N) stack times
-    # the transposed view of another, in either order: each has the bits of
-    # the lone a @ b.  einsum sums in another order and misses some by an
-    # ulp.
-    rng = np.random.default_rng(n)
-    a, b = rng.uniform(-1.0, 1.0, (2, 6, 1, n))
-    lone = [float(x[0] @ y[0]) for x, y in zip(a, b)]
-    for x, y in ((a, b), (b, a)):
-        dots = x @ y.transpose(0, 2, 1)
-        assert dots.shape == (6, 1, 1)
-        assert [float(v) for v in dots[:, 0, 0]] == lone
-
-
 _STACK_H = [
     make(gamma)
     for make in (
@@ -674,28 +659,31 @@ def test_stacked_schedule_ends_only_the_nonconvergent_rows():
 
 def _spied_levels(monkeypatch, specs):
     """``_stacked_levels`` on the default schedule, and per level n the
-    ``(stack rows, direction rows)`` of each ``_newton_direction`` call."""
+    number of ``_newton_direction`` calls of each row.  No two rows may
+    share their h object: a call finds its row by it."""
     calls, per_level = [], {}
     newton = solver._newton_direction
 
-    def spy(prep, lap, r, diag):
-        calls.append((len(prep.hs), len(r)))
-        return newton(prep, lap, r, diag)
+    def spy(prep, r, diag):
+        [row] = [i for i, spec in enumerate(specs) if spec.h is prep.h]
+        calls.append(row)
+        return newton(prep, r, diag)
 
     monkeypatch.setattr(solver, "_newton_direction", spy)
     levels = [[] for _ in specs]
     for n, solved in solver._iter_stack(specs):
-        per_level[n], calls[:] = calls[:], []
+        per_level[n] = [calls.count(i) for i in range(len(specs))]
+        calls.clear()
         for i, (res, l1, mx) in solved.items():
             levels[i].append((n, res, l1, mx))
     monkeypatch.undo()
     return levels, per_level
 
 
-def _halvings(levels, calls):
-    """Per level, the steps halved: every iteration but the accepting one
-    moves u, by a Newton step or by halving the last one."""
-    return {n: res.iterations - 1 - len(calls[n]) for n, res, *_ in levels}
+def _halvings(levels, calls, row=0):
+    """Per level, the steps that ``row`` halved: every iteration but the
+    accepting one moves u, by a Newton step or by halving the last one."""
+    return {n: res.iterations - 1 - calls[n][row] for n, res, *_ in levels}
 
 
 def _halving_spec(gamma, measure):
@@ -710,29 +698,58 @@ def test_lone_schedule_halves_a_step_that_does_not_lower_the_residual(monkeypatc
 
 
 def test_stacked_row_halves_while_its_stack_mates_take_newton_steps(monkeypatch):
-    # Alone, only the gamma = 3 row with the uniform measure halves at level
-    # 32.  In the stack its three mates take Newton steps in that iteration,
-    # in one PCG call without it, and every row keeps its lone bits.
+    # Alone, only the gamma = 3 row with the uniform measure halves, at
+    # level 32.  In the stack it halves there too while its three mates take
+    # Newton steps, and every row keeps its lone bits.
     specs = [_halving_spec(g, m) for g in (1.5, 3.0) for m in ("none", "uniform")]
     stacked, calls = _spied_levels(monkeypatch, specs)
-    assert [c for c in calls[32] if c[1] < c[0]] == [(4, 3)]
-    halved_at_32 = []
+    halved = [_halvings(levels, calls, i) for i, levels in enumerate(stacked)]
+    assert [{n: k for n, k in h.items() if k} for h in halved] == [{}, {}, {}, {32: 1}]
     for spec, levels in zip(specs, stacked):
-        [lone], lone_calls = _spied_levels(monkeypatch, [spec])
+        [lone], _ = _spied_levels(monkeypatch, [spec])
         _assert_same_levels(levels, lone)
-        halved_at_32.append(_halvings(lone, lone_calls)[32])
-    assert halved_at_32 == [0, 0, 0, 1]
 
 
 @pytest.mark.parametrize(
     "other, message",
-    [
-        (lambda s: replace(s, grid=build_grid(1, 16)), "grid mismatch"),
-        (lambda s: replace(s, f=zero()), "agree on whether f vanishes"),
-    ],
-    ids=["grid", "f-vanishes"],
+    [(lambda s: replace(s, grid=build_grid(1, 16)), "grid mismatch")],
+    ids=["grid"],
 )
 def test_stack_rejects_problems_that_cannot_share_a_loop(other, message):
     spec = spec_1d(cells=32, mu=DELTA_HALF)
     with pytest.raises(ValueError, match=message):
         next(solver._iter_stack([spec, other(spec)], (2, 4)))
+
+
+def test_stack_mixes_rows_where_f_vanishes_and_where_it_does_not():
+    # Where f = 0 the Picard map is constant and the loop takes no Newton
+    # step; its stack-mates with f = 1 do.  Each row keeps its lone bits.
+    specs = [spec_1d(cells=32, f=f, mu=mu) for f in (zero(), constant(1.0))
+             for mu in (RadonMeasure(), DELTA_HALF)]
+    schedule = (2, 8, 64, 512)
+    for spec, levels in zip(specs, _stacked_levels(specs, schedule)):
+        _assert_same_levels(levels, list(iter_sequence(spec, schedule)))
+
+
+def test_stack_shares_its_kernel_calls(monkeypatch):
+    # The sweep benchmark's 1D/32 stack: each round solves the right-hand
+    # sides of every row still running in one kernel call.  The calls carry
+    # exactly the row solves of the lone schedules, and far fewer calls.
+    grid = build_grid(1, 32)
+    specs = [
+        ProblemSpec(grid=grid, h=SingularNonlinearity.pure_power(g), f=constant(1.0),
+                    mu=SWEEP_MEASURES[m])
+        for g in (0.5, 1.5, 3.0) for m in ("none", "dirac_center", "uniform")
+    ]
+    lone = sum(res.linear_solves for spec in specs for _, res, *_ in iter_sequence(spec))
+    rows = []
+    solve = solver._solve
+
+    def spy(op, b):
+        rows.append(b.size // op.grid.interior_count)
+        return solve(op, b)
+
+    monkeypatch.setattr(solver, "_solve", spy)
+    _stacked_levels(specs, None)
+    assert sum(rows) == lone == 939
+    assert len(rows) <= 161
