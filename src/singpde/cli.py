@@ -98,8 +98,6 @@ _MANUFACTURED_CELLS = (32, 64, 128)
 
 
 def _fmt(x) -> str:
-    if isinstance(x, bool):
-        return "true" if x else "false"
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     if isinstance(x, float):
@@ -176,7 +174,7 @@ def _reason(out_dir: Path | None, code: int, category: str, detail: str) -> int:
 
 
 def _spec_from_config(cfg: RunConfig) -> ProblemSpec:
-    grid = build_grid(cfg.dim, cfg.cells, cfg.grid_margin)
+    grid = build_grid(cfg.dim, cfg.cells)
     return ProblemSpec(grid=grid, h=cfg.h, f=cfg.f, mu=cfg.mu, n=cfg.n_schedule[-1])
 
 
@@ -358,7 +356,7 @@ def _suite_manufactured(cfg: RunConfig, run: _Run):
     errors = {}
     for cells in _MANUFACTURED_CELLS:
         grid = build_grid(1, cells)
-        spec = ProblemSpec(grid=grid, h=cfg.h, f=f, mu=RadonMeasure(), n=n)
+        spec = ProblemSpec(grid=grid, h=run.spec.h, f=f, mu=RadonMeasure(), n=n)
         res = _solve_converged(f"manufactured solve at cells={cells}", spec, cfg.solver)
         exact = np.sin(np.pi * grid.node_coords[:, 0])
         errors[cells] = float(np.max(np.abs(res.u.values - exact)))
@@ -448,7 +446,7 @@ def _suite_tails(cfg: RunConfig, run: _Run):
 
 
 def _suite_kato(cfg: RunConfig, run: _Run):
-    spec1 = replace(run.spec, mu=scale_measure(cfg.mu, 2.0))
+    spec1 = replace(run.spec, mu=scale_measure(run.spec.mu, 2.0))
     u2 = run.tight_level.u
     u1 = _solve_converged("tight-tolerance level solve", spec1, run.tight, u2).u
     f1 = level_source(spec1, u1)
@@ -497,8 +495,9 @@ def _suite_sandwich(cfg: RunConfig, run: _Run):
     if cfg.cells < 16:
         rows.append(_na("sandwich.hopf_ratio_stability", "needs cells >= 16"))
         return rows
-    coarse = replace(spec.without_measure(), grid=build_grid(cfg.dim, cfg.cells // 2, cfg.grid_margin))
-    v = _solve_converged(f"Hopf-ratio solve at cells={cfg.cells // 2}", coarse, cfg.solver)
+    cells = spec.grid.cells_per_side // 2
+    coarse = replace(spec.without_measure(), grid=build_grid(spec.grid.dim, cells))
+    v = _solve_converged(f"Hopf-ratio solve at cells={cells}", coarse, cfg.solver)
     coarse_ratio = hopf_ratio_check(v.u)
     stability = ratio / coarse_ratio if coarse_ratio > 0 else float("nan")
     rows.append(
@@ -562,6 +561,8 @@ def _cmd_verify(cfg: RunConfig, suite: str, out_dir: Path) -> int:
 
 # The most unknowns, k rows times (cells - 1)^dim, that one sweep stack
 # holds; a grid with more unknowns than this is solved one row at a time.
+# The cap bounds a stack's memory (uncapped nine-row sweeps took as long but
+# peaked up to twice as high); long 1D grids would run faster in larger stacks.
 _STACK_UNKNOWNS = 8192
 
 

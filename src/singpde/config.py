@@ -37,7 +37,6 @@ SWEEP_MEASURES = {
 KNOWN_KEYS = (
     "domain.dim",
     "domain.cells",
-    "domain.margin",
     "domain.margins",
     "h.kind",
     "h.gamma",
@@ -275,7 +274,6 @@ class RunConfig:
 
     dim: int
     cells: int
-    grid_margin: float
     margins: tuple[float, ...]
     h: SingularNonlinearity
     f: fields.ScalarField
@@ -286,6 +284,7 @@ class RunConfig:
     sweep_gammas: tuple[float, ...]
     sweep_cells: tuple[int, ...]
     sweep_measures: tuple[str, ...]
+    grid_margin = 0.0  # not a setting or a field: only perfbench's SolveGate reads it
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
@@ -299,9 +298,6 @@ class RunConfig:
         cells = _get_int(raw, "domain.cells", 64)
         if cells < 2:
             raise ConfigError("domain.cells", f"must be at least 2, got {cells}")
-        grid_margin = _get_float(raw, "domain.margin", 0.0)
-        if not 0.0 <= grid_margin < 0.5:
-            raise ConfigError("domain.margin", f"must lie in [0, 0.5), got {grid_margin}")
         margins = _get_distinct(raw, "domain.margins", float, (0.125, 0.25), "{:g}".format)
         for m in margins:
             if not 0.0 <= m < 0.5:
@@ -356,7 +352,6 @@ class RunConfig:
         return cls(
             dim=dim,
             cells=cells,
-            grid_margin=grid_margin,
             margins=margins,
             h=h,
             f=f,

@@ -189,10 +189,9 @@ def build_grid(dim: int, cells_per_side: int, boundary_margin: float = 0.0) -> G
     """Build a uniform grid on [0, 1]^dim.
 
     ``cells_per_side`` is the number of cells along each axis; the interior
-    holds (cells_per_side - 1)^dim nodes.  ``boundary_margin`` (the
-    ``domain.margin`` config key) is validated and stored on the grid, but
-    nothing in the package reads it; the compact bands of the diagnostics
-    take their margins as arguments.
+    holds (cells_per_side - 1)^dim nodes.  ``boundary_margin`` is validated
+    and stored on the grid, but nothing in the package passes or reads it;
+    the compact bands of the diagnostics take their margins as arguments.
     """
     if dim not in (1, 2, 3):
         raise ValueError(f"dim must be 1, 2 or 3, got {dim}")

@@ -447,7 +447,7 @@ def _check_solution_files_per_value(tmp_path, cells):
     assert main(["solve", cfg_path, "--out", str(out)]) == 0
 
     cfg = RunConfig.from_file(cfg_path)
-    grid = build_grid(cfg.dim, cfg.cells, cfg.grid_margin)
+    grid = build_grid(cfg.dim, cfg.cells)
     spec = ProblemSpec(grid=grid, h=cfg.h, f=cfg.f, mu=cfg.mu, n=cfg.n_schedule[-1])
     for n, res, _, _ in iter_sequence(spec, cfg.n_schedule, cfg.solver):
         expected = b"x,y,u\n" + _per_value_rows(grid.node_coords.tolist(), res.u.values.tolist())
@@ -820,6 +820,53 @@ def test_verify_builds_no_grid_finer_than_the_config(tmp_path, monkeypatch):
     assert sorted(set(cells)) == [8, 16]
 
 
+def test_verify_every_solve_derives_from_the_run_spec(tmp_path, monkeypatch, capsys):
+    # A defect injected into the run's one ProblemSpec (every atom's mass
+    # doubled, gamma times 1.2) must reach every solve of every suite: one
+    # that rebuilt its problem from the config would solve the clean one.
+    cfg = write_cfg(tmp_path, DIRAC_1D)
+    run_cfg = RunConfig.from_file(cfg)
+    assert main(["verify", cfg, "--out", str(tmp_path / "clean"), "--suite", "all"]) == 0
+    clean = capsys.readouterr().out.splitlines()
+
+    spec_from_config = cli._spec_from_config
+
+    def defective_spec(cfg):
+        spec = spec_from_config(cfg)
+        mu = RadonMeasure(atoms=tuple((x, 2.0 * m) for x, m in spec.mu.atoms))
+        return replace(spec, h=replace(spec.h, gamma=1.2 * spec.h.gamma), mu=mu)
+
+    specs = []
+    iter_sequence_, solve_regularized_ = cli.iter_sequence, cli.solve_regularized
+
+    def recording_iter_sequence(spec, n_schedule=None, cfg=None):
+        specs.append(spec)
+        return iter_sequence_(spec, n_schedule, cfg)
+
+    def recording_solve_regularized(spec, cfg=None, initial=None):
+        specs.append(spec)
+        return solve_regularized_(spec, cfg, initial)
+
+    monkeypatch.setattr(cli, "_spec_from_config", defective_spec)
+    monkeypatch.setattr(cli, "iter_sequence", recording_iter_sequence)
+    monkeypatch.setattr(cli, "solve_regularized", recording_solve_regularized)
+    code = main(["verify", cfg, "--out", str(tmp_path / "defect"), "--suite", "all"])
+    assert code in (0, 3)
+    defect = capsys.readouterr().out.splitlines()
+
+    # Two schedules, three tight solves, the Hopf coarse solve and three
+    # manufactured solves.
+    assert len(specs) == 9
+    assert {spec.h.gamma for spec in specs} == {1.2 * run_cfg.h.gamma}
+    (mass,) = [m for _, m in run_cfg.mu.atoms]
+    masses = [tuple(m for _, m in spec.mu.atoms) for spec in specs if spec.mu.atoms]
+    # The full schedule and the tight mu and uniqueness solves carry 2 mu,
+    # Kato's tight solve of twice the measure 4 mu.
+    assert sorted(masses) == [(2.0 * mass,)] * 3 + [(4.0 * mass,)]
+    changed = {row.split(",")[0] for row in set(defect) - set(clean)}
+    assert "manufactured.error_cells64" in changed
+
+
 def test_verify_tight_solves_start_warm_when_the_schedule_is_solved(tmp_path, monkeypatch):
     # Under --suite all the tight mu solve starts from the full schedule's
     # last level and the tight 2 mu solve from the tight mu one; the
@@ -1029,6 +1076,31 @@ def test_verify_short_schedule_reports_vacuous_checks_na(tmp_path, schedule):
         assert monotone[3] == "pass"
     assert rows["lower_bound.domination"][3] == "pass"
     assert rows["sandwich.breach"][3] == "pass"
+
+
+@pytest.mark.parametrize(
+    "text, suite, rows",
+    [
+        ("domain.dim = 1\ndomain.cells = 32\nh.gamma = 0.5\n", "energy_law",
+         ["energy_law.slope,needs gamma>=1,,na"]),
+        ("domain.dim = 1\ndomain.cells = 32\nh.kind = bounded_plateau\nh.gamma = 1.5\n",
+         "manufactured", ["manufactured.error,needs pure_power h,,na"]),
+        ("domain.dim = 1\ndomain.cells = 32\nh.kind = bounded_plateau\nh.gamma = 1.5\n",
+         "uniqueness", ["uniqueness.gap,needs strictly decreasing h,,na"]),
+        # f = 0 and no measure: u_n = 0, whose tails have nothing to fit.
+        ("domain.dim = 3\ndomain.cells = 8\nf.kind = zero\n", "tails",
+         ["tails.gradient_slope,inconclusive,,na", "tails.u_slope,inconclusive,,na"]),
+        ("domain.dim = 2\ndomain.cells = 16\nf.kind = zero\n"
+         "measure.atom = [0.5, 0.5, 0.5, 1.0]\n", "sandwich",
+         ["sandwich.breach,needs f>0 at every node,,na"]),
+    ],
+    ids=["energy_law", "manufactured", "uniqueness", "tails", "sandwich"],
+)
+def test_verify_inapplicable_suite_prints_its_na_rows(tmp_path, capsys, text, suite, rows):
+    out = tmp_path / "out"
+    assert main(["verify", write_cfg(tmp_path, text), "--out", str(out), "--suite", suite]) == 0
+    assert capsys.readouterr().out.splitlines() == rows
+    assert (out / f"verify_{suite}.csv").read_text().splitlines()[1:] == rows
 
 
 @pytest.fixture(scope="module")

@@ -1,8 +1,11 @@
+import csv
+import io
 import math
 
 import numpy as np
 import pytest
 
+from singpde.cli import main
 from singpde.config import ConfigError, RunConfig, load_raw_config
 from singpde.mesh import GridFunction, build_grid, min_on_compact
 
@@ -272,7 +275,53 @@ def test_key_the_kind_does_not_read_is_rejected(tmp_path, kind, key):
         "f.kind = constant\nf.value = 7",
         "f.kind = gaussian_bump\nf.center = 0.3\nf.width = 0.2\nf.scale = 2",
         "f.kind = sin_pi\nf.scale = 2",
+        "f.kind = zero",
+        "h.gamma = 1.5\nf.kind = manufactured_singular",
     ],
 )
 def test_keys_the_kind_reads_are_accepted(tmp_path, lines):
     RunConfig.from_file(write(tmp_path, f"domain.dim = 1\n{lines}\n"))
+
+
+@pytest.mark.parametrize(
+    "lines, key, message",
+    [
+        ("h.gamma = half", "h.gamma", "expected a number"),
+        ("domain.cells = 3.5", "domain.cells", "expected an integer"),
+        ("sequence.n_schedule = 2, four", "sequence.n_schedule", "expected a comma-separated list"),
+        ("h.kind = shifted_power\nh.shift = 0", "h.shift", "must be positive"),
+        ("h.kind = bounded_plateau\nh.plateau = 0", "h.plateau", "must be positive"),
+        ("f.kind = cubic", "f.kind", "must be one of"),
+        ("f.kind = constant\nf.value = -1", "f.value", "must be nonnegative"),
+        ("f.kind = gaussian_bump\nf.width = 0", "f.width", "must be positive"),
+        ("f.kind = gaussian_bump\nf.scale = -1", "f.scale", "must be nonnegative"),
+        ("f.kind = sin_pi\nf.scale = -1", "f.scale", "must be nonnegative"),
+        ("measure.atom = [0.5, 0.5, 1.0]", "measure.atom", "expected [x, y, z, mass]"),
+        ("measure.atom = [0.5, 0.5, 0.5, heavy]", "measure.atom", "non-numeric entry"),
+        ("measure.atom = [0.5, 0.5, 0.5, -1]", "measure.atom", "mass must be nonnegative"),
+        ("measure.density = constant(1, 2)", "measure.density", "takes exactly one argument"),
+        ("measure.density = gaussian_bump(0.5, 0.5, 0.5, 0.1)", "measure.density",
+         "takes (cx, cy, cz, width, scale)"),
+        ("domain.dim = 4", "domain.dim", "must be 1, 2 or 3"),
+        ("domain.cells = 1", "domain.cells", "must be at least 2"),
+        ("sequence.n_schedule =", "sequence.n_schedule", "must not be empty"),
+        ("solver.tol_fp = 0", "solver.tol_fp", "must be positive"),
+        ("solver.max_iters = 0", "solver.max_iters", "must be at least 1"),
+        ("sweep.measure = ball", "sweep.measure", "must be one of"),
+        ("sweep.cells = 1", "sweep.cells", "must be at least 2"),
+        ("sweep.gamma = 0", "sweep.gamma", "must be positive"),
+        # The grid margin was stored on the grid and read by nothing.
+        ("domain.margin = 0.1", "domain.margin", "unknown configuration key"),
+    ],
+    ids=lambda value: value.replace("\n", "; "),
+)
+def test_rejected_config_names_its_key_and_exits_one(tmp_path, capsys, lines, key, message):
+    path = write(tmp_path, f"{lines}\n")
+    with pytest.raises(ConfigError) as err:
+        RunConfig.from_file(path)
+    assert err.value.key == key
+    assert main(["solve", path, "--out", str(tmp_path / "out")]) == 1
+    reasons = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert reasons == [["reason", "1", "config", str(err.value)]]
+    assert str(err.value).startswith(f"{key}: ") and message in str(err.value)
+
